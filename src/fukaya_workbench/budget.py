@@ -9,6 +9,7 @@ accept measured float data and compare against exact rational bounds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -122,6 +123,8 @@ def strip_end_bound(lo, hi, end: str, cutoffs) -> StripBound:
     cuts = [_num(c) for c in cutoffs]
     if len(cuts) < 2:
         raise ValueError("need at least two cutoff samples")
+    if not all(math.isfinite(c) for c in cuts):
+        raise ValueError("cutoff samples must be finite, got %s" % cuts)
     for a, b in zip(cuts, cuts[1:]):
         if b < a:
             raise ValueError("cutoff samples must be nondecreasing")

@@ -125,9 +125,15 @@ def _parse_labels(text: str):
 def _labels_from_args(args):
     if getattr(args, "labels", None):
         return _parse_labels(args.labels)
-    if getattr(args, "d", None):
+    if getattr(args, "d", None) is not None:
         return tuple("L%d" % i for i in range(args.d + 1))
     raise ValueError("give either --labels or --d")
+
+
+def _require_positive(flag, value):
+    if value < 1:
+        raise ValueError("%s must be at least 1, got %d; the scan would check nothing"
+                         % (flag, value))
 
 
 def _chunks(seq, n):
@@ -330,6 +336,7 @@ def cmd_width(args):
 
 
 def cmd_check_ainf(args):
+    _require_positive("--max-d", args.max_d)
     out = Out(args.format)
     cat = load_category(_read_source(args.file))
     hit = find_ainf_violation(cat, args.max_d)
@@ -345,6 +352,7 @@ def cmd_check_ainf(args):
 
 
 def cmd_check_linf(args):
+    _require_positive("--max-n", args.max_n)
     out = Out(args.format)
     alg = load_linf(_read_source(args.file))
     for n in range(1, args.max_n + 1):
@@ -361,6 +369,10 @@ def cmd_check_linf(args):
 
 
 def cmd_check_ocha(args):
+    if min(args.max_closed, args.max_open) < 0:
+        raise ValueError("--max-closed and --max-open must be nonnegative")
+    if args.max_closed == args.max_open == 0:
+        raise ValueError("--max-closed 0 --max-open 0 leaves no tuple to check")
     out = Out(args.format)
     s = load_ocha(_read_source(args.file))
     for k in range(0, args.max_closed + 1):
@@ -430,6 +442,8 @@ def cmd_unit(args):
 
 
 def cmd_functor(args):
+    if not args.no_check:
+        _require_positive("--max-d", args.max_d)
     out = Out(args.format)
     source = load_category(_read_source(args.source))
     target = load_category(_read_source(args.target))

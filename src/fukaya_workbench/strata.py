@@ -299,30 +299,39 @@ def generalized_corner_flag(ct: ColoredTree) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _loose_shapes(d: int, parent_unary: bool):
-    """Planar shapes with d leaves and arities >= 1; unary vertices
-    never sit directly under unary vertices (two colored vertices on one
-    geodesic are impossible anyway)."""
+def _stacked_subtrees(d: int, parent_unary: bool):
+    """Subtrees with d leaves that occur in some colored tree, as
+    (shape, stable) pairs in canonical order: root arity, composition,
+    child choices.
+
+    A subtree may be stable (every vertex has arity >= 2, so it may sit
+    above the color line; a leaf counts as stable) or colorable (it has
+    a coloring of its own: at its root when all children are stable,
+    or, at arity >= 2, in every child).  A subtree with neither property
+    fits nowhere and is dropped as soon as it is built, so the cost
+    follows the faces of the multiplihedron rather than every planar
+    shape with arities >= 1.  A stable vertex is colorable at its root,
+    so every kept subtree other than a leaf is colorable.  A unary
+    vertex directly under a unary vertex is neither, and is never
+    built."""
     out = []
     kmin = 2 if parent_unary else 1
     for k in range(kmin, d + 1):
         for comp in compositions(d, k):
             options = []
             for m in comp:
-                subs = [None] if m == 1 else []
-                subs.extend(_loose_shapes(m, k == 1))
+                subs = [(None, True)] if m == 1 else []
+                subs.extend(_stacked_subtrees(m, k == 1))
                 options.append(subs)
             for children in itertools.product(*options):
-                out.append(tuple(children))
+                all_stable = all(stable for _, stable in children)
+                if all_stable or (k >= 2 and all(c is not None for c, _ in children)):
+                    out.append((tuple(c for c, _ in children), k >= 2 and all_stable))
     return tuple(out)
 
 
-def _has_unary(node) -> bool:
-    if node is None:
-        return False
-    if len(node) == 1:
-        return True
-    return any(_has_unary(c) for c in node)
+def _stable(node) -> bool:
+    return node is None or (len(node) >= 2 and all(_stable(c) for c in node))
 
 
 def _colorings(shape, path=()):
@@ -330,7 +339,7 @@ def _colorings(shape, path=()):
     the subtree (legal when nothing below is 2-valent), or leave it
     uncolored (needs arity >= 2 and a colored set in every child)."""
     options = []
-    if not any(_has_unary(c) for c in shape):
+    if all(_stable(c) for c in shape):
         options.append(frozenset((path,)))
     if len(shape) >= 2 and all(c is not None for c in shape):
         for combo in itertools.product(
@@ -344,7 +353,7 @@ def stacked_shapes(d: int):
     """Shapes admitting at least one coloring, in canonical order."""
     if d < 1:
         raise ValueError("stacked strata need d >= 1")
-    return list(_loose_shapes(d, False))
+    return [shape for shape, _ in _stacked_subtrees(d, False)]
 
 
 def stacked_strata_for_shape(labels, shape):

@@ -3,7 +3,8 @@
 Each oracle recomputes a quantity along a different route than the
 package: polygon diagonals instead of trees, edge contraction instead
 of arity recursion, two-level composition instead of constraint
-filtering, interval bookkeeping instead of profile splicing, and a
+filtering, a filter over every loose shape instead of pruned
+generation, interval bookkeeping instead of profile splicing, and a
 direct associator scan instead of insertion sums.
 """
 
@@ -161,6 +162,46 @@ def stacked_strata_oracle(d: int):
                     shape = _replace_leaves(lower, uppers)
                     out.add((shape, frozenset(spots)))
     return out
+
+
+def _loose_shapes(d: int, parent_unary: bool):
+    out = []
+    kmin = 2 if parent_unary else 1
+    for k in range(kmin, d + 1):
+        for comp in _compositions(d, k):
+            options = []
+            for m in comp:
+                subs = [None] if m == 1 else []
+                subs.extend(_loose_shapes(m, k == 1))
+                options.append(subs)
+            for children in itertools.product(*options):
+                out.append(tuple(children))
+    return out
+
+
+def loose_shapes_oracle(d: int):
+    """Every planar shape with d leaves and arities >= 1 in which no
+    unary vertex sits directly under a unary vertex, in the canonical
+    order (root arity, composition, child choices): the whole search
+    space that stacked shapes are filtered from."""
+    return _loose_shapes(d, False)
+
+
+def _has_unary(node) -> bool:
+    if node is None:
+        return False
+    if len(node) == 1:
+        return True
+    return any(_has_unary(c) for c in node)
+
+
+def has_coloring_oracle(shape) -> bool:
+    """Whether some colored set exists: color the root when nothing
+    below it is 2-valent, or leave it uncolored at arity >= 2 with every
+    child a vertex that has a coloring."""
+    if not any(_has_unary(c) for c in shape):
+        return True
+    return len(shape) >= 2 and all(c is not None and has_coloring_oracle(c) for c in shape)
 
 
 def stacked_dim_oracle(shape, colored):

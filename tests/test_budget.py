@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -106,6 +107,11 @@ def test_strip_end_validation():
         strip_end_bound(0.6, 0.9, "entry", [0.5])
     with pytest.raises(ValueError):
         strip_end_bound(0.6, 0.9, "entry", [0, 0.5, 0.25])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            strip_end_bound(0.6, 0.9, "entry", [bad, 1])
+        with pytest.raises(ValueError):
+            strip_end_bound(0.6, 0.9, "exit", [0, bad])
 
 
 def test_energy_action_check():

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from fukaya_workbench.cli import main
@@ -89,6 +91,31 @@ def test_stacked_parallel_matches_serial(capsys):
     _, serial, _ = run(capsys, "stacked", "--d", "4")
     _, parallel, _ = run(capsys, "stacked", "--d", "4", "--parallel")
     assert serial == parallel
+
+
+STACKED_MACHINE_MD5 = {
+    1: "d98a262c466b73408250fe765f3deaf6",
+    2: "e809a9586e24ba62e18f0324e47806d8",
+    3: "86f9a189583074812123ecae24eb5a3e",
+    4: "869854feff0dfbbb7e68e2b395fb8cc0",
+    5: "6327943831c5a21cb133a3d23ce50440",
+}
+
+
+def test_stacked_machine_bytes_pinned(capsys):
+    for d, digest in STACKED_MACHINE_MD5.items():
+        code, out, _ = run(capsys, "stacked", "--d", str(d), "--format", "machine")
+        assert code == 0
+        assert hashlib.md5(out.encode()).hexdigest() == digest, d
+
+
+def test_d_zero_reports_range_error(capsys):
+    for verb, message in (("strata", "cluster strata need d >= 2"),
+                          ("stacked", "stacked strata need d >= 1")):
+        code, out, err = run(capsys, verb, "--d", "0")
+        assert code == 2
+        assert out == ""
+        assert err == "error: %s\n" % message
 
 
 def test_coloring_valid_file(tmp_path, capsys):
@@ -196,6 +223,37 @@ def test_check_ocha(tmp_path, capsys):
     assert "closed_sector_linf_consistent: yes" in out
 
 
+def test_scans_that_check_nothing_are_rejected(tmp_path, capsys):
+    linf = tmp_path / "alg.linf"
+    linf.write_text("basis x\nl 2 in=x,x out=x coeff=T^0\n")
+    ocha = tmp_path / "s.ocha"
+    ocha.write_text("closed x\nopen a\n")
+    fun = tmp_path / "id.fun"
+    fun.write_text("obj M M\nF 1 M M in=a out=a coeff=T^0\n")
+    functor = ("functor", "--source", "bundled:exterior", "--target",
+               "bundled:exterior", "--map", str(fun))
+    for argv in (
+        ("check-ainf", "bundled:exterior", "--max-d", "0"),
+        ("check-ainf", "bundled:exterior", "--max-d=-1"),
+        functor + ("--max-d", "0"),
+        ("check-linf", str(linf), "--max-n", "0"),
+        ("check-ocha", str(ocha), "--max-closed", "0", "--max-open", "0"),
+        ("check-ocha", str(ocha), "--max-closed=-1", "--max-open", "2"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error: "), argv
+    # a closed-only scan and an unchecked functor still run
+    code, out, _ = run(capsys, "check-ocha", str(ocha), "--max-closed", "2",
+                       "--max-open", "0")
+    assert code == 0
+    assert "ocha: pass" in out
+    code, out, _ = run(capsys, *functor, "--max-d", "0", "--no-check")
+    assert code == 0
+    assert "equation" not in out
+
+
 def test_measure(capsys):
     code, out, _ = run(capsys, "measure", "bundled:weakly")
     assert code == 0
@@ -274,6 +332,15 @@ def test_budget_strip(capsys):
                        "--end", "entry", "--cutoffs", "0,0.25,0.5,1")
     assert code == 0
     assert out == "bound: -0.6\nclosed_form: -0.6\nquadrature_error: 0\n"
+
+
+def test_budget_strip_rejects_non_finite_cutoffs(capsys):
+    for cutoffs in ("nan,1", "0,inf", "-inf,1"):
+        code, out, err = run(capsys, "budget", "strip", "--lo", "0", "--hi", "1",
+                             "--end", "entry", "--cutoffs=" + cutoffs)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cutoff samples must be finite")
 
 
 def test_budget_energy(capsys):

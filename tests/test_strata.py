@@ -10,7 +10,7 @@ from fukaya_workbench.strata import (ColoredTree, Glue, Surface, WidthProfile,
                                      enumerate_cluster_strata, enumerate_stacked_strata,
                                      f_vector, facet_term_bijection,
                                      generalized_corner_flag, intrinsic_width,
-                                     stacked_gluing_lengths, stacked_shapes,
+                                     _colorings, stacked_gluing_lengths, stacked_shapes,
                                      stacked_strata_for_shape, validate_coloring,
                                      width_expr_from_text, width_expr_to_text)
 
@@ -189,7 +189,8 @@ def test_witness_lengths_strictly_positive():
 
 def test_stacked_f_vectors():
     expected = {1: [1], 2: [2, 1], 3: [6, 6, 1], 4: [21, 32, 13, 1],
-                5: [80, 165, 110, 25, 1]}
+                5: [80, 165, 110, 25, 1], 6: [322, 841, 788, 313, 46, 1],
+               7: [1348, 4272, 5183, 2984, 809, 84, 1]}
     for d, fv in expected.items():
         assert f_vector(enumerate_stacked_strata(labels_for(d))) == fv
 
@@ -202,6 +203,15 @@ def test_stacked_match_composition_oracle():
         for s in strata:
             assert s.dim == oracles.stacked_dim_oracle(s.tree.shape, s.colored)
             assert s.dim + s.codim == d - 1
+
+
+def test_stacked_shapes_match_loose_filter():
+    # pruned generation keeps exactly the colorable loose shapes, in order
+    for d in range(1, 7):
+        shapes = stacked_shapes(d)
+        assert shapes == [s for s in oracles.loose_shapes_oracle(d)
+                          if oracles.has_coloring_oracle(s)]
+        assert all(_colorings(s) for s in shapes)
 
 
 def test_stacked_corner_flags():
