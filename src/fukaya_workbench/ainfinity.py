@@ -17,18 +17,14 @@ from fractions import Fraction
 
 from .novikov import (
     NovikovElement,
+    _frac,
     action_of_sum,
     nov_add,
     nov_from_text,
     nov_mul,
     nov_to_text,
 )
-
-
-def _frac(x) -> Fraction:
-    if isinstance(x, float):
-        raise ValueError("levels and actions must be exact rationals, got float %r" % x)
-    return Fraction(x)
+from .trees import _significant_lines, compositions
 
 
 def _coerce_element(out) -> dict:
@@ -85,7 +81,8 @@ class FilteredAInfCategory:
             raise ValueError("duplicate generator %r" % name)
         if source not in self.objects or target not in self.objects:
             raise ValueError("generator %s needs known objects, got %s -> %s" % (name, source, target))
-        self.gens[name] = Generator(name, source, target, _frac(level), _frac(ham))
+        self.gens[name] = Generator(name, source, target,
+                                    _frac(level, "a level"), _frac(ham, "a ham term"))
 
     def _check_chain(self, names):
         if not names:
@@ -167,6 +164,8 @@ def ainf_defect(cat: FilteredAInfCategory, inputs) -> dict:
 def find_ainf_violation(cat: FilteredAInfCategory, max_d: int):
     """First composable tuple (by length, then lexicographically) with
     nonzero defect, as (inputs, defect); None if all relations hold."""
+    if max_d < 1:
+        raise ValueError("max_d must be at least 1, got %d; the scan would check nothing" % max_d)
     for d in range(1, max_d + 1):
         for inputs in cat.composable_tuples(d):
             defect = ainf_defect(cat, inputs)
@@ -176,6 +175,21 @@ def find_ainf_violation(cat: FilteredAInfCategory, max_d: int):
 
 
 # -- discrepancy measurement -------------------------------------------
+
+
+def _worst_gaps(table, in_gens, out_gens) -> dict:
+    """Largest action(output) - sum of input levels per arity over a
+    table of entries; entries whose output has action -inf are skipped."""
+    raw = {}
+    for inputs, out in table.items():
+        d = len(inputs)
+        a_out = action_of_sum((c, out_gens[g].level) for g, c in out.items())
+        if a_out.is_neg_inf:
+            continue
+        gap = a_out.value - sum(in_gens[g].level for g in inputs)
+        if d not in raw or gap > raw[d]:
+            raw[d] = gap
+    return raw
 
 
 @dataclass
@@ -191,15 +205,7 @@ def measure_discrepancies(cat: FilteredAInfCategory, units=None) -> DiscrepancyR
     action(output) - sum of input levels.  The certificate eps clamps
     the gap at zero; the category is filtered when every raw gap is
     <= 0 and every declared unit has level <= 0."""
-    raw = {}
-    for inputs, out in cat.mu.items():
-        d = len(inputs)
-        a_out = action_of_sum((c, cat.gens[g].level) for g, c in out.items())
-        if a_out.is_neg_inf:
-            continue
-        gap = a_out.value - sum(cat.gens[g].level for g in inputs)
-        if d not in raw or gap > raw[d]:
-            raw[d] = gap
+    raw = _worst_gaps(cat.mu, cat.gens, cat.gens)
     eps = {d: max(Fraction(0), v) for d, v in raw.items()}
     unit_levels = {}
     if units:
@@ -323,45 +329,26 @@ def linf_defect(alg: LInfinityAlgebra, inputs) -> dict:
 # -- open-closed structures --------------------------------------------
 
 
-class OCHAStructure:
-    """Closed L-infinity brackets plus open-closed maps mu_{k,d} taking
-    k closed and d open inputs to an open output; symmetric in the
-    closed slots (keys store them sorted)."""
+class OCHAStructure(LInfinityAlgebra):
+    """An L-infinity algebra on the closed basis plus open-closed maps
+    mu_{k,d} taking k closed and d open inputs to an open output;
+    symmetric in the closed slots (keys store them sorted)."""
 
     def __init__(self):
-        self.closed_basis = []
+        super().__init__()
         self.open_basis = []
-        self.l = {}
         self.mu = {}
 
-    def add_closed(self, name: str):
-        if name in self.closed_basis:
-            raise ValueError("duplicate closed basis element %r" % name)
-        self.closed_basis.append(name)
+    @property
+    def closed_basis(self):
+        return self.basis
+
+    add_closed = LInfinityAlgebra.add_basis
 
     def add_open(self, name: str):
         if name in self.open_basis:
             raise ValueError("duplicate open basis element %r" % name)
         self.open_basis.append(name)
-
-    def set_l(self, inputs, out):
-        key = tuple(sorted(inputs))
-        if not key:
-            raise ValueError("brackets need at least one input")
-        for g in key:
-            if g not in self.closed_basis:
-                raise ValueError("unknown closed basis element %r" % g)
-        clean = _coerce_element(out)
-        for g in clean:
-            if g not in self.closed_basis:
-                raise ValueError("unknown closed output %r" % g)
-        if clean:
-            self.l[key] = clean
-        else:
-            self.l.pop(key, None)
-
-    def l_entry(self, inputs) -> dict:
-        return self.l.get(tuple(sorted(inputs)), {})
 
     def set_mu(self, closed, opens, out):
         closed = tuple(sorted(closed))
@@ -456,28 +443,30 @@ def ocha_specialization_report(s: OCHAStructure, max_open=4, max_closed=4) -> Sp
     """Cross-check the two degenerate sectors: the open sector's defect
     must agree with the plain A-infinity defect tuple for tuple, and the
     closed tables are reported through their standalone bracket
-    defects."""
+    defects; the structure is its own closed L-infinity algebra."""
     cat = open_sector_category(s)
     mismatches = []
     for d in range(1, max_open + 1):
         for tup in itertools.product(s.open_basis, repeat=d):
             if ainf_defect(cat, tup) != ocha_defect(s, (), tup):
                 mismatches.append(tup)
-    alg = LInfinityAlgebra()
-    for name in s.closed_basis:
-        alg.add_basis(name)
-    for key, out in s.l.items():
-        alg.set_l(key, dict(out))
     closed_defects = {}
     for n in range(1, max_closed + 1):
         for tup in itertools.product(s.closed_basis, repeat=n):
             key = tuple(sorted(tup))
             if key not in closed_defects:
-                closed_defects[key] = linf_defect(alg, key)
+                closed_defects[key] = linf_defect(s, key)
     return SpecializationReport(not mismatches, tuple(mismatches), closed_defects)
 
 
 # -- functors ----------------------------------------------------------
+
+
+def _check_object_pair(source, target, x, y):
+    if x not in source.objects:
+        raise ValueError("unknown source object %r" % x)
+    if y not in target.objects:
+        raise ValueError("unknown target object %r" % y)
 
 
 class AInfFunctor:
@@ -486,10 +475,7 @@ class AInfFunctor:
 
     def __init__(self, source: FilteredAInfCategory, target: FilteredAInfCategory, object_map: dict):
         for x, y in object_map.items():
-            if x not in source.objects:
-                raise ValueError("unknown source object %r" % x)
-            if y not in target.objects:
-                raise ValueError("unknown target object %r" % y)
+            _check_object_pair(source, target, x, y)
         for x in source.objects:
             if x not in object_map:
                 raise ValueError("object map misses %r" % x)
@@ -522,15 +508,6 @@ class AInfFunctor:
         return self.table.get(tuple(inputs), {})
 
 
-def _compositions_of(d, r):
-    if r == 1:
-        yield (d,)
-        return
-    for first in range(1, d - r + 2):
-        for rest in _compositions_of(d - first, r - 1):
-            yield (first,) + rest
-
-
 def functor_defect(F: AInfFunctor, inputs) -> dict:
     """Z2 sum of both sides of the functor equation: target operations
     applied to blocks of components, plus components applied to single
@@ -540,7 +517,7 @@ def functor_defect(F: AInfFunctor, inputs) -> dict:
     d = len(inputs)
     total = {}
     for r in range(1, d + 1):
-        for comp in _compositions_of(d, r):
+        for comp in compositions(d, r):
             blocks = []
             pos = 0
             for span in comp:
@@ -581,15 +558,7 @@ class FunctorShiftReport:
 def functor_shift(F: AInfFunctor) -> FunctorShiftReport:
     """Smallest rho >= 0 such that level discrepancies of every
     component are covered by d*rho."""
-    raw = {}
-    for inputs, out in F.table.items():
-        d = len(inputs)
-        a_out = action_of_sum((c, F.target.gens[g].level) for g, c in out.items())
-        if a_out.is_neg_inf:
-            continue
-        gap = a_out.value - sum(F.source.gens[g].level for g in inputs)
-        if d not in raw or gap > raw[d]:
-            raw[d] = gap
+    raw = _worst_gaps(F.table, F.source.gens, F.target.gens)
     rho = Fraction(0)
     for d, v in raw.items():
         rho = max(rho, Fraction(v, d))
@@ -599,20 +568,162 @@ def functor_shift(F: AInfFunctor) -> FunctorShiftReport:
 # -- text formats ------------------------------------------------------
 
 
-def _kv_fields(parts, expected):
-    out = {}
-    for p in parts:
-        if "=" not in p:
-            raise ValueError("expected key=value, got %r" % p)
-        k, _, v = p.partition("=")
-        if k not in expected:
-            raise ValueError("unknown field %r" % k)
-        out[k] = v
-    return out
+@dataclass(frozen=True)
+class _LineKind:
+    """One kind of line: how many positional tokens follow the head (or a
+    function of those tokens that says so), the handler, and the
+    key=value fields it accepts, each with its default (None: required)."""
+
+    arity: object
+    handler: object
+    fields: dict
+
+
+def _read_lines(text, kinds):
+    """Run kinds[head].handler(number, positional, fields) on every line
+    that is neither blank nor a comment, in file order.  Unknown heads,
+    unknown, missing and repeated fields are rejected; every ValueError
+    names the line it came from."""
+    for number, line in _significant_lines(text):
+        try:
+            head, *tokens = line.split()
+            kind = kinds.get(head)
+            if kind is None:
+                raise ValueError("unknown line %r" % line)
+            arity = kind.arity(tokens) if callable(kind.arity) else kind.arity
+            if len(tokens) < arity:
+                raise ValueError("%s line %r is too short: it needs %d token(s) before its fields"
+                                 % (head, line, arity))
+            fields = {}
+            for token in tokens[arity:]:
+                key, eq, value = token.partition("=")
+                if not eq:
+                    raise ValueError("expected key=value, got %r" % token)
+                if key not in kind.fields:
+                    raise ValueError("unknown field %r" % key)
+                if key in fields:
+                    raise ValueError("repeated field %r" % key)
+                fields[key] = value
+            for key, default in kind.fields.items():
+                if key not in fields:
+                    if default is None:
+                        raise ValueError("%s line %r has no %s= field" % (head, line, key))
+                    fields[key] = default
+            kind.handler(number, tokens[:arity], fields)
+        except ValueError as e:
+            raise ValueError("line %d: %s" % (number, e)) from None
+
+
+_ENTRY_FIELDS = {"in": None, "out": None, "coeff": None}
+
+
+class _Entries:
+    """Table entries read line by line, one out= and coeff= term per
+    line.  Terms with the same inputs and output add over Z2; store()
+    hands each inputs' outputs to a setter in order of first appearance,
+    and an entry the setter rejects is reported at its first line."""
+
+    def __init__(self):
+        self.outs = {}
+        self.first_line = {}
+
+    def kind(self, arity, inputs_of, accepted=_ENTRY_FIELDS):
+        """Lines that add a term; inputs_of(positional, fields) parses
+        and checks their inputs."""
+
+        def handler(number, pos, fields):
+            inputs = inputs_of(pos, fields)
+            out, coeff = fields["out"], nov_from_text(fields["coeff"])
+            outs = self.outs.get(inputs)
+            if outs is None:
+                outs = self.outs[inputs] = {}
+                self.first_line[inputs] = number
+            outs[out] = nov_add(outs[out], coeff) if out in outs else coeff
+
+        return _LineKind(arity, handler, accepted)
+
+    def store(self, setter):
+        for inputs, outs in self.outs.items():
+            try:
+                setter(inputs, outs)
+            except ValueError as e:
+                raise ValueError("line %d: %s" % (self.first_line[inputs], e)) from None
+
+
+def _entry_lines(table, prefix, size=len):
+    """One 'PREFIX out=g coeff=..' line per term, entries ordered by size
+    and then by key."""
+    lines = []
+    for key in sorted(table, key=lambda k: (size(k), k)):
+        head = prefix(key)
+        for o in sorted(table[key]):
+            lines.append("%s out=%s coeff=%s" % (head, o, nov_to_text(table[key][o])))
+    return lines
+
+
+def _text(lines) -> str:
+    return "\n".join(lines) + "\n"
 
 
 def _split_names(text):
     return tuple(x for x in text.split(",") if x) if text else ()
+
+
+def _chain(gens, inputs):
+    """Objects X0 .. Xd that composable inputs run through."""
+    return tuple(gens[g].source for g in inputs) + (gens[inputs[-1]].target,)
+
+
+def _chain_arity(tokens):
+    """A chain line has d >= 1 and then d + 1 objects before its fields."""
+    if not tokens:
+        raise ValueError("missing arity")
+    d = int(tokens[0])
+    if d < 1:
+        raise ValueError("arity must be at least 1, got %d" % d)
+    return d + 2
+
+
+def _chain_kind(entries, gens):
+    """'d X0 .. Xd in=g1,..,gd out=g coeff=..' lines (mu in categories, F
+    in functor maps): the inputs come from gens, and the objects must be
+    the chain they run through."""
+
+    def inputs_of(pos, fields):
+        inputs = _split_names(fields["in"])
+        if len(inputs) != len(pos) - 2:
+            raise ValueError("arity %s with %d inputs" % (pos[0], len(inputs)))
+        for g in inputs:
+            if g not in gens:
+                raise ValueError("unknown generator %r" % g)
+        if tuple(pos[1:]) != _chain(gens, inputs):
+            raise ValueError("object path %s does not match inputs %s"
+                             % (" ".join(pos[1:]), ",".join(inputs)))
+        return inputs
+
+    return entries.kind(_chain_arity, inputs_of)
+
+
+def _chain_lines(head, table, gens):
+    return _entry_lines(table, lambda k: "%s %d %s in=%s"
+                        % (head, len(k), " ".join(_chain(gens, k)), ",".join(k)))
+
+
+def _bracket_inputs(pos, fields):
+    """'l n in=x,.. out=x coeff=..'; brackets store their inputs sorted."""
+    inputs = _split_names(fields["in"])
+    if len(inputs) != int(pos[0]):
+        raise ValueError("l %s with %d inputs" % (pos[0], len(inputs)))
+    return tuple(sorted(inputs))
+
+
+def _bracket_lines(alg):
+    return _entry_lines(alg.l, lambda k: "l %d in=%s" % (len(k), ",".join(k)))
+
+
+def _name_kind(add):
+    """A 'HEAD NAME' declaration line."""
+    return _LineKind(1, lambda number, pos, fields: add(pos[0]), {})
 
 
 def load_category(text: str) -> FilteredAInfCategory:
@@ -620,233 +731,95 @@ def load_category(text: str) -> FilteredAInfCategory:
     'mu d X0 .. Xd in=g1,..,gd out=g coeff=T^..'.  Multiple mu lines for
     the same inputs and output accumulate over Z2."""
     cat = FilteredAInfCategory()
-    pending = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if parts[0] == "object":
-            if len(parts) != 2:
-                raise ValueError("bad object line %r" % line)
-            cat.add_object(parts[1])
-        elif parts[0] == "gen":
-            if len(parts) != 6:
-                raise ValueError("bad gen line %r" % line)
-            fields = _kv_fields(parts[4:], {"level", "ham"})
-            cat.add_gen(parts[3], parts[1], parts[2],
-                        Fraction(fields["level"]), Fraction(fields["ham"]))
-        elif parts[0] == "mu":
-            if len(parts) < 3:
-                raise ValueError("bad mu line %r" % line)
-            d = int(parts[1])
-            objs = tuple(parts[2:2 + d + 1])
-            fields = _kv_fields(parts[2 + d + 1:], {"in", "out", "coeff"})
-            inputs = _split_names(fields["in"])
-            if len(inputs) != d:
-                raise ValueError("mu %d with %d inputs in %r" % (d, len(inputs), line))
-            for g in inputs:
-                if g not in cat.gens:
-                    raise ValueError("unknown generator %r in %r" % (g, line))
-            chain = tuple(cat.gens[g].source for g in inputs) + (cat.gens[inputs[-1]].target,)
-            if objs != chain:
-                raise ValueError("object path %s does not match inputs in %r" % (" ".join(objs), line))
-            coeff = nov_from_text(fields["coeff"])
-            key = (inputs, fields["out"])
-            pending[key] = nov_add(pending[key], coeff) if key in pending else coeff
-        else:
-            raise ValueError("unknown line %r" % line)
-    grouped = {}
-    for (inputs, out), coeff in pending.items():
-        grouped.setdefault(inputs, {})[out] = coeff
-    for inputs, outs in grouped.items():
-        cat.set_mu(inputs, outs)
+    mu = _Entries()
+    _read_lines(text, {
+        "object": _name_kind(cat.add_object),
+        "gen": _LineKind(3, lambda n, pos, f: cat.add_gen(pos[2], pos[0], pos[1],
+                                                          f["level"], f["ham"]),
+                         {"level": None, "ham": None}),
+        "mu": _chain_kind(mu, cat.gens),
+    })
+    mu.store(cat.set_mu)
     return cat
 
 
 def dump_category(cat: FilteredAInfCategory) -> str:
-    lines = []
-    for obj in sorted(cat.objects):
-        lines.append("object %s" % obj)
+    lines = ["object %s" % obj for obj in sorted(cat.objects)]
     for name in sorted(cat.gens):
         g = cat.gens[name]
         lines.append("gen %s %s %s level=%s ham=%s" % (g.source, g.target, name, g.level, g.ham))
-    for inputs in sorted(cat.mu, key=lambda k: (len(k), k)):
-        out = cat.mu[inputs]
-        chain = tuple(cat.gens[g].source for g in inputs) + (cat.gens[inputs[-1]].target,)
-        for o in sorted(out):
-            lines.append(
-                "mu %d %s in=%s out=%s coeff=%s"
-                % (len(inputs), " ".join(chain), ",".join(inputs), o, nov_to_text(out[o]))
-            )
-    return "\n".join(lines) + "\n"
+    return _text(lines + _chain_lines("mu", cat.mu, cat.gens))
 
 
 def load_linf(text: str) -> LInfinityAlgebra:
     """Line format: 'basis x', 'l n in=x,y out=x coeff=T^..'."""
     alg = LInfinityAlgebra()
-    pending = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if parts[0] == "basis":
-            if len(parts) != 2:
-                raise ValueError("bad basis line %r" % line)
-            alg.add_basis(parts[1])
-        elif parts[0] == "l":
-            n = int(parts[1])
-            fields = _kv_fields(parts[2:], {"in", "out", "coeff"})
-            inputs = _split_names(fields["in"])
-            if len(inputs) != n:
-                raise ValueError("l %d with %d inputs in %r" % (n, len(inputs), line))
-            key = (tuple(sorted(inputs)), fields["out"])
-            coeff = nov_from_text(fields["coeff"])
-            pending[key] = nov_add(pending[key], coeff) if key in pending else coeff
-        else:
-            raise ValueError("unknown line %r" % line)
-    grouped = {}
-    for (inputs, out), coeff in pending.items():
-        grouped.setdefault(inputs, {})[out] = coeff
-    for inputs, outs in grouped.items():
-        alg.set_l(inputs, outs)
+    l = _Entries()
+    _read_lines(text, {"basis": _name_kind(alg.add_basis), "l": l.kind(1, _bracket_inputs)})
+    l.store(alg.set_l)
     return alg
 
 
 def dump_linf(alg: LInfinityAlgebra) -> str:
-    lines = ["basis %s" % b for b in alg.basis]
-    for key in sorted(alg.l, key=lambda k: (len(k), k)):
-        for o in sorted(alg.l[key]):
-            lines.append(
-                "l %d in=%s out=%s coeff=%s"
-                % (len(key), ",".join(key), o, nov_to_text(alg.l[key][o]))
-            )
-    return "\n".join(lines) + "\n"
+    return _text(["basis %s" % b for b in alg.basis] + _bracket_lines(alg))
+
+
+def _open_closed_inputs(pos, fields):
+    """'mu k d closed=c1,.. in=o1,.. out=o coeff=..'; closed inputs are
+    stored sorted."""
+    closed = _split_names(fields["closed"])
+    opens = _split_names(fields["in"])
+    if len(closed) != int(pos[0]) or len(opens) != int(pos[1]):
+        raise ValueError("mu %s %s with %d closed and %d open inputs"
+                         % (pos[0], pos[1], len(closed), len(opens)))
+    return tuple(sorted(closed)), opens
 
 
 def load_ocha(text: str) -> OCHAStructure:
     """Line format: 'closed c', 'open o', 'l n in=.. out=.. coeff=..',
-    'mu k d closed=c1,.. in=o1,.. out=o coeff=..'."""
+    'mu k d closed=c1,.. in=o1,.. out=o coeff=..' (closed= and in= may be
+    left out when empty)."""
     s = OCHAStructure()
-    pending_l = {}
-    pending_mu = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if parts[0] == "closed":
-            s.add_closed(parts[1])
-        elif parts[0] == "open":
-            s.add_open(parts[1])
-        elif parts[0] == "l":
-            n = int(parts[1])
-            fields = _kv_fields(parts[2:], {"in", "out", "coeff"})
-            inputs = _split_names(fields["in"])
-            if len(inputs) != n:
-                raise ValueError("l %d with %d inputs in %r" % (n, len(inputs), line))
-            key = (tuple(sorted(inputs)), fields["out"])
-            coeff = nov_from_text(fields["coeff"])
-            pending_l[key] = nov_add(pending_l[key], coeff) if key in pending_l else coeff
-        elif parts[0] == "mu":
-            k = int(parts[1])
-            d = int(parts[2])
-            fields = _kv_fields(parts[3:], {"closed", "in", "out", "coeff"})
-            closed = _split_names(fields.get("closed", ""))
-            opens = _split_names(fields.get("in", ""))
-            if len(closed) != k or len(opens) != d:
-                raise ValueError("mu %d %d arity mismatch in %r" % (k, d, line))
-            key = ((tuple(sorted(closed)), opens), fields["out"])
-            coeff = nov_from_text(fields["coeff"])
-            pending_mu[key] = nov_add(pending_mu[key], coeff) if key in pending_mu else coeff
-        else:
-            raise ValueError("unknown line %r" % line)
-    grouped = {}
-    for (key, out), coeff in pending_l.items():
-        grouped.setdefault(key, {})[out] = coeff
-    for key, outs in grouped.items():
-        s.set_l(key, outs)
-    grouped = {}
-    for (key, out), coeff in pending_mu.items():
-        grouped.setdefault(key, {})[out] = coeff
-    for (closed, opens), outs in grouped.items():
-        s.set_mu(closed, opens, outs)
+    l, mu = _Entries(), _Entries()
+    _read_lines(text, {
+        "closed": _name_kind(s.add_closed),
+        "open": _name_kind(s.add_open),
+        "l": l.kind(1, _bracket_inputs),
+        "mu": mu.kind(2, _open_closed_inputs, {"closed": "", "in": "", "out": None, "coeff": None}),
+    })
+    l.store(s.set_l)
+    mu.store(lambda key, outs: s.set_mu(key[0], key[1], outs))
     return s
 
 
 def dump_ocha(s: OCHAStructure) -> str:
     lines = ["closed %s" % b for b in s.closed_basis]
     lines += ["open %s" % b for b in s.open_basis]
-    for key in sorted(s.l, key=lambda k: (len(k), k)):
-        for o in sorted(s.l[key]):
-            lines.append(
-                "l %d in=%s out=%s coeff=%s"
-                % (len(key), ",".join(key), o, nov_to_text(s.l[key][o]))
-            )
-    for key in sorted(s.mu, key=lambda k: (len(k[0]) + len(k[1]), k)):
-        closed, opens = key
-        for o in sorted(s.mu[key]):
-            lines.append(
-                "mu %d %d closed=%s in=%s out=%s coeff=%s"
-                % (len(closed), len(opens), ",".join(closed), ",".join(opens), o,
-                   nov_to_text(s.mu[key][o]))
-            )
-    return "\n".join(lines) + "\n"
+    lines += _bracket_lines(s)
+    lines += _entry_lines(s.mu, lambda k: "mu %d %d closed=%s in=%s"
+                          % (len(k[0]), len(k[1]), ",".join(k[0]), ",".join(k[1])),
+                          size=lambda k: len(k[0]) + len(k[1]))
+    return _text(lines)
 
 
 def load_functor(text: str, source: FilteredAInfCategory, target: FilteredAInfCategory) -> AInfFunctor:
-    """Line format: 'obj X FX' object assignments, then components
-    'F d X0 .. Xd in=g1,..,gd out=g coeff=..' with source objects."""
+    """Line format: 'obj X FX' object assignments and components
+    'F d X0 .. Xd in=g1,..,gd out=g coeff=..' with source objects, in
+    any order."""
     object_map = {}
-    component_lines = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if parts[0] == "obj":
-            if len(parts) != 3:
-                raise ValueError("bad obj line %r" % line)
-            object_map[parts[1]] = parts[2]
-        elif parts[0] == "F":
-            component_lines.append((line, parts))
-        else:
-            raise ValueError("unknown line %r" % line)
+    components = _Entries()
+
+    def obj_line(number, pos, fields):
+        _check_object_pair(source, target, pos[0], pos[1])
+        object_map[pos[0]] = pos[1]
+
+    _read_lines(text, {"obj": _LineKind(2, obj_line, {}),
+                       "F": _chain_kind(components, source.gens)})
     F = AInfFunctor(source, target, object_map)
-    pending = {}
-    for line, parts in component_lines:
-        d = int(parts[1])
-        objs = tuple(parts[2:2 + d + 1])
-        fields = _kv_fields(parts[2 + d + 1:], {"in", "out", "coeff"})
-        inputs = _split_names(fields["in"])
-        if len(inputs) != d:
-            raise ValueError("F %d with %d inputs in %r" % (d, len(inputs), line))
-        for g in inputs:
-            if g not in source.gens:
-                raise ValueError("unknown source generator %r in %r" % (g, line))
-        chain = tuple(source.gens[g].source for g in inputs) + (source.gens[inputs[-1]].target,)
-        if objs != chain:
-            raise ValueError("object path does not match inputs in %r" % line)
-        key = (inputs, fields["out"])
-        coeff = nov_from_text(fields["coeff"])
-        pending[key] = nov_add(pending[key], coeff) if key in pending else coeff
-    grouped = {}
-    for (inputs, out), coeff in pending.items():
-        grouped.setdefault(inputs, {})[out] = coeff
-    for inputs, outs in grouped.items():
-        F.set_component(inputs, outs)
+    components.store(F.set_component)
     return F
 
 
 def dump_functor(F: AInfFunctor) -> str:
     lines = ["obj %s %s" % (x, F.object_map[x]) for x in sorted(F.object_map)]
-    for inputs in sorted(F.table, key=lambda k: (len(k), k)):
-        out = F.table[inputs]
-        chain = tuple(F.source.gens[g].source for g in inputs) + (F.source.gens[inputs[-1]].target,)
-        for o in sorted(out):
-            lines.append(
-                "F %d %s in=%s out=%s coeff=%s"
-                % (len(inputs), " ".join(chain), ",".join(inputs), o, nov_to_text(out[o]))
-            )
-    return "\n".join(lines) + "\n"
+    return _text(lines + _chain_lines("F", F.table, F.source.gens))

@@ -13,17 +13,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .novikov import ActionValue, action_sum
-
-
-def _rat(x, what="value") -> Fraction:
-    if isinstance(x, float):
-        raise ValueError("%s must be an exact rational, got float %r" % (what, x))
-    return Fraction(x)
+from .novikov import ActionValue, _frac, action_sum
 
 
 def _num(x) -> float:
-    return float(Fraction(x)) if isinstance(x, str) else float(x)
+    try:
+        return float(_frac(x)) if isinstance(x, str) else float(x)
+    except OverflowError:
+        raise ValueError("%s does not fit in a float" % (x,)) from None
 
 
 def vertex_curvature_budget(d: int, eps, case="open", convention="main") -> Fraction:
@@ -34,7 +31,7 @@ def vertex_curvature_budget(d: int, eps, case="open", convention="main") -> Frac
     leaves -eps/2)."""
     if d < 2:
         raise ValueError("vertices have d >= 2, got %d" % d)
-    eps = _rat(eps, "eps")
+    eps = _frac(eps, "eps")
     if eps <= 0:
         raise ValueError("eps must be positive, got %s" % eps)
     half = eps / 2
@@ -59,8 +56,8 @@ def eps_delta_budget(eps, delta) -> EpsDeltaBudget:
     """Sharpened budget with Hamiltonian terms pushed into (delta*eps,
     eps): the worst case eps - 2*delta*eps + eps*(2*delta - 1) cancels
     exactly, leaving the interior cap eps*(2*delta - 1)."""
-    eps = _rat(eps, "eps")
-    delta = _rat(delta, "delta")
+    eps = _frac(eps, "eps")
+    delta = _frac(delta, "delta")
     if eps <= 0:
         raise ValueError("eps must be positive, got %s" % eps)
     if not Fraction(1, 2) < delta < 1:
@@ -84,13 +81,13 @@ def validate_floer_window(lo, hi, eps, delta=None) -> WindowReport:
     """Check that a Hamiltonian value range sits strictly inside the
     admissible window: (delta*eps, eps) when delta is given, otherwise
     (eps/2, eps)."""
-    eps = _rat(eps, "eps")
+    eps = _frac(eps, "eps")
     if eps <= 0:
         raise ValueError("eps must be positive, got %s" % eps)
     if delta is None:
         lower = eps / 2
     else:
-        delta = _rat(delta, "delta")
+        delta = _frac(delta, "delta")
         if not Fraction(1, 2) < delta < 1:
             raise ValueError("delta must lie strictly between 1/2 and 1, got %s" % delta)
         lower = delta * eps
@@ -128,7 +125,10 @@ def strip_end_bound(lo, hi, end: str, cutoffs) -> StripBound:
     for a, b in zip(cuts, cuts[1:]):
         if b < a:
             raise ValueError("cutoff samples must be nondecreasing")
-    const = -_num(lo) if end == "entry" else _num(hi)
+    lo, hi = _num(lo), _num(hi)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("the Hamiltonian range must be finite, got lo=%r hi=%r" % (lo, hi))
+    const = -lo if end == "entry" else hi
     total = 0.0
     for a, b in zip(cuts, cuts[1:]):
         total += (b - a) * const
@@ -146,7 +146,7 @@ class EnergyCheck:
 def energy_action_check(inputs, output: ActionValue, curvature) -> EnergyCheck:
     """Action of the output may exceed the summed input actions by at
     most the positive part of the curvature."""
-    curvature = _rat(curvature, "curvature")
+    curvature = _frac(curvature, "curvature")
     bound = action_sum(inputs).plus(max(Fraction(0), curvature))
     return EnergyCheck(output <= bound, output, bound)
 
@@ -165,10 +165,10 @@ def continuation_shift(eps1, delta1, eps2, delta2, d: int) -> ContinuationShift:
     element is filtered iff eps2 <= delta1*eps1, i.e. the overall shift
     eps2 - delta1*eps1 is nonpositive; the coarser theorem-level bound
     is eps2 - eps1/2."""
-    eps1 = _rat(eps1, "eps1")
-    eps2 = _rat(eps2, "eps2")
-    delta1 = _rat(delta1, "delta1")
-    delta2 = _rat(delta2, "delta2")
+    eps1 = _frac(eps1, "eps1")
+    eps2 = _frac(eps2, "eps2")
+    delta1 = _frac(delta1, "delta1")
+    delta2 = _frac(delta2, "delta2")
     for name, delta in (("delta1", delta1), ("delta2", delta2)):
         if not Fraction(1, 2) < delta < 1:
             raise ValueError("%s must lie strictly between 1/2 and 1, got %s" % (name, delta))

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import math
 import os
 import random
 import sys
@@ -45,11 +44,12 @@ from .budget import (
     vertex_curvature_budget,
     virtual_dimension,
 )
-from .novikov import ActionValue
+from .novikov import ActionValue, _frac
 from .strata import (
     ColoredTree,
     Glue,
     Surface,
+    _stacking_scale,
     cluster_strata_for_shape,
     coloring_cone_dim,
     generalized_corner_flag,
@@ -153,22 +153,11 @@ def _sexpr_chunk(shapes):
     return [shape_to_sexpr(s) for s in shapes]
 
 
-def _cluster_chunk(job):
-    labels, shapes = job
-    out = []
-    for shape in shapes:
-        for s in cluster_strata_for_shape(labels, shape):
-            out.append((s.dim, s.report_line()))
-    return out
-
-
-def _stacked_chunk(job):
-    labels, shapes = job
-    out = []
-    for shape in shapes:
-        for s in stacked_strata_for_shape(labels, shape):
-            out.append((s.dim, s.report_line()))
-    return out
+def _strata_chunk(job):
+    """(dim, report line) of every stratum that per_shape finds on the
+    shapes."""
+    per_shape, labels, shapes = job
+    return [(s.dim, s.report_line()) for shape in shapes for s in per_shape(labels, shape)]
 
 
 # -- verbs -------------------------------------------------------------
@@ -213,25 +202,21 @@ def cmd_trees(args):
     if args.parallel:
         texts = [t for chunk in _pool_map(_sexpr_chunk, _chunks(shapes, 8)) for t in chunk]
     else:
-        texts = [shape_to_sexpr(s) for s in shapes]
+        texts = _sexpr_chunk(shapes)
     for i, t in enumerate(texts):
         out.item("tree.%d" % i, t)
     out.kv("count", len(texts))
     return 0
 
 
-def _report_strata(args, shapes, worker, per_shape):
+def _report_strata(args, shapes, per_shape):
     out = Out(args.format)
     labels = _labels_from_args(args)
     if args.parallel:
-        chunks = _chunks(shapes, 8)
-        results = _pool_map(worker, [(labels, c) for c in chunks])
-        pairs = [p for chunk in results for p in chunk]
+        jobs = [(per_shape, labels, c) for c in _chunks(shapes, 8)]
+        pairs = [p for chunk in _pool_map(_strata_chunk, jobs) for p in chunk]
     else:
-        pairs = []
-        for shape in shapes:
-            for s in per_shape(labels, shape):
-                pairs.append((s.dim, s.report_line()))
+        pairs = _strata_chunk((per_shape, labels, shapes))
     for i, (_, line) in enumerate(pairs):
         out.item("stratum.%d" % i, line)
     top = max((dim for dim, _ in pairs), default=-1)
@@ -251,14 +236,12 @@ def cmd_strata(args):
     d = len(labels) - 1
     if d < 2:
         raise ValueError("cluster strata need d >= 2")
-    return _report_strata(args, enumerate_stable_trees(d), _cluster_chunk,
-                          cluster_strata_for_shape)
+    return _report_strata(args, enumerate_stable_trees(d), cluster_strata_for_shape)
 
 
 def cmd_stacked(args):
     labels = _labels_from_args(args)
-    return _report_strata(args, stacked_shapes(len(labels) - 1), _stacked_chunk,
-                          stacked_strata_for_shape)
+    return _report_strata(args, stacked_shapes(len(labels) - 1), stacked_strata_for_shape)
 
 
 def cmd_coloring(args):
@@ -305,10 +288,13 @@ def _random_width_expr(rng, depth):
 def cmd_width(args):
     out = Out(args.format)
     if args.stack is not None:
-        child = [Fraction(x) for x in args.child_widths.split(",")] if args.child_widths else []
-        root = [Fraction(x) for x in args.root_widths.split(",")] if args.root_widths else []
-        lengths = stacked_gluing_lengths(Fraction(args.stack), child, root)
-        out.kv("scale", _fmt_float(math.exp(-1.0 / float(Fraction(args.stack)))))
+        rho = _frac(args.stack, "--stack")
+        child = ([_frac(x, "a child width") for x in args.child_widths.split(",")]
+                 if args.child_widths else [])
+        root = ([_frac(x, "a root width") for x in args.root_widths.split(",")]
+                if args.root_widths else [])
+        lengths = stacked_gluing_lengths(rho, child, root)
+        out.kv("scale", _fmt_float(_stacking_scale(rho)))
         out.seq("lengths", [_fmt_float(v) for v in lengths])
         return 0
     if args.random is not None:
@@ -492,9 +478,9 @@ def cmd_budget(args):
                 return 1
         return 0
     if which == "window":
-        delta = Fraction(args.delta) if args.delta is not None else None
-        rep = validate_floer_window(Fraction(args.lo), Fraction(args.hi),
-                                    Fraction(args.eps), delta)
+        delta = _frac(args.delta, "--delta") if args.delta is not None else None
+        rep = validate_floer_window(_frac(args.lo, "--lo"), _frac(args.hi, "--hi"),
+                                    _frac(args.eps, "--eps"), delta)
         out.kv("window", "(%s, %s)" % (rep.lower, rep.upper))
         out.kv("ok", "yes" if rep.ok else "no")
         if not rep.ok:
@@ -503,7 +489,7 @@ def cmd_budget(args):
         return 0
     if which == "strip":
         cutoffs = [float(x) for x in args.cutoffs.split(",")]
-        rep = strip_end_bound(Fraction(args.lo), Fraction(args.hi), args.end, cutoffs)
+        rep = strip_end_bound(_frac(args.lo, "--lo"), _frac(args.hi, "--hi"), args.end, cutoffs)
         out.kv("bound", _fmt_float(rep.bound))
         out.kv("closed_form", _fmt_float(rep.closed_form))
         out.kv("quadrature_error", _fmt_float(rep.quadrature_error))
@@ -511,7 +497,7 @@ def cmd_budget(args):
     if which == "energy":
         inputs = [ActionValue.from_text(x) for x in args.inputs.split(",")]
         output = ActionValue.from_text(args.output)
-        rep = energy_action_check(inputs, output, Fraction(args.curvature))
+        rep = energy_action_check(inputs, output, _frac(args.curvature, "--curvature"))
         out.kv("bound", rep.bound.to_text())
         out.kv("output", rep.output.to_text())
         out.kv("ok", "yes" if rep.ok else "no")

@@ -13,12 +13,17 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def _frac(x) -> Fraction:
+def _frac(x, what="a Novikov exponent") -> Fraction:
     """Coerce ints, strings like '3/4', and Fractions. Floats are rejected
-    to keep exponents exact."""
+    to keep exponents exact; what names the value in the error."""
+    if type(x) is Fraction:
+        return x
     if isinstance(x, float):
-        raise ValueError("Novikov exponents must be exact rationals, got float %r" % x)
-    return Fraction(x)
+        raise ValueError("%s must be an exact rational, got float %r" % (what, x))
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError("%s has a zero denominator: %r" % (what, x)) from None
 
 
 class NovikovElement:
@@ -134,7 +139,7 @@ class ActionValue:
 
     @classmethod
     def of(cls, x) -> "ActionValue":
-        return cls(True, _frac(x))
+        return cls(True, _frac(x, "an action value"))
 
     @classmethod
     def neg_inf(cls) -> "ActionValue":
@@ -148,7 +153,7 @@ class ActionValue:
         """Shift by a rational; -inf absorbs."""
         if not self.finite:
             return ActionValue.neg_inf()
-        return ActionValue.of(self.value + _frac(x))
+        return ActionValue.of(self.value + _frac(x, "an action shift"))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ActionValue):
@@ -182,7 +187,7 @@ class ActionValue:
         s = text.strip()
         if s == "-inf":
             return cls.neg_inf()
-        return cls.of(Fraction(s))
+        return cls.of(s)
 
     def __repr__(self) -> str:
         return "ActionValue(%s)" % self.to_text()
@@ -212,7 +217,7 @@ def action(coeff: NovikovElement, h) -> ActionValue:
     coefficient zero."""
     if coeff.is_zero:
         return ActionValue.neg_inf()
-    return ActionValue.of(-valuation(coeff) + _frac(h))
+    return ActionValue.of(-valuation(coeff) + _frac(h, "a level"))
 
 
 def action_of_sum(terms) -> ActionValue:

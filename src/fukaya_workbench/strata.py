@@ -17,9 +17,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .novikov import _frac
 from .trees import (
     LabelledTree,
     MetricTree,
+    _Tokens,
     compositions,
     enumerate_stable_trees,
 )
@@ -465,39 +467,42 @@ def width_expr_to_text(expr) -> str:
 
 
 def width_expr_from_text(text: str):
-    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-    pos = 0
+    tokens = _Tokens(text, "width expression")
 
     def parse():
-        nonlocal pos
-        if pos >= len(tokens) or tokens[pos] != "(":
-            raise ValueError("expected '(' in width expression %r" % text)
-        pos += 1
-        head = tokens[pos]
-        pos += 1
+        tokens.take("(")
+        head = tokens.take()
         if head == "surface":
-            d = int(tokens[pos])
-            pos += 1
-            node = Surface(d)
+            node = Surface(int(tokens.take()))
         elif head == "glue":
             outer = parse()
-            n = int(tokens[pos])
-            pos += 1
+            n = int(tokens.take())
             inner = parse()
-            length = Fraction(tokens[pos])
-            pos += 1
-            node = Glue(outer, n, inner, length)
+            node = Glue(outer, n, inner, _frac(tokens.take(), "a neck length"))
         else:
             raise ValueError("unknown width expression head %r" % head)
-        if pos >= len(tokens) or tokens[pos] != ")":
-            raise ValueError("missing ')' in width expression %r" % text)
-        pos += 1
+        tokens.take(")")
         return node
 
-    out = parse()
-    if pos != len(tokens):
-        raise ValueError("trailing tokens in width expression %r" % text)
-    return out
+    return tokens.parse_all(parse)
+
+
+def _stacking_scale(rho) -> float:
+    """The gluing scale e^(-1/rho) of a stacking parameter rho in (-1, 0);
+    a scale that a float cannot hold is a ValueError."""
+    try:
+        r = float(rho)
+    except OverflowError:
+        r = math.inf
+    if not -1.0 < r < 0.0:
+        raise ValueError("stacking parameter must lie in (-1, 0), got %r" % rho)
+    try:
+        g = math.exp(-1.0 / r)
+    except OverflowError:
+        g = math.inf
+    if not math.isfinite(g):
+        raise ValueError("the scale e^(-1/rho) overflows a float at rho = %r" % r)
+    return g
 
 
 def stacked_gluing_lengths(rho, child_widths, root_widths):
@@ -505,18 +510,18 @@ def stacked_gluing_lengths(rho, child_widths, root_widths):
     a stacking parameter rho in (-1, 0); the i-th entries pair the i-th
     colored vertex (planar order) with the i-th input of the root
     surface."""
-    r = float(rho)
-    if not -1.0 < r < 0.0:
-        raise ValueError("stacking parameter must lie in (-1, 0), got %r" % rho)
+    g = _stacking_scale(rho)
     if isinstance(root_widths, WidthProfile):
         root_widths = root_widths.widths
-    rw = [float(x) for x in root_widths]
-    cw = [float(x) for x in child_widths]
+    try:
+        rw = [float(x) for x in root_widths]
+        cw = [float(x) for x in child_widths]
+    except OverflowError:
+        raise ValueError("widths must fit in a float") from None
     if len(cw) != len(rw):
         raise ValueError(
             "need one child width per root input, got %d and %d" % (len(cw), len(rw))
         )
-    g = math.exp(-1.0 / r)
     out = [g - a - b for a, b in zip(cw, rw)]
     if any(v < 0 for v in out):
         raise ValueError(

@@ -178,53 +178,69 @@ def shape_to_sexpr(shape, colored=frozenset()) -> str:
     return rec(shape, ())
 
 
-def _tokenize(text):
-    return text.replace("(", " ( ").replace(")", " ) ").split()
+class _Tokens:
+    """The tokens of one s-expression, read front to back.  Every read
+    checks the index first, so a truncated expression is a ValueError."""
+
+    def __init__(self, text, what):
+        self.text = text
+        self.what = what
+        self.tokens = text.replace("(", " ( ").replace(")", " ) ").split()
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def take(self, expected=None):
+        tok = self.peek()
+        if tok is None:
+            raise ValueError("%s %r ends early" % (self.what, self.text))
+        if expected is not None and tok != expected:
+            raise ValueError("expected %r at token %d of %s %r, got %r"
+                             % (expected, self.pos, self.what, self.text, tok))
+        self.pos += 1
+        return tok
+
+    def parse_all(self, parse):
+        """Run parse(), which must consume every token."""
+        try:
+            out = parse()
+        except RecursionError:
+            raise ValueError("%s %r is nested too deeply" % (self.what, self.text)) from None
+        if self.pos != len(self.tokens):
+            raise ValueError("trailing tokens in %s %r" % (self.what, self.text))
+        return out
 
 
 def sexpr_to_shape(text):
     """Parse a tree s-expression; returns (shape, colored vertex paths)."""
-    tokens = _tokenize(text)
-    pos = 0
+    tokens = _Tokens(text, "tree")
     colored = set()
     leaf_seen = [0]
 
     def parse(path):
-        nonlocal pos
-        if pos >= len(tokens) or tokens[pos] != "(":
-            raise ValueError("expected '(' at token %d of %r" % (pos, text))
-        pos += 1
-        if pos >= len(tokens):
-            raise ValueError("truncated expression %r" % text)
-        head = tokens[pos]
-        pos += 1
+        tokens.take("(")
+        head = tokens.take()
         if head == "leaf":
-            num = tokens[pos]
-            pos += 1
+            num = tokens.take()
             leaf_seen[0] += 1
             if not num.isdigit() or int(num) != leaf_seen[0]:
                 raise ValueError("leaf numbers must run 1,2,... in planar order, got %r" % num)
-            if tokens[pos] != ")":
-                raise ValueError("expected ')' after leaf %s" % num)
-            pos += 1
+            tokens.take(")")
             return None
         if head not in ("v", "v*"):
             raise ValueError("unknown node head %r" % head)
         if head == "v*":
             colored.add(path)
         children = []
-        while pos < len(tokens) and tokens[pos] != ")":
+        while tokens.peek() not in (")", None):
             children.append(parse(path + (len(children),)))
-        if pos >= len(tokens):
-            raise ValueError("missing ')' in %r" % text)
-        pos += 1
+        tokens.take(")")
         if not children:
             raise ValueError("vertex with no children in %r" % text)
         return tuple(children)
 
-    shape = parse(())
-    if pos != len(tokens):
-        raise ValueError("trailing tokens in %r" % text)
+    shape = tokens.parse_all(lambda: parse(()))
     if shape is None:
         raise ValueError("a tree must have at least one vertex")
     return shape, frozenset(colored)
@@ -235,10 +251,12 @@ def tree_to_text(tree: LabelledTree, colored=frozenset()) -> str:
 
 
 def _significant_lines(text):
-    for line in text.splitlines():
+    """(line number, stripped line) for every line that is neither blank
+    nor a '#' comment."""
+    for number, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if line and not line.startswith("#"):
-            yield line
+            yield number, line
 
 
 def tree_from_text(text: str):
@@ -249,7 +267,7 @@ def tree_from_text(text: str):
     labels = None
     shape = None
     colored = frozenset()
-    for line in _significant_lines(text):
+    for _, line in _significant_lines(text):
         if line.startswith("labels:"):
             labels = tuple(x.strip() for x in line[len("labels:"):].split(",") if x.strip())
         elif line.startswith("len "):
@@ -352,7 +370,7 @@ def metric_from_text(text: str):
     tree, colored = tree_from_text(text)
     interior = tree.interior_edges
     lengths = {}
-    for line in _significant_lines(text):
+    for _, line in _significant_lines(text):
         if not line.startswith("len "):
             continue
         body = line[len("len "):]

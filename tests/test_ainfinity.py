@@ -418,3 +418,70 @@ def test_category_validation():
         cat.add_gen("h", "A", "A", level=0.5)
     with pytest.raises(ValueError):
         cat.set_mu(("f",), {"zz": ONE})
+
+
+def test_scan_with_no_arity_is_rejected():
+    with pytest.raises(ValueError, match="max_d must be at least 1"):
+        find_ainf_violation(exterior(), 0)
+
+
+HEAD = "object M\ngen M M a level=0 ham=0\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    (HEAD + "mu 1 M M out=a coeff=T^0\n", "line 3: mu line .* has no in= field"),
+    (HEAD + "mu 1 M M in=a in=a out=a coeff=T^0\n", "line 3: repeated field 'in'"),
+    (HEAD + "mu 1 M M in=a out=a coeff=T^0 level=0\n", "line 3: unknown field 'level'"),
+    (HEAD + "mu 1 M M in=a out=a coeff=T^0 junk\n", "line 3: expected key=value, got 'junk'"),
+    (HEAD + "mu 0 M in= out=a coeff=T^0\n", "line 3: arity must be at least 1"),
+    (HEAD + "mu\n", "line 3: missing arity"),
+    (HEAD + "mu 3 M M\n", "line 3: mu line .* is too short"),
+    (HEAD + "mu 1 M M in=b out=a coeff=T^0\n", "line 3: unknown generator 'b'"),
+    ("# comment\n\n" + HEAD + "gen M M b level=1/0 ham=0\n", "line 5: a level has a zero denominator"),
+    (HEAD + "mu 1 M M in=a out=zz coeff=T^0\nmu 1 M M in=a out=a coeff=T^0\n",
+     "line 3: unknown output generator 'zz'"),
+])
+def test_load_category_names_the_line(text, message):
+    with pytest.raises(ValueError, match=message):
+        load_category(text)
+
+
+def test_loaders_name_the_line_in_every_format():
+    with pytest.raises(ValueError, match="line 2: closed line 'closed' is too short"):
+        load_ocha("open o\nclosed\n")
+    with pytest.raises(ValueError, match="line 2: mu line .* has no coeff= field"):
+        load_ocha("open o\nmu 0 1 in=o out=o\n")
+    with pytest.raises(ValueError, match="line 2: l line 'l' is too short"):
+        load_linf("basis x\nl\n")
+    with pytest.raises(ValueError, match="line 3: unknown basis element 'z'"):
+        load_linf("basis x\n\nl 1 in=z out=x coeff=T^0\n")
+    cat = exterior()
+    with pytest.raises(ValueError, match="line 2: F line .* has no in= field"):
+        load_functor("obj M M\nF 1 M M out=a coeff=T^0\n", cat, cat)
+    with pytest.raises(ValueError, match="line 1: unknown target object 'Q'"):
+        load_functor("obj M Q\n", cat, cat)
+    with pytest.raises(ValueError, match="object map misses 'M'"):
+        load_functor("F 1 M M in=a out=a coeff=T^0\n", cat, cat)
+
+
+def test_functor_components_may_precede_the_object_map():
+    cat = exterior()
+    F = load_functor("F 1 M M in=a out=a coeff=T^0\nobj M M\n", cat, cat)
+    assert F.object_map == {"M": "M"} and F.table == {("a",): {"a": ONE}}
+
+
+def test_ocha_open_closed_fields_default_to_empty():
+    s = load_ocha("closed c\nopen a\nmu 0 1 in=a out=a coeff=T^0\nmu 1 0 closed=c out=a coeff=T^1\n")
+    assert s.mu == {((), ("a",)): {"a": ONE}, (("c",), ()): {"a": NovikovElement.monomial(1)}}
+
+
+def test_ocha_closed_sector_is_its_linf_algebra():
+    s = OCHAStructure()
+    s.add_closed("x")
+    s.add_closed("y")
+    s.set_l(("y", "x"), {"x": ONE})
+    assert isinstance(s, LInfinityAlgebra)
+    assert s.closed_basis == s.basis == ["x", "y"]
+    assert s.l_entry(("x", "y")) == {"x": ONE}
+    assert linf_defect(s, ("x", "y", "y")) == {}
+    assert dump_ocha(s) == dump_linf(s).replace("basis", "closed")

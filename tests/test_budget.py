@@ -114,6 +114,17 @@ def test_strip_end_validation():
             strip_end_bound(0.6, 0.9, "exit", [0, bad])
 
 
+def test_strip_end_rejects_non_finite_range():
+    for bad in (math.nan, math.inf, -math.inf):
+        for end in ("entry", "exit"):
+            with pytest.raises(ValueError, match="must be finite"):
+                strip_end_bound(bad, 1, end, [0, 1])
+            with pytest.raises(ValueError, match="must be finite"):
+                strip_end_bound(0, bad, end, [0, 1])
+    with pytest.raises(ValueError, match="does not fit in a float"):
+        strip_end_bound(Fraction(10) ** 400, 1, "entry", [0, 1])
+
+
 def test_energy_action_check():
     inputs = [ActionValue.of(1), ActionValue.of("-1/2")]
     ok = energy_action_check(inputs, ActionValue.of("1/2"), -3)

@@ -405,3 +405,54 @@ def test_usage_error_raises_system_exit(capsys):
     assert exc.value.code == 2
     with pytest.raises(SystemExit):
         main(["budget"])
+
+
+CATEGORY_HEAD = "object M\ngen M M a level=0 ham=0\n"
+
+
+@pytest.mark.parametrize("verb, text, message", [
+    ("check-ainf", CATEGORY_HEAD + "mu 1 M M out=a coeff=T^0\n",
+     "line 3: mu line 'mu 1 M M out=a coeff=T^0' has no in= field"),
+    ("check-ainf", CATEGORY_HEAD + "mu 1 M M in=a coeff=T^0\n",
+     "line 3: mu line 'mu 1 M M in=a coeff=T^0' has no out= field"),
+    ("check-ainf", CATEGORY_HEAD + "mu 0 M in= out=a coeff=T^0\n",
+     "line 3: arity must be at least 1, got 0"),
+    ("check-ocha", "open o\nclosed\n",
+     "line 2: closed line 'closed' is too short: it needs 1 token(s) before its fields"),
+    ("check-ocha", "open o\nmu 0 1 in=o out=o\n",
+     "line 2: mu line 'mu 0 1 in=o out=o' has no coeff= field"),
+    ("check-linf", "basis x\nl\n",
+     "line 2: l line 'l' is too short: it needs 1 token(s) before its fields"),
+    ("functor", "obj M M\nF 1 M M out=a coeff=T^0\n",
+     "line 2: F line 'F 1 M M out=a coeff=T^0' has no in= field"),
+])
+def test_malformed_lines_exit_2_with_their_line(tmp_path, capsys, verb, text, message):
+    f = tmp_path / "bad.txt"
+    f.write_text(text)
+    if verb == "functor":
+        argv = ("functor", "--source", "bundled:exterior", "--target", "bundled:exterior",
+                "--map", str(f))
+    else:
+        argv = (verb, str(f))
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: %s\n" % message
+
+
+def test_truncated_expressions_exit_2(tmp_path, capsys):
+    code, out, err = run(capsys, "width", "(surface")
+    assert (code, out) == (2, "")
+    assert err == "error: width expression '(surface' ends early\n"
+    f = tmp_path / "cut.tree"
+    f.write_text("labels: L0,L1,L2\n(v (leaf 1\n")
+    code, out, err = run(capsys, "coloring", str(f))
+    assert (code, out) == (2, "")
+    assert err == "error: tree '(v (leaf 1' ends early\n"
+
+
+def test_width_stack_scale_overflow_exits_2(capsys):
+    for rho in ("-0.001", "-1e-320"):
+        code, out, err = run(capsys, "width", "--stack=%s" % rho)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: the scale e^(-1/rho) overflows a float")

@@ -300,6 +300,13 @@ def test_width_expr_text_round_trip():
         width_expr_from_text("(surf 2)")
     with pytest.raises(ValueError):
         width_expr_from_text("(surface 2) junk")
+    for truncated in ("(surface", "(glue (surface 2) 1", "(glue (surface 2) 1 (surface 2)", "("):
+        with pytest.raises(ValueError, match="ends early"):
+            width_expr_from_text(truncated)
+    with pytest.raises(ValueError, match="zero denominator"):
+        width_expr_from_text("(glue (surface 2) 1 (surface 2) 1/0)")
+    with pytest.raises(ValueError, match="nested too deeply"):
+        width_expr_from_text("(glue " * 5000)
 
 
 def test_stacked_gluing_lengths():
@@ -333,3 +340,15 @@ def test_stacked_gluing_lengths_domain():
     with pytest.raises(ValueError):
         # e^(-1/rho) is about 2.72 here, smaller than the widths demand
         stacked_gluing_lengths(-0.9999, [2.0], [1.0])
+
+
+def test_stacked_gluing_lengths_reject_overflowing_scales():
+    # e^(-1/rho) overflows a float for rho just below 0
+    for rho in (Fraction(-1, 1000), -1e-320, -0.001):
+        with pytest.raises(ValueError, match="overflows a float"):
+            stacked_gluing_lengths(rho, [], [])
+    with pytest.raises(ValueError, match=r"must lie in \(-1, 0\)"):
+        stacked_gluing_lengths(Fraction(10) ** 400, [], [])
+    with pytest.raises(ValueError, match="widths must fit in a float"):
+        stacked_gluing_lengths(Fraction(-1, 2), [Fraction(10) ** 400], [0])
+    assert stacked_gluing_lengths(Fraction(-1, 700), [0], [0])[0] > 1e300

@@ -175,6 +175,9 @@ def test_sexpr_errors():
         sexpr_to_shape("(leaf 1)")
     with pytest.raises(ValueError):
         sexpr_to_shape("(v (leaf 1)) extra")
+    for truncated in ("(v (leaf 1", "(v (leaf", "(v", "(v (leaf 1) (leaf 2)"):
+        with pytest.raises(ValueError, match="ends early"):
+            sexpr_to_shape(truncated)
 
 
 def test_tree_text_round_trip():
