@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .novikov import (
     NovikovElement,
@@ -27,7 +28,11 @@ from .novikov import (
 from .trees import _significant_lines, compositions
 
 
-def _coerce_element(out) -> dict:
+def _set_entry(table, key, out, names, what, hom=None):
+    """Store the nonzero terms of out (output name -> Novikov element or
+    its text) under key, or remove the entry when none is left.  Each
+    output must be one of names (what names them in errors); with hom =
+    (src, tgt, noun) it must also be a generator of hom(src, tgt)."""
     clean = {}
     for g, c in out.items():
         if isinstance(c, str):
@@ -36,7 +41,16 @@ def _coerce_element(out) -> dict:
             raise ValueError("coefficient of %s must be a Novikov element" % g)
         if not c.is_zero:
             clean[g] = c
-    return clean
+    for g in clean:
+        if g not in names:
+            raise ValueError("unknown %s %r" % (what, g))
+        if hom and (names[g].source, names[g].target) != hom[:2]:
+            raise ValueError("%s %s lies in hom(%s,%s), expected hom(%s,%s)"
+                             % (hom[2], g, names[g].source, names[g].target, *hom[:2]))
+    if clean:
+        table[key] = clean
+    else:
+        table.pop(key, None)
 
 
 def _add_term(acc: dict, gen: str, coeff: NovikovElement):
@@ -102,27 +116,11 @@ class FilteredAInfCategory:
         Novikov coefficients (text accepted).  Zero entries are dropped."""
         inputs = tuple(inputs)
         self._check_chain(inputs)
-        src = self.gens[inputs[0]].source
-        tgt = self.gens[inputs[-1]].target
-        clean = _coerce_element(out)
-        for g in clean:
-            if g not in self.gens:
-                raise ValueError("unknown output generator %r" % g)
-            if (self.gens[g].source, self.gens[g].target) != (src, tgt):
-                raise ValueError(
-                    "output %s lies in hom(%s,%s), expected hom(%s,%s)"
-                    % (g, self.gens[g].source, self.gens[g].target, src, tgt)
-                )
-        if clean:
-            self.mu[inputs] = clean
-        else:
-            self.mu.pop(inputs, None)
+        _set_entry(self.mu, inputs, out, self.gens, "output generator",
+                   (self.gens[inputs[0]].source, self.gens[inputs[-1]].target, "output"))
 
     def mu_entry(self, inputs) -> dict:
         return self.mu.get(tuple(inputs), {})
-
-    def gens_from(self, obj):
-        return sorted(g for g, v in self.gens.items() if v.source == obj)
 
     def composable_tuples(self, d: int):
         """All length-d composable generator tuples, lexicographic in
@@ -142,36 +140,80 @@ class FilteredAInfCategory:
             yield from extend((name,))
 
 
+def _block_insertions(total, inputs, inner, outer):
+    """Add to total every single insertion outer(.., inner(block), ..)
+    of a nonempty block of consecutive inputs; inner and outer are
+    tables keyed by input tuples."""
+    d = len(inputs)
+    for m in range(1, d + 1):
+        for n in range(0, d - m + 1):
+            entry = inner.get(inputs[n:n + m])
+            if not entry:
+                continue
+            for g, c in entry.items():
+                result = outer.get(inputs[:n] + (g,) + inputs[n + m:])
+                if result:
+                    for h, c2 in result.items():
+                        _add_term(total, h, nov_mul(c, c2))
+
+
+def _subset_insertions(total, inputs, sizes, inner, outer):
+    """Add to total every single insertion outer((inner(v_S),) + v_rest)
+    over the index-ordered subsets S of the inputs with a size in sizes,
+    so that each unordered split counts once; inner and outer look up
+    entries by input tuple."""
+    n = len(inputs)
+    for m in sizes:
+        for S in itertools.combinations(range(n), m):
+            entry = inner(tuple(inputs[i] for i in S))
+            if not entry:
+                continue
+            chosen = set(S)
+            rest = tuple(inputs[i] for i in range(n) if i not in chosen)
+            for g, c in entry.items():
+                for h, c2 in outer((g,) + rest).items():
+                    _add_term(total, h, nov_mul(c, c2))
+
+
 def ainf_defect(cat: FilteredAInfCategory, inputs) -> dict:
     """Z2 sum of all single insertions mu(.., mu(..), ..) over the given
     inputs; zero exactly when every relation with these inputs holds."""
     inputs = tuple(inputs)
     cat._check_chain(inputs)
-    d = len(inputs)
     total = {}
-    for m in range(1, d + 1):
-        for n in range(0, d - m + 1):
-            inner = cat.mu_entry(inputs[n:n + m])
-            if not inner:
-                continue
-            for g, c in inner.items():
-                outer = cat.mu_entry(inputs[:n] + (g,) + inputs[n + m:])
-                for h, c2 in outer.items():
-                    _add_term(total, h, nov_mul(c, c2))
+    _block_insertions(total, inputs, cat.mu, cat.mu)
     return total
+
+
+# -- first-violation scans ---------------------------------------------
+
+
+def _first_violation(tuples, defect):
+    """The first of the tuples whose defect is nonzero, as (tuple,
+    defect); None when every defect vanishes."""
+    for t in tuples:
+        value = defect(t)
+        if value:
+            return t, value
+    return None
+
+
+def _require_positive(name, value):
+    if value < 1:
+        raise ValueError("%s must be at least 1, got %d; the scan would check nothing"
+                         % (name, value))
+
+
+def _up_to(tuples_of, top):
+    """tuples_of(1), .., tuples_of(top), one after the other."""
+    return itertools.chain.from_iterable(map(tuples_of, range(1, top + 1)))
 
 
 def find_ainf_violation(cat: FilteredAInfCategory, max_d: int):
     """First composable tuple (by length, then lexicographically) with
     nonzero defect, as (inputs, defect); None if all relations hold."""
-    if max_d < 1:
-        raise ValueError("max_d must be at least 1, got %d; the scan would check nothing" % max_d)
-    for d in range(1, max_d + 1):
-        for inputs in cat.composable_tuples(d):
-            defect = ainf_defect(cat, inputs)
-            if defect:
-                return inputs, defect
-    return None
+    _require_positive("max_d", max_d)
+    return _first_violation(_up_to(cat.composable_tuples, max_d), partial(ainf_defect, cat))
 
 
 # -- discrepancy measurement -------------------------------------------
@@ -291,14 +333,7 @@ class LInfinityAlgebra:
         for g in key:
             if g not in self.basis:
                 raise ValueError("unknown basis element %r" % g)
-        clean = _coerce_element(out)
-        for g in clean:
-            if g not in self.basis:
-                raise ValueError("unknown output basis element %r" % g)
-        if clean:
-            self.l[key] = clean
-        else:
-            self.l.pop(key, None)
+        _set_entry(self.l, key, out, self.basis, "output basis element")
 
     def l_entry(self, inputs) -> dict:
         return self.l.get(tuple(sorted(inputs)), {})
@@ -312,18 +347,18 @@ def linf_defect(alg: LInfinityAlgebra, inputs) -> dict:
     if n < 1:
         raise ValueError("defect needs at least one input")
     total = {}
-    for m in range(1, n + 1):
-        for S in itertools.combinations(range(n), m):
-            inner = alg.l_entry(tuple(inputs[i] for i in S))
-            if not inner:
-                continue
-            chosen = set(S)
-            rest = tuple(inputs[i] for i in range(n) if i not in chosen)
-            for g, c in inner.items():
-                outer = alg.l_entry((g,) + rest)
-                for h, c2 in outer.items():
-                    _add_term(total, h, nov_mul(c, c2))
+    _subset_insertions(total, inputs, range(1, n + 1), alg.l_entry, alg.l_entry)
     return total
+
+
+def find_linf_violation(alg: LInfinityAlgebra, max_n: int):
+    """First multiset of basis elements (by size, then in basis order)
+    with nonzero defect, as (inputs, defect); None if all relations
+    hold."""
+    _require_positive("max_n", max_n)
+    return _first_violation(_up_to(partial(itertools.combinations_with_replacement, alg.basis),
+                                   max_n),
+                            partial(linf_defect, alg))
 
 
 # -- open-closed structures --------------------------------------------
@@ -361,14 +396,7 @@ class OCHAStructure(LInfinityAlgebra):
         for g in opens:
             if g not in self.open_basis:
                 raise ValueError("unknown open basis element %r" % g)
-        clean = _coerce_element(out)
-        for g in clean:
-            if g not in self.open_basis:
-                raise ValueError("unknown open output %r" % g)
-        if clean:
-            self.mu[(closed, opens)] = clean
-        else:
-            self.mu.pop((closed, opens), None)
+        _set_entry(self.mu, (closed, opens), out, self.open_basis, "open output")
 
     def mu_entry(self, closed, opens) -> dict:
         return self.mu.get((tuple(sorted(closed)), tuple(opens)), {})
@@ -384,17 +412,9 @@ def ocha_defect(s: OCHAStructure, closed_inputs, open_inputs) -> dict:
     k = len(closed)
     d = len(opens)
     total = {}
-    for m in range(0, k):
-        for S in itertools.combinations(range(k), k - m):
-            inner = s.l_entry(tuple(closed[i] for i in S))
-            if not inner:
-                continue
-            chosen = set(S)
-            rest = tuple(closed[i] for i in range(k) if i not in chosen)
-            for g, c in inner.items():
-                outer = s.mu_entry((g,) + rest, opens)
-                for h, c2 in outer.items():
-                    _add_term(total, h, nov_mul(c, c2))
+    _subset_insertions(total, closed, range(k, 0, -1), s.l_entry,
+                       lambda key: s.mu_entry(key, opens))
+    # Its own loop: ocha_specialization_report checks it against ainf_defect.
     for m in range(0, k + 1):
         for S in itertools.combinations(range(k), m):
             chosen = set(S)
@@ -414,6 +434,23 @@ def ocha_defect(s: OCHAStructure, closed_inputs, open_inputs) -> dict:
                         for h, c2 in outer.items():
                             _add_term(total, h, nov_mul(c, c2))
     return total
+
+
+def find_ocha_violation(s: OCHAStructure, max_closed: int, max_open: int):
+    """First (closed, open) input pair with nonzero defect, as
+    ((closed, open), defect); None if all relations hold.  Closed
+    multisets go by size, then in basis order; for each, open tuples go
+    by length, then in basis order."""
+    if min(max_closed, max_open) < 0:
+        raise ValueError("max_closed and max_open must be nonnegative")
+    if max_closed == max_open == 0:
+        raise ValueError("max_closed = max_open = 0 leaves no tuple to check")
+    pairs = ((closed, opens)
+             for k in range(max_closed + 1)
+             for closed in itertools.combinations_with_replacement(s.closed_basis, k)
+             for d in range(max_open + 1) if k or d
+             for opens in itertools.product(s.open_basis, repeat=d))
+    return _first_violation(pairs, lambda pair: ocha_defect(s, *pair))
 
 
 @dataclass
@@ -489,23 +526,8 @@ class AInfFunctor:
         self.source._check_chain(inputs)
         src = self.object_map[self.source.gens[inputs[0]].source]
         tgt = self.object_map[self.source.gens[inputs[-1]].target]
-        clean = _coerce_element(out)
-        for g in clean:
-            if g not in self.target.gens:
-                raise ValueError("unknown target generator %r" % g)
-            tg = self.target.gens[g]
-            if (tg.source, tg.target) != (src, tgt):
-                raise ValueError(
-                    "component output %s lies in hom(%s,%s), expected hom(%s,%s)"
-                    % (g, tg.source, tg.target, src, tgt)
-                )
-        if clean:
-            self.table[inputs] = clean
-        else:
-            self.table.pop(inputs, None)
-
-    def entry(self, inputs) -> dict:
-        return self.table.get(tuple(inputs), {})
+        _set_entry(self.table, inputs, out, self.target.gens, "target generator",
+                   (src, tgt, "component output"))
 
 
 def functor_defect(F: AInfFunctor, inputs) -> dict:
@@ -521,7 +543,7 @@ def functor_defect(F: AInfFunctor, inputs) -> dict:
             blocks = []
             pos = 0
             for span in comp:
-                el = F.entry(inputs[pos:pos + span])
+                el = F.table.get(inputs[pos:pos + span])
                 pos += span
                 if not el:
                     blocks = None
@@ -537,16 +559,16 @@ def functor_defect(F: AInfFunctor, inputs) -> dict:
                 outer = F.target.mu_entry(names)
                 for h, c2 in outer.items():
                     _add_term(total, h, nov_mul(coeff, c2))
-    for m in range(1, d + 1):
-        for n in range(0, d - m + 1):
-            inner = F.source.mu_entry(inputs[n:n + m])
-            if not inner:
-                continue
-            for g, c in inner.items():
-                outer = F.entry(inputs[:n] + (g,) + inputs[n + m:])
-                for h, c2 in outer.items():
-                    _add_term(total, h, nov_mul(c, c2))
+    _block_insertions(total, inputs, F.source.mu, F.table)
     return total
+
+
+def find_functor_violation(F: AInfFunctor, max_d: int):
+    """First composable source tuple (by length, then lexicographically)
+    where the functor equation fails, as (inputs, defect); None if it
+    holds throughout."""
+    _require_positive("max_d", max_d)
+    return _first_violation(_up_to(F.source.composable_tuples, max_d), partial(functor_defect, F))
 
 
 @dataclass
@@ -675,12 +697,20 @@ def _chain(gens, inputs):
 
 
 def _chain_arity(tokens):
-    """A chain line has d >= 1 and then d + 1 objects before its fields."""
+    """A chain line has d >= 1 and then d + 1 objects before its fields;
+    a field the line lacks among those objects means a short path."""
     if not tokens:
         raise ValueError("missing arity")
     d = int(tokens[0])
     if d < 1:
         raise ValueError("arity must be at least 1, got %d" % d)
+    if len(tokens) < d + 5:  # fewer than the three fields after the objects
+        objects = tokens[1:d + 2]
+        missing = _ENTRY_FIELDS.keys() - {t.partition("=")[0] for t in tokens[d + 2:]}
+        for i, token in enumerate(objects):
+            if "=" in token and token.partition("=")[0] in missing:
+                raise ValueError("object path %r is too short for arity %d: it needs %d objects"
+                                 % (" ".join(objects[:i]), d, d + 1))
     return d + 2
 
 

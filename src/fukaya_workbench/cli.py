@@ -10,7 +10,6 @@ flat key=value block.  Exit codes: 0 success, 1 verification failure,
 from __future__ import annotations
 
 import argparse
-import itertools
 import os
 import random
 import sys
@@ -22,15 +21,15 @@ from .ainfinity import (
     check_strict_unit,
     element_to_text,
     find_ainf_violation,
-    functor_defect,
+    find_functor_violation,
+    find_linf_violation,
+    find_ocha_violation,
     functor_shift,
-    linf_defect,
     load_category,
     load_functor,
     load_linf,
     load_ocha,
     measure_discrepancies,
-    ocha_defect,
     ocha_specialization_report,
 )
 from .budget import (
@@ -52,6 +51,7 @@ from .strata import (
     _stacking_scale,
     cluster_strata_for_shape,
     coloring_cone_dim,
+    count_by_dim,
     generalized_corner_flag,
     intrinsic_width,
     stacked_gluing_lengths,
@@ -128,12 +128,6 @@ def _labels_from_args(args):
     if getattr(args, "d", None) is not None:
         return tuple("L%d" % i for i in range(args.d + 1))
     raise ValueError("give either --labels or --d")
-
-
-def _require_positive(flag, value):
-    if value < 1:
-        raise ValueError("%s must be at least 1, got %d; the scan would check nothing"
-                         % (flag, value))
 
 
 def _chunks(seq, n):
@@ -219,14 +213,9 @@ def _report_strata(args, shapes, per_shape):
         pairs = _strata_chunk((per_shape, labels, shapes))
     for i, (_, line) in enumerate(pairs):
         out.item("stratum.%d" % i, line)
-    top = max((dim for dim, _ in pairs), default=-1)
-    counts = [0] * (top + 1)
-    euler = 0
-    for dim, _ in pairs:
-        counts[dim] += 1
-        euler += (-1) ** dim
+    counts = count_by_dim(dim for dim, _ in pairs)
     out.seq("f-vector", counts)
-    out.kv("euler", euler)
+    out.kv("euler", sum((-1) ** dim * n for dim, n in enumerate(counts)))
     out.kv("count", len(pairs))
     return 0
 
@@ -321,70 +310,47 @@ def cmd_width(args):
     return 0
 
 
-def cmd_check_ainf(args):
-    _require_positive("--max-d", args.max_d)
-    out = Out(args.format)
-    cat = load_category(_read_source(args.file))
-    hit = find_ainf_violation(cat, args.max_d)
+def _report_scan(out, verdict, hit, witness_keys=None, **bounds):
+    """Print a scan's verdict and return its exit code: on a pass the
+    bounds it covered, on a failure the witness (one tuple per witness
+    key, or a single 'witness') and its defect."""
     if hit is None:
-        out.kv("ainf", "pass")
-        out.kv("max_d", args.max_d)
+        out.kv(verdict, "pass")
+        for key, value in bounds.items():
+            out.kv(key, value)
         return 0
-    inputs, defect = hit
-    out.kv("ainf", "fail")
-    out.kv("witness", "(%s)" % ",".join(inputs))
+    witness, defect = hit
+    out.kv(verdict, "fail")
+    for key, names in zip(witness_keys, witness) if witness_keys else [("witness", witness)]:
+        out.kv(key, "(%s)" % ",".join(names))
     out.kv("defect", element_to_text(defect))
     return 1
 
 
+def cmd_check_ainf(args):
+    cat = load_category(_read_source(args.file))
+    hit = find_ainf_violation(cat, args.max_d)
+    return _report_scan(Out(args.format), "ainf", hit, max_d=args.max_d)
+
+
 def cmd_check_linf(args):
-    _require_positive("--max-n", args.max_n)
-    out = Out(args.format)
     alg = load_linf(_read_source(args.file))
-    for n in range(1, args.max_n + 1):
-        for tup in itertools.combinations_with_replacement(alg.basis, n):
-            defect = linf_defect(alg, tup)
-            if defect:
-                out.kv("linf", "fail")
-                out.kv("witness", "(%s)" % ",".join(tup))
-                out.kv("defect", element_to_text(defect))
-                return 1
-    out.kv("linf", "pass")
-    out.kv("max_n", args.max_n)
-    return 0
+    hit = find_linf_violation(alg, args.max_n)
+    return _report_scan(Out(args.format), "linf", hit, max_n=args.max_n)
 
 
 def cmd_check_ocha(args):
-    if min(args.max_closed, args.max_open) < 0:
-        raise ValueError("--max-closed and --max-open must be nonnegative")
-    if args.max_closed == args.max_open == 0:
-        raise ValueError("--max-closed 0 --max-open 0 leaves no tuple to check")
     out = Out(args.format)
     s = load_ocha(_read_source(args.file))
-    for k in range(0, args.max_closed + 1):
-        for closed in itertools.combinations_with_replacement(s.closed_basis, k):
-            for d in range(0, args.max_open + 1):
-                if k == 0 and d == 0:
-                    continue
-                for opens in itertools.product(s.open_basis, repeat=d):
-                    defect = ocha_defect(s, closed, opens)
-                    if defect:
-                        out.kv("ocha", "fail")
-                        out.kv("witness_closed", "(%s)" % ",".join(closed))
-                        out.kv("witness_open", "(%s)" % ",".join(opens))
-                        out.kv("defect", element_to_text(defect))
-                        return 1
-    out.kv("ocha", "pass")
-    out.kv("max_closed", args.max_closed)
-    out.kv("max_open", args.max_open)
-    if args.specializations:
-        rep = ocha_specialization_report(s, args.max_open, args.max_closed)
-        out.kv("open_sector_matches_ainf", "yes" if rep.open_sector_matches else "no")
-        out.kv("closed_sector_linf_consistent",
-               "yes" if rep.closed_sector_consistent else "no")
-        if not (rep.open_sector_matches and rep.closed_sector_consistent):
-            return 1
-    return 0
+    hit = find_ocha_violation(s, args.max_closed, args.max_open)
+    code = _report_scan(out, "ocha", hit, ("witness_closed", "witness_open"),
+                        max_closed=args.max_closed, max_open=args.max_open)
+    if code or not args.specializations:
+        return code
+    rep = ocha_specialization_report(s, args.max_open, args.max_closed)
+    out.kv("open_sector_matches_ainf", "yes" if rep.open_sector_matches else "no")
+    out.kv("closed_sector_linf_consistent", "yes" if rep.closed_sector_consistent else "no")
+    return 0 if rep.open_sector_matches and rep.closed_sector_consistent else 1
 
 
 def _parse_units(values):
@@ -428,29 +394,19 @@ def cmd_unit(args):
 
 
 def cmd_functor(args):
-    if not args.no_check:
-        _require_positive("--max-d", args.max_d)
     out = Out(args.format)
     source = load_category(_read_source(args.source))
     target = load_category(_read_source(args.target))
     F = load_functor(_read_source(args.map), source, target)
+    # Scan before printing, so that a bad --max-d leaves stdout empty.
+    hit = None if args.no_check else find_functor_violation(F, args.max_d)
     rep = functor_shift(F)
     for d in sorted(rep.raw):
         out.kv("raw.%d" % d, rep.raw[d])
     out.kv("rho_star", rep.rho_star)
     if args.no_check:
         return 0
-    for d in range(1, args.max_d + 1):
-        for inputs in source.composable_tuples(d):
-            defect = functor_defect(F, inputs)
-            if defect:
-                out.kv("equation", "fail")
-                out.kv("witness", "(%s)" % ",".join(inputs))
-                out.kv("defect", element_to_text(defect))
-                return 1
-    out.kv("equation", "pass")
-    out.kv("max_d", args.max_d)
-    return 0
+    return _report_scan(out, "equation", hit, max_d=args.max_d)
 
 
 def cmd_budget(args):

@@ -10,15 +10,27 @@ the minus-infinity sentinel for the action of zero.
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
+
+# The decimal exponent of a string that Fraction accepts, as in '1.5e-7'.
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
 def _frac(x, what="a Novikov exponent") -> Fraction:
     """Coerce ints, strings like '3/4', and Fractions. Floats are rejected
-    to keep exponents exact; what names the value in the error."""
+    to keep exponents exact; what names the value in the error.  A written
+    exponent past the int-to-text digit limit is rejected, since Fraction
+    would expand it digit by digit and the value could not be printed."""
     if type(x) is Fraction:
         return x
-    if isinstance(x, float):
+    if type(x) is str:
+        if ("e" in x or "E" in x) and (m := _EXPONENT.search(x)):
+            limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+            if abs(int(m.group(1))) > limit:
+                raise ValueError("%s has an exponent beyond %d: %r" % (what, limit, x))
+    elif isinstance(x, float):
         raise ValueError("%s must be an exact rational, got float %r" % (what, x))
     try:
         return Fraction(x)
@@ -118,11 +130,11 @@ def nov_from_text(text: str) -> NovikovElement:
         body = term[2:].strip()
         if body.startswith("{") and body.endswith("}"):
             body = body[1:-1].strip()
-        try:
-            exps.append(Fraction(body))
-        except (ValueError, ZeroDivisionError):
-            raise ValueError("bad Novikov exponent %r in %r" % (body, text))
-    return NovikovElement(exps)
+        exps.append(body)
+    try:
+        return NovikovElement(exps)
+    except ValueError as e:
+        raise ValueError("bad Novikov exponent in %r: %s" % (text, e)) from None
 
 
 class ActionValue:

@@ -90,16 +90,19 @@ def enumerate_cluster_strata(labels):
     return out
 
 
+def count_by_dim(dims):
+    """How many of the (nonnegative) dimensions equal 0, 1, .., max."""
+    dims = list(dims)
+    assert min(dims, default=0) >= 0
+    counts = [0] * (max(dims, default=-1) + 1)
+    for dim in dims:
+        counts[dim] += 1
+    return counts
+
+
 def f_vector(strata):
     """Counts by dimension, dimension 0 first."""
-    if not strata:
-        return []
-    top = max(s.dim for s in strata)
-    assert min(s.dim for s in strata) >= 0
-    counts = [0] * (top + 1)
-    for s in strata:
-        counts[s.dim] += 1
-    return counts
+    return count_by_dim(s.dim for s in strata)
 
 
 def facet_term_bijection(labels):

@@ -22,13 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .novikov import _frac
+
 INF = float("inf")
-
-
-def leaf_count(shape) -> int:
-    if shape is None:
-        return 1
-    return sum(leaf_count(c) for c in shape)
 
 
 def compositions(n: int, k: int):
@@ -285,9 +281,7 @@ def tree_from_text(text: str):
 def _coerce_length(v):
     if v == INF:
         return INF
-    if isinstance(v, float):
-        raise ValueError("finite lengths must be exact rationals, got float %r" % v)
-    v = Fraction(v)
+    v = _frac(v, "a finite edge length")
     if v < 0:
         raise ValueError("edge lengths must be nonnegative, got %s" % v)
     return v
@@ -384,7 +378,7 @@ def metric_from_text(text: str):
         k = int(name[1:])
         if not 1 <= k <= len(interior):
             raise ValueError("edge %s out of range (tree has %d interior edges)" % (name, len(interior)))
-        lengths[interior[k - 1]] = INF if val == "inf" else Fraction(val)
+        lengths[interior[k - 1]] = INF if val == "inf" else _frac(val, "length of %s" % name)
     return MetricTree(tree, lengths), colored
 
 

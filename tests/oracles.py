@@ -301,3 +301,65 @@ def associativity_violations(table, basis):
         if a:
             out.append(((x, y, z), a))
     return out
+
+
+# -- dense first-violation scans ----------------------------------------
+#
+# The tuple loops the command line ran before the scans moved into the
+# library.  Composable tuples come from a filter over every tuple of
+# generator names rather than from a walk along composable chains.
+
+
+def _first_nonzero(tuples, defect):
+    for t in tuples:
+        value = defect(t)
+        if value:
+            return t, value
+    return None
+
+
+def _composable_oracle(gens, max_d):
+    names = sorted(gens)
+    for d in range(1, max_d + 1):
+        for tup in itertools.product(names, repeat=d):
+            if all(gens[a].target == gens[b].source for a, b in zip(tup, tup[1:])):
+                yield tup
+
+
+def ainf_scan_oracle(cat, max_d):
+    from fukaya_workbench.ainfinity import ainf_defect
+
+    return _first_nonzero(_composable_oracle(cat.gens, max_d), lambda t: ainf_defect(cat, t))
+
+
+def functor_scan_oracle(F, max_d):
+    from fukaya_workbench.ainfinity import functor_defect
+
+    return _first_nonzero(_composable_oracle(F.source.gens, max_d),
+                          lambda t: functor_defect(F, t))
+
+
+def linf_scan_oracle(alg, max_n):
+    from fukaya_workbench.ainfinity import linf_defect
+
+    for n in range(1, max_n + 1):
+        for tup in itertools.combinations_with_replacement(alg.basis, n):
+            defect = linf_defect(alg, tup)
+            if defect:
+                return tup, defect
+    return None
+
+
+def ocha_scan_oracle(s, max_closed, max_open):
+    from fukaya_workbench.ainfinity import ocha_defect
+
+    for k in range(0, max_closed + 1):
+        for closed in itertools.combinations_with_replacement(s.closed_basis, k):
+            for d in range(0, max_open + 1):
+                if k == 0 and d == 0:
+                    continue
+                for opens in itertools.product(s.open_basis, repeat=d):
+                    defect = ocha_defect(s, closed, opens)
+                    if defect:
+                        return (closed, opens), defect
+    return None

@@ -11,8 +11,10 @@ from fukaya_workbench.ainfinity import (AInfFunctor, FilteredAInfCategory,
                                         LInfinityAlgebra, OCHAStructure, ainf_defect,
                                         check_strict_unit, dump_category, dump_functor,
                                         dump_linf, dump_ocha, element_to_text,
-                                        find_ainf_violation, functor_defect,
-                                        functor_shift, linf_defect, load_category,
+                                        find_ainf_violation, find_functor_violation,
+                                        find_linf_violation, find_ocha_violation,
+                                        functor_defect, functor_shift, linf_defect,
+                                        load_category,
                                         load_functor, load_linf, load_ocha,
                                         measure_discrepancies, ocha_defect,
                                         ocha_specialization_report,
@@ -212,6 +214,17 @@ def test_linf_broken_bracket_detected():
     assert linf_defect(alg, ("x", "x", "x")) == {"x": ONE}
     # on (x,x,y) the two mixed splits cancel over Z2
     assert linf_defect(alg, ("x", "x", "y")) == {}
+
+
+def test_linf_defect_includes_the_unary_bracket_of_the_whole_input():
+    # l1(y) = x and l2(x, x) = y: at (x, x) only l1(l2(x, x)) = x survives.
+    alg = LInfinityAlgebra()
+    alg.add_basis("x")
+    alg.add_basis("y")
+    alg.set_l(("y",), {"x": ONE})
+    alg.set_l(("x", "x"), {"y": ONE})
+    assert linf_defect(alg, ("x", "x")) == {"x": ONE}
+    assert find_linf_violation(alg, 2) == (("x", "x"), {"x": ONE})
 
 
 def test_linf_symmetric_storage():
@@ -421,8 +434,17 @@ def test_category_validation():
 
 
 def test_scan_with_no_arity_is_rejected():
+    cat = exterior()
     with pytest.raises(ValueError, match="max_d must be at least 1"):
-        find_ainf_violation(exterior(), 0)
+        find_ainf_violation(cat, 0)
+    with pytest.raises(ValueError, match="max_d must be at least 1"):
+        find_functor_violation(identity_functor(cat, cat), 0)
+    with pytest.raises(ValueError, match="max_n must be at least 1"):
+        find_linf_violation(LInfinityAlgebra(), 0)
+    with pytest.raises(ValueError, match="leaves no tuple to check"):
+        find_ocha_violation(OCHAStructure(), 0, 0)
+    with pytest.raises(ValueError, match="must be nonnegative"):
+        find_ocha_violation(OCHAStructure(), -1, 2)
 
 
 HEAD = "object M\ngen M M a level=0 ham=0\n"
@@ -438,6 +460,7 @@ HEAD = "object M\ngen M M a level=0 ham=0\n"
     (HEAD + "mu 3 M M\n", "line 3: mu line .* is too short"),
     (HEAD + "mu 1 M M in=b out=a coeff=T^0\n", "line 3: unknown generator 'b'"),
     ("# comment\n\n" + HEAD + "gen M M b level=1/0 ham=0\n", "line 5: a level has a zero denominator"),
+    (HEAD + "gen M M b level=1e10000 ham=0\n", "line 3: a level has an exponent beyond 4300"),
     (HEAD + "mu 1 M M in=a out=zz coeff=T^0\nmu 1 M M in=a out=a coeff=T^0\n",
      "line 3: unknown output generator 'zz'"),
 ])

@@ -2,7 +2,7 @@ import hashlib
 
 import pytest
 
-from fukaya_workbench.cli import main
+from fukaya_workbench.cli import _read_source, main
 
 
 def run(capsys, *argv):
@@ -170,57 +170,78 @@ def test_width_usage_error(capsys):
     assert "error:" in err
 
 
-def test_check_ainf_pass(capsys):
-    code, out, _ = run(capsys, "check-ainf", "bundled:exterior", "--max-d", "4")
-    assert code == 0
-    assert out == "ainf: pass\nmax_d: 4\n"
-
-
-def test_check_ainf_fail(tmp_path, capsys):
-    from fukaya_workbench.ainfinity import dump_category, load_category
-    from fukaya_workbench.novikov import NovikovElement
-    from fukaya_workbench.cli import _read_source
-
-    cat = load_category(_read_source("bundled:exterior"))
-    cat.set_mu(("a", "b"), {"e": NovikovElement.one()})
-    f = tmp_path / "broken.cat"
-    f.write_text(dump_category(cat))
-    code, out, _ = run(capsys, "check-ainf", str(f), "--max-d", "3")
-    assert code == 1
-    assert "ainf: fail" in out
-    assert "witness: (" in out
-    assert "defect: " in out
-
-
-def test_check_linf(tmp_path, capsys):
-    f = tmp_path / "alg.linf"
-    f.write_text("basis x\nbasis y\nl 2 in=x,y out=x coeff=T^0\n")
-    code, out, _ = run(capsys, "check-linf", str(f), "--max-n", "4")
-    assert code == 0
-    assert "linf: pass" in out
-    f.write_text("basis x\nbasis y\nl 2 in=x,y out=x coeff=T^0\n"
-                 "l 2 in=x,x out=y coeff=T^0\n")
-    code, out, _ = run(capsys, "check-linf", str(f), "--max-n", "3")
-    assert code == 1
-    assert "witness: (x,x,x)" in out
-
-
-def test_check_ocha(tmp_path, capsys):
-    f = tmp_path / "s.ocha"
+# Scan verbs: exact stdout in both formats, on passing and failing inputs.
+EXTERIOR_MAP = "obj M M\n" + "".join("F 1 M M in=%s out=%s coeff=T^0\n" % (g, g)
+                                     for g in ("a", "ab", "b", "e"))
+SCAN_FILES = {
+    "bad.cat": _read_source("bundled:exterior") + "mu 2 M M M in=a,b out=e coeff=T^0\n",
+    "ok.linf": "basis x\nbasis y\nl 2 in=x,y out=x coeff=T^0\n",
+    "bad.linf": "basis x\nbasis y\nl 2 in=x,y out=x coeff=T^0\nl 2 in=x,x out=y coeff=T^0\n",
     # a differential with d(d(a)) = a breaks the relations at (a,)
-    f.write_text("closed x\nclosed y\nopen a\n"
-                 "l 2 in=x,y out=x coeff=T^0\n"
-                 "mu 0 1 closed= in=a out=a coeff=T^0\n")
-    code, out, _ = run(capsys, "check-ocha", str(f), "--specializations")
-    assert code == 1
-    assert "ocha: fail" in out
-    assert "witness_open: (a)" in out
-    f.write_text("closed x\nclosed y\nopen a\n"
-                 "l 2 in=x,y out=x coeff=T^0\n")
-    code, out, _ = run(capsys, "check-ocha", str(f), "--specializations")
-    assert code == 0
-    assert "open_sector_matches_ainf: yes" in out
-    assert "closed_sector_linf_consistent: yes" in out
+    "open.ocha": "closed x\nclosed y\nopen a\nl 2 in=x,y out=x coeff=T^0\n"
+                 "mu 0 1 closed= in=a out=a coeff=T^0\n",
+    "ok.ocha": "closed x\nclosed y\nopen a\nl 2 in=x,y out=x coeff=T^0\n",
+    "closed.ocha": "closed x\nclosed y\nopen a\nopen b\nl 1 in=x out=y coeff=T^0\n"
+                   "mu 1 0 closed=y out=a coeff=T^0\nmu 1 1 closed=y in=a out=b coeff=T^1\n",
+    "spec.ocha": "closed x\nopen a\nl 1 in=x out=x coeff=T^0\nl 2 in=x,x out=x coeff=T^0\n",
+    "id.fun": EXTERIOR_MAP,
+    "bad.fun": EXTERIOR_MAP + "F 2 M M M in=a,b out=e coeff=T^1/2\n",
+}
+FUNCTOR = ("functor", "--source", "bundled:exterior", "--target", "bundled:exterior", "--map")
+SCAN_CASES = [
+    (("check-ainf", "bundled:exterior", "--max-d", "4"), 0,
+     "ainf: pass\nmax_d: 4\n",
+     "ainf=pass\nmax_d=4\n"),
+    (("check-ainf", "bad.cat", "--max-d", "3"), 1,
+     "ainf: fail\nwitness: (a,a,b)\ndefect: a*(T^0)\n",
+     "ainf=fail\nwitness=(a,a,b)\ndefect=a*(T^0)\n"),
+    (("check-linf", "ok.linf", "--max-n", "4"), 0,
+     "linf: pass\nmax_n: 4\n",
+     "linf=pass\nmax_n=4\n"),
+    (("check-linf", "bad.linf", "--max-n", "3"), 1,
+     "linf: fail\nwitness: (x,x,x)\ndefect: x*(T^0)\n",
+     "linf=fail\nwitness=(x,x,x)\ndefect=x*(T^0)\n"),
+    (("check-ocha", "open.ocha"), 1,
+     "ocha: fail\nwitness_closed: ()\nwitness_open: (a)\ndefect: a*(T^0)\n",
+     "ocha=fail\nwitness_closed=()\nwitness_open=(a)\ndefect=a*(T^0)\n"),
+    (("check-ocha", "open.ocha", "--specializations"), 1,
+     "ocha: fail\nwitness_closed: ()\nwitness_open: (a)\ndefect: a*(T^0)\n",
+     "ocha=fail\nwitness_closed=()\nwitness_open=(a)\ndefect=a*(T^0)\n"),
+    (("check-ocha", "ok.ocha"), 0,
+     "ocha: pass\nmax_closed: 2\nmax_open: 3\n",
+     "ocha=pass\nmax_closed=2\nmax_open=3\n"),
+    (("check-ocha", "ok.ocha", "--specializations"), 0,
+     "ocha: pass\nmax_closed: 2\nmax_open: 3\n"
+     "open_sector_matches_ainf: yes\nclosed_sector_linf_consistent: yes\n",
+     "ocha=pass\nmax_closed=2\nmax_open=3\n"
+     "open_sector_matches_ainf=yes\nclosed_sector_linf_consistent=yes\n"),
+    (("check-ocha", "closed.ocha"), 1,
+     "ocha: fail\nwitness_closed: (x)\nwitness_open: ()\ndefect: a*(T^0)\n",
+     "ocha=fail\nwitness_closed=(x)\nwitness_open=()\ndefect=a*(T^0)\n"),
+    (("check-ocha", "spec.ocha", "--specializations"), 1,
+     "ocha: pass\nmax_closed: 2\nmax_open: 3\n"
+     "open_sector_matches_ainf: yes\nclosed_sector_linf_consistent: no\n",
+     "ocha=pass\nmax_closed=2\nmax_open=3\n"
+     "open_sector_matches_ainf=yes\nclosed_sector_linf_consistent=no\n"),
+    (FUNCTOR + ("id.fun", "--max-d", "2"), 0,
+     "raw.1: 0\nrho_star: 0\nequation: pass\nmax_d: 2\n",
+     "raw.1=0\nrho_star=0\nequation=pass\nmax_d=2\n"),
+    (FUNCTOR + ("bad.fun",), 1,
+     "raw.1: 0\nraw.2: -1/2\nrho_star: 0\n"
+     "equation: fail\nwitness: (a,a,b)\ndefect: a*(T^1/2)\n",
+     "raw.1=0\nraw.2=-1/2\nrho_star=0\n"
+     "equation=fail\nwitness=(a,a,b)\ndefect=a*(T^1/2)\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, text, machine", SCAN_CASES,
+                         ids=[" ".join(case[0]) for case in SCAN_CASES])
+def test_scan_verbs_print_exact_reports(tmp_path, monkeypatch, capsys, argv, code, text, machine):
+    for name, body in SCAN_FILES.items():
+        (tmp_path / name).write_text(body)
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, *argv) == (code, text, "")
+    assert run(capsys, *argv, "--format", "machine") == (code, machine, "")
 
 
 def test_scans_that_check_nothing_are_rejected(tmp_path, capsys):
@@ -284,19 +305,6 @@ def test_unit_pass_and_fail(tmp_path, capsys):
     assert code == 1
     assert "violation: d=3 slot=2 inputs=(a,e,b)" in out
     assert "expected: 0" in out
-
-
-def test_functor(tmp_path, capsys):
-    f = tmp_path / "id.fun"
-    lines = ["obj M M"]
-    for g in ("a", "ab", "b", "e"):
-        lines.append("F 1 M M in=%s out=%s coeff=T^0" % (g, g))
-    f.write_text("\n".join(lines) + "\n")
-    code, out, _ = run(capsys, "functor", "--source", "bundled:exterior",
-                       "--target", "bundled:exterior", "--map", str(f), "--max-d", "2")
-    assert code == 0
-    assert "rho_star: 0" in out
-    assert "equation: pass" in out
 
 
 def test_budget_vertex(capsys):
@@ -425,6 +433,8 @@ CATEGORY_HEAD = "object M\ngen M M a level=0 ham=0\n"
      "line 2: l line 'l' is too short: it needs 1 token(s) before its fields"),
     ("functor", "obj M M\nF 1 M M out=a coeff=T^0\n",
      "line 2: F line 'F 1 M M out=a coeff=T^0' has no in= field"),
+    ("check-ainf", CATEGORY_HEAD + "mu 2 M M in=a,a out=a coeff=T^0\n",
+     "line 3: object path 'M M' is too short for arity 2: it needs 3 objects"),
 ])
 def test_malformed_lines_exit_2_with_their_line(tmp_path, capsys, verb, text, message):
     f = tmp_path / "bad.txt"
@@ -456,3 +466,6 @@ def test_width_stack_scale_overflow_exits_2(capsys):
         code, out, err = run(capsys, "width", "--stack=%s" % rho)
         assert (code, out) == (2, "")
         assert err.startswith("error: the scale e^(-1/rho) overflows a float")
+    code, out, err = run(capsys, "width", "--stack=1e400")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: stacking parameter must lie in (-1, 0)")

@@ -205,6 +205,8 @@ def test_metric_text_round_trip():
     assert back == m
     assert metric_to_text(back) == text
     assert back.broken_edges == ((1,),)
+    with pytest.raises(ValueError, match="length of e1 has a zero denominator"):
+        metric_from_text(text.replace("1/3", "1/0"))
 
 
 def test_metric_validation():
