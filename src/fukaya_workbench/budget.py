@@ -81,6 +81,10 @@ def validate_floer_window(lo, hi, eps, delta=None) -> WindowReport:
     """Check that a Hamiltonian value range sits strictly inside the
     admissible window: (delta*eps, eps) when delta is given, otherwise
     (eps/2, eps)."""
+    # Text bounds are read as exact rationals; numbers, measured floats
+    # included, are compared as given.
+    lo = _frac(lo, "lo") if isinstance(lo, str) else lo
+    hi = _frac(hi, "hi") if isinstance(hi, str) else hi
     eps = _frac(eps, "eps")
     if eps <= 0:
         raise ValueError("eps must be positive, got %s" % eps)

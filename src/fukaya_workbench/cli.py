@@ -274,7 +274,15 @@ def _random_width_expr(rng, depth):
     return Glue(outer, n, inner, length)
 
 
+def _check_random(args):
+    """Reject --random N below 1, which would check nothing and pass."""
+    if args.random is not None and args.random < 1:
+        raise ValueError("--random must be at least 1, got %d; the self-check would "
+                         "check nothing" % args.random)
+
+
 def cmd_width(args):
+    _check_random(args)
     out = Out(args.format)
     if args.stack is not None:
         rho = _frac(args.stack, "--stack")
@@ -417,10 +425,11 @@ def cmd_budget(args):
         out.kv("budget", val)
         return 0
     if which == "epsdelta":
+        _check_random(args)
         rep = eps_delta_budget(args.eps, args.delta)
         out.kv("worst_case", rep.worst_case)
         out.kv("interior_cap", rep.interior_cap)
-        if args.random:
+        if args.random is not None:
             rng = random.Random(_seed())
             bad = 0
             for _ in range(args.random):

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from decimal import Context
 from fractions import Fraction
 from functools import lru_cache
 
@@ -24,6 +25,7 @@ from .trees import (
     _Tokens,
     compositions,
     enumerate_stable_trees,
+    shape_to_sexpr,
 )
 
 
@@ -45,8 +47,6 @@ class Stratum:
     generalized_corner: bool = False
 
     def report_line(self) -> str:
-        from .trees import shape_to_sexpr
-
         line = "dim=%d codim=%d tree=%s broken=%d colored=%s" % (
             self.dim,
             self.codim,
@@ -159,14 +159,21 @@ class ColoringReport:
     constraints: tuple
 
 
-def _edge_names(tree: LabelledTree):
-    return {p: "e%d" % k for k, p in enumerate(tree.interior_edges, start=1)}
-
-
 def _depth_edges(path):
     """Interior edges on the geodesic from the root vertex to the vertex
     at path: all nonempty prefixes."""
     return [path[:i] for i in range(1, len(path) + 1)]
+
+
+def _colored_ancestors(path, colored) -> int:
+    """Number of colored proper prefixes of path (vertices nearer the root)."""
+    return sum(1 for i in range(len(path)) if path[:i] in colored)
+
+
+def _cone_dim(tree: LabelledTree, colored) -> int:
+    """|V| - |colored| = |interior edges| + 1 - |colored|: the cone
+    dimension of a valid coloring and the codimension of its stratum."""
+    return len(tree.vertex_paths) - len(colored)
 
 
 def validate_coloring(ct: ColoredTree) -> ColoringReport:
@@ -181,7 +188,7 @@ def validate_coloring(ct: ColoredTree) -> ColoringReport:
     t = ct.tree
     colored = ct.colored
     for idx, lp in enumerate(t.leaf_paths, start=1):
-        hits = sum(1 for i in range(len(lp)) if lp[:i] in colored)
+        hits = _colored_ancestors(lp, colored)
         if hits != 1:
             return ColoringReport(
                 False,
@@ -207,81 +214,37 @@ def validate_coloring(ct: ColoredTree) -> ColoringReport:
         if not p:
             continue
         parent = p[:-1]
-        above = any(p[:i] in colored for i in range(len(p)))
         if p in colored:
             lengths[p] = Fraction(1) - depth[parent]
-        elif above:
+        elif _colored_ancestors(p, colored):
             lengths[p] = Fraction(1)
         else:
             lengths[p] = (Fraction(1) - depth[parent]) / 2
         depth[p] = depth[parent] + lengths[p]
     witness = MetricTree(t, lengths)
 
-    names = _edge_names(t)
-    order = sorted(colored)
-    constraints = []
-    for other in order[1:]:
-        lhs = set(_depth_edges(order[0]))
-        rhs = set(_depth_edges(other))
-        common = lhs & rhs
-        left = sorted(lhs - common)
-        right = sorted(rhs - common)
-        constraints.append(
-            "%s = %s"
-            % (
-                " + ".join(names[e] for e in left),
-                " + ".join(names[e] for e in right),
-            )
-        )
-    return ColoringReport(True, None, witness, tuple(constraints))
+    # One constraint per colored vertex after the first: the geodesic
+    # edges that it does not share with the first, named e1.. in preorder.
+    names = {p: "e%d" % k for k, p in enumerate(t.interior_edges, start=1)}
 
+    def side(edges):
+        return " + ".join(names[e] for e in sorted(edges))
 
-def _rank(rows):
-    """Rank of a list of Fraction rows by Gaussian elimination."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        lead = rows[rank]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col] / lead[col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], lead)]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+    geodesics = [set(_depth_edges(p)) for p in sorted(colored)]
+    first = geodesics[0]
+    constraints = tuple("%s = %s" % (side(first - g), side(g - first)) for g in geodesics[1:])
+    return ColoringReport(True, None, witness, constraints)
 
 
 def coloring_cone_dim(ct: ColoredTree) -> int:
     """Dimension of the metric cone of a valid coloring:
-    |interior edges| + 1 - |colored vertices|, with an internal
-    cross-check against the corank of the equidistance system."""
+    |interior edges| + 1 - |colored vertices|.  The equidistance
+    constraints are independent, one per colored vertex after the
+    first."""
     report = validate_coloring(ct)
     if not report.valid:
         raise ValueError("invalid coloring: %s" % report.violation)
-    t = ct.tree
-    interior = t.interior_edges
-    index = {e: i for i, e in enumerate(interior)}
-    order = sorted(ct.colored)
-    rows = []
-    for other in order[1:]:
-        row = [Fraction(0)] * len(interior)
-        for e in _depth_edges(order[0]):
-            row[index[e]] += 1
-        for e in _depth_edges(other):
-            row[index[e]] -= 1
-        rows.append(row)
-    corank = len(interior) - _rank(rows)
-    formula = len(interior) + 1 - len(ct.colored)
-    assert corank == formula
-    return formula
+    return _cone_dim(ct.tree, ct.colored)
 
 
 def generalized_corner_flag(ct: ColoredTree) -> bool:
@@ -292,7 +255,7 @@ def generalized_corner_flag(ct: ColoredTree) -> bool:
     below = [
         p
         for p in ct.tree.vertex_paths
-        if p not in ct.colored and not any(p[:i] in ct.colored for i in range(len(p)))
+        if p not in ct.colored and not _colored_ancestors(p, ct.colored)
     ]
     for a, b in itertools.combinations(below, 2):
         if a != b[: len(a)] and b != a[: len(b)]:
@@ -362,20 +325,17 @@ def stacked_shapes(d: int):
 
 
 def stacked_strata_for_shape(labels, shape):
-    """Colored strata carried by one shape; dim sums valency - 3 over
-    uncolored and valency - 2 over colored vertices."""
+    """Colored strata carried by one shape; the codimension is the cone
+    dimension of the coloring."""
     labels = tuple(labels)
     d = len(labels) - 1
     t = LabelledTree(shape, labels)
     out = []
     for colored in _colorings(shape):
-        dim = 0
-        for p in t.vertex_paths:
-            valency = t.arity(p) + 1
-            dim += valency - 2 if p in colored else valency - 3
+        codim = _cone_dim(t, colored)
         ct = ColoredTree(t, colored)
         out.append(
-            Stratum(t, 0, (d - 1) - dim, dim, colored, generalized_corner_flag(ct))
+            Stratum(t, 0, codim, (d - 1) - codim, colored, generalized_corner_flag(ct))
         )
     return out
 
@@ -490,6 +450,15 @@ def width_expr_from_text(text: str):
     return tokens.parse_all(parse)
 
 
+def _value_text(x) -> str:
+    """x as str, or to six significant digits when that would be long."""
+    text = str(x)
+    if len(text) <= 24:
+        return text
+    x = Fraction(x)
+    return format(Context(prec=6).divide(x.numerator, x.denominator).normalize(), "g")
+
+
 def _stacking_scale(rho) -> float:
     """The gluing scale e^(-1/rho) of a stacking parameter rho in (-1, 0);
     a scale that a float cannot hold is a ValueError."""
@@ -498,7 +467,7 @@ def _stacking_scale(rho) -> float:
     except OverflowError:
         r = math.inf
     if not -1.0 < r < 0.0:
-        raise ValueError("stacking parameter must lie in (-1, 0), got %r" % rho)
+        raise ValueError("stacking parameter must lie in (-1, 0), got %s" % _value_text(rho))
     try:
         g = math.exp(-1.0 / r)
     except OverflowError:
@@ -528,6 +497,7 @@ def stacked_gluing_lengths(rho, child_widths, root_widths):
     out = [g - a - b for a, b in zip(cw, rw)]
     if any(v < 0 for v in out):
         raise ValueError(
-            "stacking parameter %r is outside the chart domain for these widths" % rho
+            "stacking parameter %s is outside the chart domain for these widths"
+            % _value_text(rho)
         )
     return out

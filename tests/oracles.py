@@ -4,7 +4,8 @@ Each oracle recomputes a quantity along a different route than the
 package: polygon diagonals instead of trees, edge contraction instead
 of arity recursion, two-level composition instead of constraint
 filtering, a filter over every loose shape instead of pruned
-generation, interval bookkeeping instead of profile splicing, and a
+generation, the corank of the equidistance system instead of a vertex
+count, interval bookkeeping instead of profile splicing, and a
 direct associator scan instead of insertion sums.
 """
 
@@ -219,6 +220,60 @@ def stacked_dim_oracle(shape, colored):
 
     walk(shape, ())
     return dim
+
+
+def _interior_edges(shape):
+    """Paths of the non-root vertices in preorder: one interior edge
+    ends at each."""
+    edges = []
+
+    def walk(node, path):
+        if node is None:
+            return
+        if path:
+            edges.append(path)
+        for k, c in enumerate(node):
+            walk(c, path + (k,))
+
+    walk(shape, ())
+    return edges
+
+
+def exact_rank(rows):
+    """Rank of a list of rational rows by Gaussian elimination over
+    Fraction."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        lead = rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col] != 0:
+                f = rows[i][col] / lead[col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], lead)]
+        rank += 1
+    return rank
+
+
+def cone_dim_oracle(shape, colored):
+    """Metric cone dimension as the corank of the equidistance system:
+    one row per colored vertex after the first, the edge lengths on the
+    geodesic to the first minus those on the geodesic to it."""
+    edges = _interior_edges(shape)
+    index = {e: i for i, e in enumerate(edges)}
+    order = sorted(colored)
+    rows = []
+    for other in order[1:]:
+        row = [0] * len(edges)
+        for i in range(1, len(order[0]) + 1):
+            row[index[order[0][:i]]] += 1
+        for i in range(1, len(other) + 1):
+            row[index[other[:i]]] -= 1
+        rows.append(row)
+    return len(edges) - exact_rank(rows)
 
 
 # -- widths by interval bookkeeping ------------------------------------

@@ -80,6 +80,18 @@ def test_floer_window_with_delta():
         validate_floer_window(0, 1, 0)
 
 
+def test_floer_window_reads_text_bounds():
+    rep = validate_floer_window("1/2", "3/4", 1)
+    assert not rep.ok and rep.lo == Fraction(1, 2) and rep.hi == Fraction(3, 4)
+    assert rep.reason == "lo 1/2 does not exceed the lower bound 1/2"
+    assert validate_floer_window("3/5", "9/10", "1").ok
+    assert validate_floer_window("4/5", "9/10", 1, delta="3/4").ok
+    with pytest.raises(ValueError):
+        validate_floer_window("x", "9/10", 1)
+    with pytest.raises(ValueError, match="zero denominator"):
+        validate_floer_window("3/5", "9/0", 1)
+
+
 def test_floer_window_accepts_measured_floats():
     assert validate_floer_window(0.51, 0.99, 1).ok
     assert not validate_floer_window(0.5, 0.99, 1).ok

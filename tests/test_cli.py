@@ -327,6 +327,16 @@ def test_budget_epsdelta_random(capsys):
     assert "random: 25 ok" in out
 
 
+def test_random_self_checks_that_check_nothing_are_rejected(capsys):
+    epsdelta = ("budget", "epsdelta", "--eps", "1", "--delta", "3/4")
+    for argv in (("width", "--random", "0"), ("width", "--random=-3"),
+                 ("width", "--stack=-0.25", "--random", "0"),
+                 epsdelta + ("--random", "0"), epsdelta + ("--random=-2",)):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: --random must be at least 1, got "), argv
+
+
 def test_budget_window_failure_exit(capsys):
     code, out, _ = run(capsys, "budget", "window", "--lo", "2/5", "--hi", "9/10",
                        "--eps", "1")
@@ -466,6 +476,10 @@ def test_width_stack_scale_overflow_exits_2(capsys):
         code, out, err = run(capsys, "width", "--stack=%s" % rho)
         assert (code, out) == (2, "")
         assert err.startswith("error: the scale e^(-1/rho) overflows a float")
-    code, out, err = run(capsys, "width", "--stack=1e400")
-    assert (code, out) == (2, "")
-    assert err.startswith("error: stacking parameter must lie in (-1, 0)")
+    # out-of-range values are shown in a bounded form, not digit by digit
+    for argv in (("--stack=1e400",),
+                 ("--stack=-0." + "3" * 200, "--child-widths", "1000", "--root-widths", "0")):
+        code, out, err = run(capsys, "width", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: stacking parameter ")
+        assert err.count("\n") == 1 and len(err) < 120

@@ -168,11 +168,20 @@ def test_cone_dim_requires_valid_coloring():
         coloring_cone_dim(ColoredTree(t, frozenset({(0,)})))
 
 
-def test_cone_dim_formula_everywhere():
-    for d in range(1, 6):
+def test_cone_dim_is_the_equidistance_corank_and_the_stratum_codim():
+    for d in range(1, 7):
         for s in enumerate_stacked_strata(labels_for(d)):
-            ct = ColoredTree(s.tree, s.colored)
-            assert coloring_cone_dim(ct) == len(s.tree.interior_edges) + 1 - len(s.colored)
+            cone = coloring_cone_dim(ColoredTree(s.tree, s.colored))
+            assert cone == oracles.cone_dim_oracle(s.tree.shape, s.colored)
+            assert s.codim == cone
+
+
+def test_exact_rank_oracle():
+    assert oracles.exact_rank([]) == 0
+    assert oracles.exact_rank([[0, 0], [0, 0]]) == 0
+    assert oracles.exact_rank([[1, 2], [2, 4], [0, 1]]) == 2
+    assert oracles.exact_rank([[1, -1, 0], [0, 1, -1], [1, 0, -1]]) == 2
+    assert oracles.exact_rank([[Fraction(1, 3), 1], [1, 3]]) == 1
 
 
 def test_witness_lengths_strictly_positive():
@@ -340,6 +349,9 @@ def test_stacked_gluing_lengths_domain():
     with pytest.raises(ValueError):
         # e^(-1/rho) is about 2.72 here, smaller than the widths demand
         stacked_gluing_lengths(-0.9999, [2.0], [1.0])
+    long = Fraction("-0." + "3" * 200)
+    with pytest.raises(ValueError, match=r"^stacking parameter -0\.333333 is outside"):
+        stacked_gluing_lengths(long, [1000], [0])
 
 
 def test_stacked_gluing_lengths_reject_overflowing_scales():
@@ -347,8 +359,11 @@ def test_stacked_gluing_lengths_reject_overflowing_scales():
     for rho in (Fraction(-1, 1000), -1e-320, -0.001):
         with pytest.raises(ValueError, match="overflows a float"):
             stacked_gluing_lengths(rho, [], [])
-    with pytest.raises(ValueError, match=r"must lie in \(-1, 0\)"):
+    # a huge value is shown to six significant digits, not digit by digit
+    with pytest.raises(ValueError, match=r"must lie in \(-1, 0\), got 1e\+400$"):
         stacked_gluing_lengths(Fraction(10) ** 400, [], [])
+    with pytest.raises(ValueError, match=r"must lie in \(-1, 0\), got 3/2$"):
+        stacked_gluing_lengths(Fraction(3, 2), [], [])
     with pytest.raises(ValueError, match="widths must fit in a float"):
         stacked_gluing_lengths(Fraction(-1, 2), [Fraction(10) ** 400], [0])
     assert stacked_gluing_lengths(Fraction(-1, 700), [0], [0])[0] > 1e300
