@@ -13,7 +13,6 @@ import argparse
 import os
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from importlib import resources
 
@@ -130,20 +129,24 @@ def _labels_from_args(args):
     raise ValueError("give either --labels or --d")
 
 
-def _chunks(seq, n):
-    step = max(1, (len(seq) + n - 1) // n)
-    return [seq[i:i + step] for i in range(0, len(seq), step)]
+def _map_shapes(args, worker, shapes, *context):
+    """worker(context + (shapes,)).  With --parallel, the shapes are cut
+    into eight chunks in canonical order, each chunk's job runs in a
+    process pool, and the results are concatenated in order; the pool
+    is imported only then.  Workers must be importable module-level
+    functions."""
+    if not args.parallel:
+        return worker(context + (shapes,))
+    from concurrent.futures import ProcessPoolExecutor
 
-
-def _pool_map(worker, jobs):
+    step = max(1, (len(shapes) + 7) // 8)
+    jobs = [context + (shapes[i:i + step],) for i in range(0, len(shapes), step)]
     with ProcessPoolExecutor(max_workers=min(4, os.cpu_count() or 1)) as pool:
-        return list(pool.map(worker, jobs))
+        return [x for chunk in pool.map(worker, jobs) for x in chunk]
 
 
-# workers must be importable module-level functions
-
-
-def _sexpr_chunk(shapes):
+def _sexpr_chunk(job):
+    (shapes,) = job
     return [shape_to_sexpr(s) for s in shapes]
 
 
@@ -182,21 +185,10 @@ def cmd_classify(args):
     return 0
 
 
-def _is_binary(shape) -> bool:
-    if shape is None:
-        return True
-    return len(shape) == 2 and all(_is_binary(c) for c in shape)
-
-
 def cmd_trees(args):
     out = Out(args.format)
-    shapes = enumerate_stable_trees(args.d)
-    if args.binary:
-        shapes = [s for s in shapes if _is_binary(s)]
-    if args.parallel:
-        texts = [t for chunk in _pool_map(_sexpr_chunk, _chunks(shapes, 8)) for t in chunk]
-    else:
-        texts = _sexpr_chunk(shapes)
+    shapes = enumerate_stable_trees(args.d, 2 if args.binary else None)
+    texts = _map_shapes(args, _sexpr_chunk, shapes)
     for i, t in enumerate(texts):
         out.item("tree.%d" % i, t)
     out.kv("count", len(texts))
@@ -206,11 +198,7 @@ def cmd_trees(args):
 def _report_strata(args, shapes, per_shape):
     out = Out(args.format)
     labels = _labels_from_args(args)
-    if args.parallel:
-        jobs = [(per_shape, labels, c) for c in _chunks(shapes, 8)]
-        pairs = [p for chunk in _pool_map(_strata_chunk, jobs) for p in chunk]
-    else:
-        pairs = _strata_chunk((per_shape, labels, shapes))
+    pairs = _map_shapes(args, _strata_chunk, shapes, per_shape, labels)
     for i, (_, line) in enumerate(pairs):
         out.item("stratum.%d" % i, line)
     counts = count_by_dim(dim for dim, _ in pairs)
@@ -281,6 +269,32 @@ def _check_random(args):
                          "check nothing" % args.random)
 
 
+def _self_check(out, n, trial):
+    """Run trial(rng) n times on one WORKBENCH_SEED generator; exit 1 if
+    any trial fails."""
+    rng = random.Random(_seed())
+    bad = sum(1 for _ in range(n) if not trial(rng))
+    out.kv("random", "%d ok" % n if not bad else "%d failed" % bad)
+    out.kv("seed", _seed())
+    return 1 if bad else 0
+
+
+def _width_trial(rng) -> bool:
+    expr = _random_width_expr(rng, 4)
+    prof = intrinsic_width(expr)
+    return (
+        prof.d == _expr_leaves(expr)
+        and all(w >= 0 for w in prof.widths)
+        and (not prof.widths or max(prof.widths) <= _expr_neck_total(expr))
+    )
+
+
+def _epsdelta_trial(rng) -> bool:
+    eps = Fraction(rng.randint(1, 2000), rng.randint(1, 2000))
+    delta = Fraction(1000 + rng.randint(1, 999), 2000)
+    return eps_delta_budget(eps, delta).worst_case == 0
+
+
 def cmd_width(args):
     _check_random(args)
     out = Out(args.format)
@@ -295,21 +309,7 @@ def cmd_width(args):
         out.seq("lengths", [_fmt_float(v) for v in lengths])
         return 0
     if args.random is not None:
-        rng = random.Random(_seed())
-        bad = 0
-        for _ in range(args.random):
-            expr = _random_width_expr(rng, 4)
-            prof = intrinsic_width(expr)
-            ok = (
-                prof.d == _expr_leaves(expr)
-                and all(w >= 0 for w in prof.widths)
-                and (not prof.widths or max(prof.widths) <= _expr_neck_total(expr))
-            )
-            if not ok:
-                bad += 1
-        out.kv("random", "%d ok" % args.random if not bad else "%d failed" % bad)
-        out.kv("seed", _seed())
-        return 1 if bad else 0
+        return _self_check(out, args.random, _width_trial)
     if not args.expr:
         raise ValueError("give a width expression, --random N, or --stack RHO")
     prof = intrinsic_width(width_expr_from_text(args.expr))
@@ -430,17 +430,7 @@ def cmd_budget(args):
         out.kv("worst_case", rep.worst_case)
         out.kv("interior_cap", rep.interior_cap)
         if args.random is not None:
-            rng = random.Random(_seed())
-            bad = 0
-            for _ in range(args.random):
-                eps = Fraction(rng.randint(1, 2000), rng.randint(1, 2000))
-                delta = Fraction(1000 + rng.randint(1, 999), 2000)
-                if eps_delta_budget(eps, delta).worst_case != 0:
-                    bad += 1
-            out.kv("random", "%d ok" % args.random if not bad else "%d failed" % bad)
-            out.kv("seed", _seed())
-            if bad:
-                return 1
+            return _self_check(out, args.random, _epsdelta_trial)
         return 0
     if which == "window":
         delta = _frac(args.delta, "--delta") if args.delta is not None else None

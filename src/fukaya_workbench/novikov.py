@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 import sys
+from decimal import Context
 from fractions import Fraction
 
 # The decimal exponent of a string that Fraction accepts, as in '1.5e-7'.
@@ -36,6 +37,17 @@ def _frac(x, what="a Novikov exponent") -> Fraction:
         return Fraction(x)
     except ZeroDivisionError:
         raise ValueError("%s has a zero denominator: %r" % (what, x)) from None
+    except ValueError:
+        raise ValueError("%s must be a rational number, got %r" % (what, x)) from None
+
+
+def _value_text(x) -> str:
+    """x as str, or to six significant digits when that would be long."""
+    text = str(x)
+    if len(text) <= 24:
+        return text
+    x = Fraction(x)
+    return format(Context(prec=6).divide(x.numerator, x.denominator).normalize(), "g")
 
 
 class NovikovElement:

@@ -14,11 +14,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from decimal import Context
 from fractions import Fraction
 from functools import lru_cache
 
-from .novikov import _frac
+from .novikov import _frac, _value_text
 from .trees import (
     LabelledTree,
     MetricTree,
@@ -448,15 +447,6 @@ def width_expr_from_text(text: str):
         return node
 
     return tokens.parse_all(parse)
-
-
-def _value_text(x) -> str:
-    """x as str, or to six significant digits when that would be long."""
-    text = str(x)
-    if len(text) <= 24:
-        return text
-    x = Fraction(x)
-    return format(Context(prec=6).divide(x.numerator, x.denominator).normalize(), "g")
 
 
 def _stacking_scale(rho) -> float:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .novikov import _frac
+from .novikov import _frac, _value_text
 
 INF = float("inf")
 
@@ -513,9 +513,12 @@ def glue_trees(t1: LabelledTree, leaf: int, t2: LabelledTree):
 def gluing_length(rho):
     """Interior length -ln(-rho) of the new edge for a gluing parameter
     rho in [-1, 0]; rho = 0 gives a broken edge, rho = -1 length 0."""
-    r = float(rho)
+    try:
+        r = float(rho)
+    except OverflowError:
+        r = math.inf
     if not -1.0 <= r <= 0.0:
-        raise ValueError("gluing parameter must lie in [-1, 0], got %r" % rho)
+        raise ValueError("gluing parameter must lie in [-1, 0], got %s" % _value_text(rho))
     if r == 0.0:
         return INF
     return Fraction(max(0.0, -math.log(-r)))
@@ -538,23 +541,26 @@ def glue_metrics(m1: MetricTree, leaf: int, m2: MetricTree, rho=None, length=Non
 
 
 @lru_cache(maxsize=None)
-def _stable_shapes(d: int):
+def _stable_shapes(d: int, max_arity: int):
+    # Callers keep max_arity <= d, so uncapped calls share one cache entry per d.
     if d == 1:
         return (None,)
     out = []
-    for k in range(2, d + 1):
+    for k in range(2, max_arity + 1):
         for comp in compositions(d, k):
-            for children in itertools.product(*(_stable_shapes(m) for m in comp)):
-                out.append(tuple(children))
+            out.extend(itertools.product(*(_stable_shapes(m, min(m, max_arity)) for m in comp)))
     return tuple(out)
 
 
-def enumerate_stable_trees(d: int):
+def enumerate_stable_trees(d: int, max_arity=None):
     """All planar rooted shapes with d leaves and every vertex of arity
-    at least 2, in a fixed canonical order (root arity ascending)."""
+    at least 2, and at most max_arity when given, in a fixed canonical
+    order (root arity ascending)."""
     if d < 2:
         raise ValueError("stable trees need d >= 2")
-    return list(_stable_shapes(d))
+    if max_arity is not None and max_arity < 2:
+        raise ValueError("a stable vertex has arity at least 2, got max_arity %d" % max_arity)
+    return list(_stable_shapes(d, d if max_arity is None else min(d, max_arity)))
 
 
 # -- fundamental decomposition -----------------------------------------

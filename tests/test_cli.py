@@ -1,7 +1,12 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fukaya_workbench
 from fukaya_workbench.cli import _read_source, main
 
 
@@ -47,24 +52,12 @@ def test_trees_counts(capsys):
     assert out.count("(v ") + out.count("(v(") >= 5
 
 
-def test_trees_parallel_matches_serial(capsys):
-    _, serial, _ = run(capsys, "trees", "--d", "5")
-    _, parallel, _ = run(capsys, "trees", "--d", "5", "--parallel")
-    assert serial == parallel
-
-
 def test_strata_report(capsys):
     code, out, _ = run(capsys, "strata", "--d", "4")
     assert code == 0
     assert "f-vector: [5,5,1]" in out
     assert "euler: 1" in out
     assert "count: 11" in out
-
-
-def test_strata_parallel_matches_serial(capsys):
-    _, serial, _ = run(capsys, "strata", "--d", "5")
-    _, parallel, _ = run(capsys, "strata", "--d", "5", "--parallel")
-    assert serial == parallel
 
 
 def test_strata_labels_option(capsys):
@@ -87,10 +80,37 @@ def test_stacked_machine(capsys):
     )
 
 
-def test_stacked_parallel_matches_serial(capsys):
-    _, serial, _ = run(capsys, "stacked", "--d", "4")
-    _, parallel, _ = run(capsys, "stacked", "--d", "4", "--parallel")
+@pytest.mark.parametrize("argv", [
+    ("trees", "--d", "5"),
+    ("trees", "--d", "6", "--binary"),
+    ("strata", "--d", "5"),
+    ("stacked", "--d", "4"),
+], ids=" ".join)
+def test_parallel_matches_serial(capsys, argv):
+    _, serial, _ = run(capsys, *argv)
+    _, parallel, _ = run(capsys, *argv, "--parallel")
     assert serial == parallel
+
+
+_LOADED_POOL_MODULES = """
+import sys
+from fukaya_workbench.cli import main
+main(sys.argv[1:])
+print(*sorted(m for m in sys.modules if m.startswith(("concurrent", "multiprocessing"))),
+      file=sys.stderr)
+"""
+
+
+def test_process_pool_is_imported_only_under_parallel():
+    env = dict(os.environ, PYTHONPATH=str(Path(fukaya_workbench.__file__).parents[1]))
+
+    def pool_modules(*flags):
+        argv = [sys.executable, "-c", _LOADED_POOL_MODULES, "strata", "--d", "3", *flags]
+        res = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+        return res.stderr.split()
+
+    assert pool_modules() == []
+    assert "concurrent.futures" in pool_modules("--parallel")
 
 
 STACKED_MACHINE_MD5 = {
@@ -343,6 +363,20 @@ def test_budget_window_failure_exit(capsys):
     assert code == 1
     assert "ok: no" in out
     assert "reason: lo 2/5 does not exceed the lower bound 1/2" in out
+
+
+def test_non_numeric_values_name_the_bad_value(capsys):
+    for argv, message in (
+        (("budget", "window", "--lo", "x", "--hi", "1", "--eps", "1"),
+         "--lo must be a rational number, got 'x'"),
+        (("budget", "vertex", "--d", "3", "--eps", "x"),
+         "eps must be a rational number, got 'x'"),
+        (("width", "(glue (surface 2) 1 (surface 2) x)"),
+         "a neck length must be a rational number, got 'x'"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err == "error: %s\n" % message
 
 
 def test_budget_strip(capsys):

@@ -104,15 +104,31 @@ def is_binary(shape):
     return len(shape) == 2 and all(is_binary(c) for c in shape)
 
 
+def max_arity(shape):
+    if shape is None:
+        return 0
+    return max(len(shape), *(max_arity(c) for c in shape))
+
+
 def test_binary_counts_are_catalan():
     for d in range(2, 8):
         n = sum(1 for s in enumerate_stable_trees(d) if is_binary(s))
         assert n == oracles.catalan(d - 1)
 
 
+def test_arity_cap_equals_filtering_in_order():
+    for d in range(2, 10):
+        binary = [s for s in enumerate_stable_trees(d) if is_binary(s)]
+        assert enumerate_stable_trees(d, 2) == binary
+    assert enumerate_stable_trees(5, 3) == [
+        s for s in enumerate_stable_trees(5) if max_arity(s) <= 3]
+
+
 def test_stable_needs_two_leaves():
     with pytest.raises(ValueError):
         enumerate_stable_trees(1)
+    with pytest.raises(ValueError):
+        enumerate_stable_trees(4, 1)
 
 
 def test_compositions():
@@ -272,6 +288,12 @@ def test_gluing_length():
         gluing_length(0.5)
     with pytest.raises(ValueError):
         gluing_length(-2)
+    # huge rationals are out of range, and the value is shown bounded
+    for rho in (Fraction(10**400), Fraction(-10**400)):
+        with pytest.raises(ValueError, match=r"got -?1e\+400$"):
+            gluing_length(rho)
+    with pytest.raises(ValueError, match=r"got 3/2$"):
+        gluing_length(Fraction(3, 2))
 
 
 def test_glue_metrics():
