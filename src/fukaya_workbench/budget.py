@@ -23,27 +23,43 @@ def _num(x) -> float:
         raise ValueError("%s does not fit in a float" % (x,)) from None
 
 
+def _eps(x, what="eps") -> Fraction:
+    eps = _frac(x, what)
+    if eps <= 0:
+        raise ValueError("%s must be positive, got %s" % (what, eps))
+    return eps
+
+
+def _delta(x, what="delta") -> Fraction:
+    delta = _frac(x, what)
+    if not Fraction(1, 2) < delta < 1:
+        raise ValueError("%s must lie strictly between 1/2 and 1, got %s" % (what, delta))
+    return delta
+
+
+def _vertex(d: int, case: str) -> None:
+    if d < 2:
+        raise ValueError("vertices have d >= 2, got %d" % d)
+    if case not in ("open", "closed"):
+        raise ValueError("case must be 'open' or 'closed', got %r" % case)
+
+
 def vertex_curvature_budget(d: int, eps, case="open", convention="main") -> Fraction:
     """Total curvature budget of a d-input vertex: the incoming quanta
     minus d outputs of eps/2 plus the slack eps - eps/2 on the interior
     pieces.  Open vertices balance to 0 exactly; closed vertices leave
     -3*eps/2 (the draft convention counts d - 1 interior pieces and
     leaves -eps/2)."""
-    if d < 2:
-        raise ValueError("vertices have d >= 2, got %d" % d)
-    eps = _frac(eps, "eps")
-    if eps <= 0:
-        raise ValueError("eps must be positive, got %s" % eps)
+    _vertex(d, case)
+    eps = _eps(eps)
+    if convention not in ("main", "draft"):
+        raise ValueError("convention must be 'main' or 'draft', got %r" % convention)
     half = eps / 2
     if case == "open":
         return eps - d * half + (d - 2) * (eps - half)
-    if case == "closed":
-        if convention == "main":
-            return -d * half + (d - 3) * (eps - half)
-        if convention == "draft":
-            return -d * half + (d - 1) * (eps - half)
-        raise ValueError("convention must be 'main' or 'draft', got %r" % convention)
-    raise ValueError("case must be 'open' or 'closed', got %r" % case)
+    if convention == "main":
+        return -d * half + (d - 3) * (eps - half)
+    return -d * half + (d - 1) * (eps - half)
 
 
 @dataclass(frozen=True)
@@ -56,12 +72,8 @@ def eps_delta_budget(eps, delta) -> EpsDeltaBudget:
     """Sharpened budget with Hamiltonian terms pushed into (delta*eps,
     eps): the worst case eps - 2*delta*eps + eps*(2*delta - 1) cancels
     exactly, leaving the interior cap eps*(2*delta - 1)."""
-    eps = _frac(eps, "eps")
-    delta = _frac(delta, "delta")
-    if eps <= 0:
-        raise ValueError("eps must be positive, got %s" % eps)
-    if not Fraction(1, 2) < delta < 1:
-        raise ValueError("delta must lie strictly between 1/2 and 1, got %s" % delta)
+    eps = _eps(eps)
+    delta = _delta(delta)
     worst = eps - 2 * delta * eps + eps * (2 * delta - 1)
     cap = eps * (2 * delta - 1)
     return EpsDeltaBudget(worst, cap)
@@ -85,16 +97,8 @@ def validate_floer_window(lo, hi, eps, delta=None) -> WindowReport:
     # included, are compared as given.
     lo = _frac(lo, "lo") if isinstance(lo, str) else lo
     hi = _frac(hi, "hi") if isinstance(hi, str) else hi
-    eps = _frac(eps, "eps")
-    if eps <= 0:
-        raise ValueError("eps must be positive, got %s" % eps)
-    if delta is None:
-        lower = eps / 2
-    else:
-        delta = _frac(delta, "delta")
-        if not Fraction(1, 2) < delta < 1:
-            raise ValueError("delta must lie strictly between 1/2 and 1, got %s" % delta)
-        lower = delta * eps
+    eps = _eps(eps)
+    lower = eps / 2 if delta is None else _delta(delta) * eps
     upper = eps
     if lo > hi:
         return WindowReport(False, lo, hi, lower, upper, "empty range: lo > hi")
@@ -169,15 +173,8 @@ def continuation_shift(eps1, delta1, eps2, delta2, d: int) -> ContinuationShift:
     element is filtered iff eps2 <= delta1*eps1, i.e. the overall shift
     eps2 - delta1*eps1 is nonpositive; the coarser theorem-level bound
     is eps2 - eps1/2."""
-    eps1 = _frac(eps1, "eps1")
-    eps2 = _frac(eps2, "eps2")
-    delta1 = _frac(delta1, "delta1")
-    delta2 = _frac(delta2, "delta2")
-    for name, delta in (("delta1", delta1), ("delta2", delta2)):
-        if not Fraction(1, 2) < delta < 1:
-            raise ValueError("%s must lie strictly between 1/2 and 1, got %s" % (name, delta))
-    if eps1 <= 0 or eps2 <= 0:
-        raise ValueError("eps values must be positive")
+    eps1, delta1 = _eps(eps1, "eps1"), _delta(delta1, "delta1")
+    eps2, delta2 = _eps(eps2, "eps2"), _delta(delta2, "delta2")
     if d < 1:
         raise ValueError("d must be >= 1, got %d" % d)
     per_d = (d - 1) * eps2 * (1 - 2 * delta2) + d * (eps2 - delta1 * eps1)
@@ -189,13 +186,8 @@ def continuation_shift(eps1, delta1, eps2, delta2, d: int) -> ContinuationShift:
 def thin_part_count(d: int, case="open") -> int:
     """Thin pieces of a degenerating d-input vertex domain: 2d - 1 for
     open strings, 2d - 3 for closed ones."""
-    if d < 2:
-        raise ValueError("vertices have d >= 2, got %d" % d)
-    if case == "open":
-        return 2 * d - 1
-    if case == "closed":
-        return 2 * d - 3
-    raise ValueError("case must be 'open' or 'closed', got %r" % case)
+    _vertex(d, case)
+    return 2 * d - 1 if case == "open" else 2 * d - 3
 
 
 # -- virtual dimensions ------------------------------------------------
@@ -214,23 +206,52 @@ class IndexInput:
     k: int | None = None
 
 
-DIM_CASES = (
-    "open",
-    "closed",
-    "quantum",
-    "pearly",
-    "pearly_crit",
-    "strip_moduli",
-    "stacked_moduli",
-    "sphere_cluster",
-    "marked_disc",
-)
+def _open_dim(inp: IndexInput) -> int:
+    return (
+        inp.maslov
+        + sum(inp.morse_indices)
+        - inp.n * (inp.d - inp.d_R - 1)
+        + inp.d
+        - 2
+    )
 
 
-def _need(inp: IndexInput, *fields):
-    for f in fields:
-        if getattr(inp, f) is None:
-            raise ValueError("case %r requires field %r" % (inp.case, f))
+def _quantum_dim(inp: IndexInput) -> int:
+    if len(inp.morse_indices) != inp.d:
+        raise ValueError(
+            "quantum case needs one index per input: d=%d but %d indices"
+            % (inp.d, len(inp.morse_indices))
+        )
+    return (
+        inp.maslov
+        + sum(m - inp.n for m in inp.morse_indices)
+        - inp.out_index
+        + inp.d
+        - 2
+    )
+
+
+def _pearly_crit_dim(inp: IndexInput) -> int:
+    if len(inp.morse_indices) != 1:
+        raise ValueError("pearly_crit takes exactly one input index")
+    return inp.morse_indices[0] - inp.out_index + inp.maslov - 1
+
+
+# case -> (required fields, in the order they are checked; formula)
+_DIMENSIONS = {
+    "open": (("n", "d", "d_R", "maslov", "morse_indices"), _open_dim),
+    "closed": (("n", "d", "d_R", "maslov", "morse_indices", "out_index"),
+               lambda inp: _open_dim(inp) - inp.out_index),
+    "quantum": (("n", "d", "maslov", "morse_indices", "out_index"), _quantum_dim),
+    "pearly": (("n", "maslov"), lambda inp: inp.n + inp.maslov - 1),
+    "pearly_crit": (("maslov", "morse_indices", "out_index"), _pearly_crit_dim),
+    "strip_moduli": (("d",), lambda inp: inp.d - 2),
+    "stacked_moduli": (("d",), lambda inp: inp.d - 1),
+    "sphere_cluster": (("d",), lambda inp: 2 * inp.d - 4),
+    "marked_disc": (("l", "k"), lambda inp: inp.l + 2 * inp.k - 2),
+}
+
+DIM_CASES = tuple(_DIMENSIONS)
 
 
 def virtual_dimension(inp: IndexInput) -> int:
@@ -245,55 +266,10 @@ def virtual_dimension(inp: IndexInput) -> int:
     stacked_moduli: d - 1
     sphere_cluster: 2d - 4
     marked_disc:    l + 2k - 2"""
-    case = inp.case
-    if case == "open":
-        _need(inp, "n", "d", "d_R", "maslov", "morse_indices")
-        return (
-            inp.maslov
-            + sum(inp.morse_indices)
-            - inp.n * (inp.d - inp.d_R - 1)
-            + inp.d
-            - 2
-        )
-    if case == "closed":
-        _need(inp, "n", "d", "d_R", "maslov", "morse_indices", "out_index")
-        open_part = virtual_dimension(
-            IndexInput("open", d=inp.d, n=inp.n, d_R=inp.d_R,
-                       maslov=inp.maslov, morse_indices=inp.morse_indices)
-        )
-        return open_part - inp.out_index
-    if case == "quantum":
-        _need(inp, "n", "d", "maslov", "morse_indices", "out_index")
-        if len(inp.morse_indices) != inp.d:
-            raise ValueError(
-                "quantum case needs one index per input: d=%d but %d indices"
-                % (inp.d, len(inp.morse_indices))
-            )
-        return (
-            inp.maslov
-            + sum(m - inp.n for m in inp.morse_indices)
-            - inp.out_index
-            + inp.d
-            - 2
-        )
-    if case == "pearly":
-        _need(inp, "n", "maslov")
-        return inp.n + inp.maslov - 1
-    if case == "pearly_crit":
-        _need(inp, "maslov", "morse_indices", "out_index")
-        if len(inp.morse_indices) != 1:
-            raise ValueError("pearly_crit takes exactly one input index")
-        return inp.morse_indices[0] - inp.out_index + inp.maslov - 1
-    if case == "strip_moduli":
-        _need(inp, "d")
-        return inp.d - 2
-    if case == "stacked_moduli":
-        _need(inp, "d")
-        return inp.d - 1
-    if case == "sphere_cluster":
-        _need(inp, "d")
-        return 2 * inp.d - 4
-    if case == "marked_disc":
-        _need(inp, "l", "k")
-        return inp.l + 2 * inp.k - 2
-    raise ValueError("unknown case %r; known: %s" % (case, ", ".join(DIM_CASES)))
+    if inp.case not in _DIMENSIONS:
+        raise ValueError("unknown case %r; known: %s" % (inp.case, ", ".join(DIM_CASES)))
+    fields, formula = _DIMENSIONS[inp.case]
+    for f in fields:
+        if getattr(inp, f) is None:
+            raise ValueError("case %r requires field %r" % (inp.case, f))
+    return formula(inp)

@@ -443,7 +443,12 @@ def cmd_budget(args):
             return 1
         return 0
     if which == "strip":
-        cutoffs = [float(x) for x in args.cutoffs.split(",")]
+        cutoffs = []
+        for x in args.cutoffs.split(","):
+            try:
+                cutoffs.append(float(x))
+            except ValueError:
+                raise ValueError("a --cutoffs entry must be a number, got %r" % x) from None
         rep = strip_end_bound(_frac(args.lo, "--lo"), _frac(args.hi, "--hi"), args.end, cutoffs)
         out.kv("bound", _fmt_float(rep.bound))
         out.kv("closed_form", _fmt_float(rep.closed_form))

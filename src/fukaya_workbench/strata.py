@@ -478,8 +478,11 @@ def stacked_gluing_lengths(rho, child_widths, root_widths):
     try:
         rw = [float(x) for x in root_widths]
         cw = [float(x) for x in child_widths]
+        finite = all(math.isfinite(w) for w in rw + cw)
     except OverflowError:
-        raise ValueError("widths must fit in a float") from None
+        finite = False
+    if not finite:
+        raise ValueError("widths must fit in a float as finite numbers")
     if len(cw) != len(rw):
         raise ValueError(
             "need one child width per root input, got %d and %d" % (len(cw), len(rw))

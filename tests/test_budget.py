@@ -1,10 +1,12 @@
+import dataclasses
 import math
 from fractions import Fraction
 
 import pytest
 
 from fukaya_workbench import ActionValue
-from fukaya_workbench.budget import (EpsDeltaBudget, IndexInput, continuation_shift,
+from fukaya_workbench.budget import (DIM_CASES, EpsDeltaBudget, IndexInput,
+                                     continuation_shift,
                                      energy_action_check, eps_delta_budget,
                                      strip_end_bound, thin_part_count,
                                      validate_floer_window, vertex_curvature_budget,
@@ -38,6 +40,10 @@ def test_budget_validation():
         vertex_curvature_budget(3, 1, case="mixed")
     with pytest.raises(ValueError):
         vertex_curvature_budget(3, 1, case="closed", convention="v2")
+    # the convention is checked for open vertices too, although their
+    # formula does not read it
+    with pytest.raises(ValueError, match="convention must be 'main' or 'draft'"):
+        vertex_curvature_budget(3, 1, "open", "v2")
 
 
 def test_eps_delta_budget_cancels():
@@ -183,10 +189,12 @@ def test_continuation_shift_unfiltered():
 def test_continuation_shift_validation():
     with pytest.raises(ValueError):
         continuation_shift(1, Fraction(1, 2), 1, Fraction(3, 4), 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^delta2 must lie strictly between 1/2 and 1, got 1$"):
         continuation_shift(1, Fraction(3, 4), 1, 1, 2)
-    with pytest.raises(ValueError):
-        continuation_shift(0, Fraction(3, 4), 1, Fraction(3, 4), 2)
+    with pytest.raises(ValueError, match="^eps1 must be positive, got 0$"):
+        continuation_shift(0, "3/4", 1, "3/4", 2)
+    with pytest.raises(ValueError, match="^eps2 must be positive, got -1$"):
+        continuation_shift(1, "3/4", -1, "3/4", 2)
     with pytest.raises(ValueError):
         continuation_shift(1, Fraction(3, 4), 1, Fraction(3, 4), 0)
     with pytest.raises(ValueError):
@@ -248,7 +256,35 @@ def test_dimension_moduli_counts():
 def test_dimension_validation():
     with pytest.raises(ValueError):
         virtual_dimension(IndexInput("open", d=3, n=2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as e:
         virtual_dimension(IndexInput("banana", d=3))
+    assert str(e.value) == (
+        "unknown case 'banana'; known: open, closed, quantum, pearly, pearly_crit, "
+        "strip_moduli, stacked_moduli, sphere_cluster, marked_disc"
+    )
     with pytest.raises(ValueError):
         virtual_dimension(IndexInput("marked_disc", l=3))
+
+
+# Each case's required fields, in the order they are checked.
+REQUIRED_FIELDS = {
+    "open": ("n", "d", "d_R", "maslov", "morse_indices"),
+    "closed": ("n", "d", "d_R", "maslov", "morse_indices", "out_index"),
+    "quantum": ("n", "d", "maslov", "morse_indices", "out_index"),
+    "pearly": ("n", "maslov"),
+    "pearly_crit": ("maslov", "morse_indices", "out_index"),
+    "strip_moduli": ("d",),
+    "stacked_moduli": ("d",),
+    "sphere_cluster": ("d",),
+    "marked_disc": ("l", "k"),
+}
+
+
+@pytest.mark.parametrize("case,field", [(case, field) for case in DIM_CASES
+                                        for field in REQUIRED_FIELDS[case]])
+def test_dimension_names_each_missing_field(case, field):
+    complete = IndexInput(case, d=2, n=2, d_R=1, maslov=3, morse_indices=(1, 2),
+                          out_index=1, l=3, k=1)
+    inp = dataclasses.replace(complete, **{field: None})
+    with pytest.raises(ValueError, match="^case '%s' requires field '%s'$" % (case, field)):
+        virtual_dimension(inp)

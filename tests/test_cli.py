@@ -1,5 +1,6 @@
 import hashlib
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -373,6 +374,8 @@ def test_non_numeric_values_name_the_bad_value(capsys):
          "eps must be a rational number, got 'x'"),
         (("width", "(glue (surface 2) 1 (surface 2) x)"),
          "a neck length must be a rational number, got 'x'"),
+        (("budget", "strip", "--lo", "0", "--hi", "1", "--end", "entry", "--cutoffs", "0,x"),
+         "a --cutoffs entry must be a number, got 'x'"),
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv
@@ -427,6 +430,32 @@ def test_dim(capsys):
     code, out, _ = run(capsys, "dim", "--case", "marked_disc", "--l", "3", "--k", "2")
     assert code == 0
     assert out == "dim: 5\n"
+
+
+def _readme_examples():
+    """(argv, tail, expected stdout) for each `$ workbench` line in the
+    fenced block under `## Command line` in README.md; tail is the N of
+    a trailing `| tail -N`, or None."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("\n## Command line\n", 1)[1].split("```\n", 2)[1]
+    examples = []
+    for chunk in block.split("$ workbench ")[1:]:
+        command, *shown = chunk.strip("\n").split("\n")
+        command, _, tail = command.partition(" | tail -")
+        examples.append((shlex.split(command), int(tail) if tail else None,
+                         "".join(line + "\n" for line in shown)))
+    return examples
+
+
+def test_readme_examples_print_what_they_show(capsys):
+    examples = _readme_examples()
+    assert len(examples) == 8
+    for argv, tail, shown in examples:
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        if tail is not None:
+            out = "".join(out.splitlines(keepends=True)[-tail:])
+        assert out == shown, argv
 
 
 def test_reruns_are_byte_identical(capsys):

@@ -366,4 +366,9 @@ def test_stacked_gluing_lengths_reject_overflowing_scales():
         stacked_gluing_lengths(Fraction(3, 2), [], [])
     with pytest.raises(ValueError, match="widths must fit in a float"):
         stacked_gluing_lengths(Fraction(-1, 2), [Fraction(10) ** 400], [0])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="widths must fit in a float"):
+            stacked_gluing_lengths(-0.5, [bad], [0])
+        with pytest.raises(ValueError, match="widths must fit in a float"):
+            stacked_gluing_lengths(-0.5, [0], [bad])
     assert stacked_gluing_lengths(Fraction(-1, 700), [0], [0])[0] > 1e300
