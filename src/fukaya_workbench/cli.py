@@ -10,10 +10,13 @@ flat key=value block.  Exit codes: 0 success, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
+from functools import partial
 from importlib import resources
 
 from .ainfinity import (
@@ -48,7 +51,7 @@ from .strata import (
     Glue,
     Surface,
     _stacking_scale,
-    cluster_strata_for_shape,
+    cluster_report_lines,
     coloring_cone_dim,
     count_by_dim,
     generalized_corner_flag,
@@ -61,9 +64,8 @@ from .strata import (
 )
 from .trees import (
     classify_tuple,
-    enumerate_stable_trees,
     reduce_tuple,
-    shape_to_sexpr,
+    stable_templates,
     tree_from_text,
 )
 
@@ -129,32 +131,62 @@ def _labels_from_args(args):
     raise ValueError("give either --labels or --d")
 
 
-def _map_shapes(args, worker, shapes, *context):
-    """worker(context + (shapes,)).  With --parallel, the shapes are cut
-    into eight chunks in canonical order, each chunk's job runs in a
-    process pool, and the results are concatenated in order; the pool
-    is imported only then.  Workers must be importable module-level
+def _map_shapes(args, worker, items, *context):
+    """worker(*context, items), an iterator.  With --parallel, the items
+    are cut into eight chunks in canonical order, each chunk's job runs
+    in a process pool, and the results are chained in order; the pool is
+    imported only then.  Workers must be importable module-level
     functions."""
     if not args.parallel:
-        return worker(context + (shapes,))
+        return worker(*context, items)
     from concurrent.futures import ProcessPoolExecutor
 
-    step = max(1, (len(shapes) + 7) // 8)
-    jobs = [context + (shapes[i:i + step],) for i in range(0, len(shapes), step)]
+    items = list(items)
+    step = max(1, (len(items) + 7) // 8)
+    jobs = [context + (items[i:i + step],) for i in range(0, len(items), step)]
     with ProcessPoolExecutor(max_workers=min(4, os.cpu_count() or 1)) as pool:
-        return [x for chunk in pool.map(worker, jobs) for x in chunk]
+        chunks = list(pool.map(partial(_listed, worker), jobs))
+    return itertools.chain.from_iterable(chunks)
 
 
-def _sexpr_chunk(job):
-    (shapes,) = job
-    return [shape_to_sexpr(s) for s in shapes]
+def _listed(worker, job):
+    return list(worker(*job))
 
 
-def _strata_chunk(job):
-    """(dim, report line) of every stratum that per_shape finds on the
-    shapes."""
-    per_shape, labels, shapes = job
-    return [(s.dim, s.report_line()) for shape in shapes for s in per_shape(labels, shape)]
+def _tree_lines(leaves, templates):
+    """Each template filled with the leaf numbers."""
+    return map(str.__mod__, templates, itertools.repeat(leaves))
+
+
+def _stacked_lines(labels, shapes):
+    """(dim, report line) of every stacked stratum of the shapes."""
+    for shape in shapes:
+        for s in stacked_strata_for_shape(labels, shape):
+            yield s.dim, s.report_line()
+
+
+_BLOCK = 256
+
+
+def _write_items(fmt, key, items, dims=None):
+    """Write the lines as Out.item(key.i, line) would, for i = 0, 1, ..,
+    one block of _BLOCK lines per write as they come, and return how
+    many there were.  With a Counter dims, the items are (dim, line)
+    pairs and dims counts their dimensions."""
+    it = iter(items)
+    count = 0
+    while True:
+        block = list(itertools.islice(it, _BLOCK))
+        if not block:
+            return count
+        if dims is not None:
+            dims.update([dim for dim, _ in block])
+            block = [line for _, line in block]
+        n = len(block)
+        if fmt == "machine":
+            block = map((key + ".%d=%s").__mod__, zip(itertools.count(count), block))
+        sys.stdout.write("\n".join(block) + "\n")
+        count += n
 
 
 # -- verbs -------------------------------------------------------------
@@ -186,25 +218,22 @@ def cmd_classify(args):
 
 
 def cmd_trees(args):
-    out = Out(args.format)
-    shapes = enumerate_stable_trees(args.d, 2 if args.binary else None)
-    texts = _map_shapes(args, _sexpr_chunk, shapes)
-    for i, t in enumerate(texts):
-        out.item("tree.%d" % i, t)
-    out.kv("count", len(texts))
+    templates = stable_templates(args.d, 2 if args.binary else None)
+    lines = _map_shapes(args, _tree_lines, templates, tuple(range(1, args.d + 1)))
+    Out(args.format).kv("count", _write_items(args.format, "tree", lines))
     return 0
 
 
-def _report_strata(args, shapes, per_shape):
+def _report_strata(args, pairs):
+    """Stream the (dim, report line) pairs as stratum items, then the
+    f-vector, the Euler characteristic and the count."""
     out = Out(args.format)
-    labels = _labels_from_args(args)
-    pairs = _map_shapes(args, _strata_chunk, shapes, per_shape, labels)
-    for i, (_, line) in enumerate(pairs):
-        out.item("stratum.%d" % i, line)
-    counts = count_by_dim(dim for dim, _ in pairs)
+    dims = Counter()
+    count = _write_items(args.format, "stratum", pairs, dims)
+    counts = count_by_dim(dims)
     out.seq("f-vector", counts)
     out.kv("euler", sum((-1) ** dim * n for dim, n in enumerate(counts)))
-    out.kv("count", len(pairs))
+    out.kv("count", count)
     return 0
 
 
@@ -213,12 +242,14 @@ def cmd_strata(args):
     d = len(labels) - 1
     if d < 2:
         raise ValueError("cluster strata need d >= 2")
-    return _report_strata(args, enumerate_stable_trees(d), cluster_strata_for_shape)
+    items = stable_templates(d, spans=True)
+    return _report_strata(args, _map_shapes(args, cluster_report_lines, items, labels))
 
 
 def cmd_stacked(args):
     labels = _labels_from_args(args)
-    return _report_strata(args, stacked_shapes(len(labels) - 1), stacked_strata_for_shape)
+    shapes = stacked_shapes(len(labels) - 1)
+    return _report_strata(args, _map_shapes(args, _stacked_lines, shapes, labels))
 
 
 def cmd_coloring(args):
@@ -417,6 +448,18 @@ def cmd_functor(args):
     return _report_scan(out, "equation", hit, max_d=args.max_d)
 
 
+def _each(convert, texts, rule):
+    """[convert(x) for x in texts]; a text that convert rejects is a
+    ValueError stating the rule and the text."""
+    out = []
+    for x in texts:
+        try:
+            out.append(convert(x))
+        except ValueError:
+            raise ValueError("%s, got %r" % (rule, x)) from None
+    return out
+
+
 def cmd_budget(args):
     out = Out(args.format)
     which = args.which
@@ -443,12 +486,7 @@ def cmd_budget(args):
             return 1
         return 0
     if which == "strip":
-        cutoffs = []
-        for x in args.cutoffs.split(","):
-            try:
-                cutoffs.append(float(x))
-            except ValueError:
-                raise ValueError("a --cutoffs entry must be a number, got %r" % x) from None
+        cutoffs = _each(float, args.cutoffs.split(","), "a --cutoffs entry must be a number")
         rep = strip_end_bound(_frac(args.lo, "--lo"), _frac(args.hi, "--hi"), args.end, cutoffs)
         out.kv("bound", _fmt_float(rep.bound))
         out.kv("closed_form", _fmt_float(rep.closed_form))
@@ -479,7 +517,8 @@ def cmd_dim(args):
     out = Out(args.format)
     morse = None
     if args.morse is not None:
-        morse = tuple(int(x) for x in args.morse.split(",") if x.strip() != "")
+        morse = tuple(_each(int, [x for x in args.morse.split(",") if x.strip() != ""],
+                            "a --morse entry must be an integer"))
     inp = IndexInput(
         case=args.case,
         d=args.d,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -36,6 +37,13 @@ def _colored_text(colored) -> str:
     return "{%s}" % ",".join(_path_text(p) for p in sorted(colored))
 
 
+def stratum_line(dim, codim, tree, broken, colored="{}", generalized=False) -> str:
+    """The report line of a stratum whose tree prints as tree and whose
+    colored set prints as colored."""
+    line = "dim=%d codim=%d tree=%s broken=%d colored=%s" % (dim, codim, tree, broken, colored)
+    return line + " corner=generalized" if generalized else line
+
+
 @dataclass(frozen=True)
 class Stratum:
     tree: LabelledTree
@@ -46,16 +54,9 @@ class Stratum:
     generalized_corner: bool = False
 
     def report_line(self) -> str:
-        line = "dim=%d codim=%d tree=%s broken=%d colored=%s" % (
-            self.dim,
-            self.codim,
-            shape_to_sexpr(self.tree.shape, self.colored),
-            self.broken_count,
-            _colored_text(self.colored),
-        )
-        if self.generalized_corner:
-            line += " corner=generalized"
-        return line
+        return stratum_line(self.dim, self.codim, shape_to_sexpr(self.tree.shape, self.colored),
+                            self.broken_count, _colored_text(self.colored),
+                            self.generalized_corner)
 
 
 # -- cluster strata ----------------------------------------------------
@@ -76,6 +77,24 @@ def cluster_strata_for_shape(labels, shape):
     return out
 
 
+def cluster_report_lines(labels, items):
+    """(dim, report line) of every cluster stratum of the shapes given as
+    stable_templates(d, spans=True) items, as cluster_strata_for_shape
+    and Stratum.report_line would give them, without building a tree:
+    an interior edge with leaf span (a, b) is unilabelled exactly when
+    labels[a - 1] == labels[b]."""
+    labels = tuple(labels)
+    d = len(labels) - 1
+    leaves = tuple(range(1, d + 1))
+    for template, spans in items:
+        tree = template % leaves
+        uni = sum([labels[a - 1] == labels[b] for a, b in spans])
+        floer = len(spans) - uni
+        for k in range(uni + 1):
+            codim = floer + k
+            yield d - 2 - codim, stratum_line(d - 2 - codim, codim, tree, k)
+
+
 def enumerate_cluster_strata(labels):
     """One stratum per (stable labelled tree, broken count k) with
     0 <= k <= number of unilabelled interior edges."""
@@ -90,13 +109,11 @@ def enumerate_cluster_strata(labels):
 
 
 def count_by_dim(dims):
-    """How many of the (nonnegative) dimensions equal 0, 1, .., max."""
-    dims = list(dims)
-    assert min(dims, default=0) >= 0
-    counts = [0] * (max(dims, default=-1) + 1)
-    for dim in dims:
-        counts[dim] += 1
-    return counts
+    """How many of the (nonnegative) dimensions equal 0, 1, .., max;
+    dims is an iterable of dimensions or a Counter of them."""
+    tally = Counter(dims)
+    assert min(tally, default=0) >= 0
+    return [tally[dim] for dim in range(max(tally, default=-1) + 1)]
 
 
 def f_vector(strata):

@@ -552,15 +552,68 @@ def _stable_shapes(d: int, max_arity: int):
     return tuple(out)
 
 
-def enumerate_stable_trees(d: int, max_arity=None):
-    """All planar rooted shapes with d leaves and every vertex of arity
-    at least 2, and at most max_arity when given, in a fixed canonical
-    order (root arity ascending)."""
+def _arity_cap(d: int, max_arity) -> int:
     if d < 2:
         raise ValueError("stable trees need d >= 2")
     if max_arity is not None and max_arity < 2:
         raise ValueError("a stable vertex has arity at least 2, got max_arity %d" % max_arity)
-    return list(_stable_shapes(d, d if max_arity is None else min(d, max_arity)))
+    return d if max_arity is None else min(d, max_arity)
+
+
+def enumerate_stable_trees(d: int, max_arity=None):
+    """All planar rooted shapes with d leaves and every vertex of arity
+    at least 2, and at most max_arity when given, in a fixed canonical
+    order (root arity ascending)."""
+    return list(_stable_shapes(d, _arity_cap(d, max_arity)))
+
+
+# -- s-expression templates --------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _subtree_items(m: int, max_arity: int, spans: bool):
+    """The items of _shape_items for the stable subtrees with m leaves,
+    kept for reuse; with spans, each item's spans start with the span
+    (1, m) of the subtree's own root."""
+    if m == 1:
+        return (("(leaf %d)", ()),) if spans else ("(leaf %d)",)
+    if spans:
+        return tuple((t, ((1, m),) + s) for t, s in _shape_items(m, max_arity, True))
+    return tuple(_shape_items(m, max_arity, False))
+
+
+def _shape_items(d: int, max_arity: int, spans: bool):
+    """One item per shape of _stable_shapes(d, max_arity), in its order:
+    root arity, then composition, then the product of the children.
+    An item is the shape's s-expression template, whose i-th '%d' is
+    leaf i; with spans, it is (template, the leaf spans (a, b) of the
+    non-root vertices in preorder)."""
+    for k in range(2, max_arity + 1):
+        for comp in compositions(d, k):
+            options = [_subtree_items(m, min(m, max_arity), spans) for m in comp]
+            if not spans:
+                for children in itertools.product(*options):
+                    yield "(v %s)" % " ".join(children)
+                continue
+            offset = 0
+            for i, m in enumerate(comp):
+                options[i] = [(t, tuple((a + offset, b + offset) for a, b in s))
+                              for t, s in options[i]]
+                offset += m
+            for children in itertools.product(*options):
+                yield ("(v %s)" % " ".join([t for t, _ in children]),
+                       tuple(itertools.chain.from_iterable([s for _, s in children])))
+
+
+def stable_templates(d: int, max_arity=None, spans=False):
+    """The shapes of enumerate_stable_trees(d, max_arity), in its order,
+    as s-expression templates generated one at a time:
+    template % tuple(range(1, d + 1)) is shape_to_sexpr(shape).  With
+    spans, each item is (template, spans), where spans lists the leaf
+    span (a, b) of every interior edge in preorder, as
+    LabelledTree.span does.  Every subtree with fewer than d leaves is
+    built once; the arguments are checked before the first item."""
+    return _shape_items(d, _arity_cap(d, max_arity), spans)
 
 
 # -- fundamental decomposition -----------------------------------------

@@ -85,6 +85,7 @@ def test_stacked_machine(capsys):
     ("trees", "--d", "5"),
     ("trees", "--d", "6", "--binary"),
     ("strata", "--d", "5"),
+    ("strata", "--labels", "(A,A,B,A,B,B)"),
     ("stacked", "--d", "4"),
 ], ids=" ".join)
 def test_parallel_matches_serial(capsys, argv):
@@ -128,6 +129,38 @@ def test_stacked_machine_bytes_pinned(capsys):
         code, out, _ = run(capsys, "stacked", "--d", str(d), "--format", "machine")
         assert code == 0
         assert hashlib.md5(out.encode()).hexdigest() == digest, d
+
+
+# (machine, text) stdout md5s of the enumeration verbs.
+ENUMERATION_MD5 = {
+    ("trees", "--d", "8"): ("59c094051c61cdca5b547966da36c0fc", "f1739fef1d913f50e23c208af3490bd6"),
+    ("trees", "--d", "8", "--binary"): ("306ef0e3a6f521dfa94b9fbb8601be0c",
+                                        "9d78925e508bd04d65bfde71834bfc76"),
+    ("strata", "--d", "8"): ("63f155ceb2bd0e9c53dad3d9841698b0", "f90734a60c396a8ea124e20b715563ba"),
+    ("strata", "--labels", "(L0,L0,L1,L1,L0,L2,L2,L0)"): ("4ad216d18013ccb937e6c48ebbdc736f",
+                                                         "2a2e2d6198baf912134fa30775d562d3"),
+}
+
+
+@pytest.mark.parametrize("argv", ENUMERATION_MD5, ids=" ".join)
+def test_enumeration_bytes_pinned(capsys, argv):
+    for fmt, digest in zip(("machine", "text"), ENUMERATION_MD5[argv]):
+        code, out, _ = run(capsys, *argv, "--format", fmt)
+        assert code == 0
+        assert hashlib.md5(out.encode()).hexdigest() == digest, fmt
+
+
+def test_closed_stdout_is_one_error_line():
+    """`trees --d 9 | head -1`: the reader leaves after one line, and the
+    next block write fails with a broken pipe."""
+    env = dict(os.environ, PYTHONPATH=str(Path(fukaya_workbench.__file__).parents[1]))
+    proc = subprocess.Popen([sys.executable, "-m", "fukaya_workbench.cli", "trees", "--d", "9"],
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"(v (leaf 1)")
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait() == 2
+    assert err == "error: [Errno 32] Broken pipe\n"
 
 
 def test_d_zero_reports_range_error(capsys):
@@ -376,6 +409,9 @@ def test_non_numeric_values_name_the_bad_value(capsys):
          "a neck length must be a rational number, got 'x'"),
         (("budget", "strip", "--lo", "0", "--hi", "1", "--end", "entry", "--cutoffs", "0,x"),
          "a --cutoffs entry must be a number, got 'x'"),
+        (("dim", "--case", "open", "--d", "3", "--n", "2", "--d-R", "3", "--mu", "0",
+          "--morse", "1,x"),
+         "a --morse entry must be an integer, got 'x'"),
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv

@@ -5,14 +5,17 @@ import pytest
 
 import oracles
 from fukaya_workbench import LabelledTree
+from fukaya_workbench.cli import main
 from fukaya_workbench.strata import (ColoredTree, Glue, Surface, WidthProfile,
-                                     cluster_strata_for_shape, coloring_cone_dim,
+                                     cluster_report_lines, cluster_strata_for_shape,
+                                     coloring_cone_dim,
                                      enumerate_cluster_strata, enumerate_stacked_strata,
                                      f_vector, facet_term_bijection,
                                      generalized_corner_flag, intrinsic_width,
                                      _colorings, stacked_gluing_lengths, stacked_shapes,
                                      stacked_strata_for_shape, validate_coloring,
                                      width_expr_from_text, width_expr_to_text)
+from fukaya_workbench.trees import enumerate_stable_trees, stable_templates
 
 
 def labels_for(d):
@@ -77,11 +80,56 @@ def test_cluster_errors():
 def test_cluster_strata_for_shape_matches_enumeration():
     labels = ("L0", "L1", "L0", "L1", "L0")
     via_shapes = []
-    from fukaya_workbench.trees import enumerate_stable_trees
-
     for shape in enumerate_stable_trees(4):
         via_shapes.extend(cluster_strata_for_shape(labels, shape))
     assert via_shapes == enumerate_cluster_strata(labels)
+
+
+# The template route (stable_templates, cluster_report_lines and the CLI
+# that streams them) against Stratum objects built on LabelledTree.
+
+
+def oracle_lines(labels):
+    d = len(labels) - 1
+    return [(s.dim, s.report_line())
+            for shape in enumerate_stable_trees(d) for s in cluster_strata_for_shape(labels, shape)]
+
+
+def oracle_report(labels, fmt):
+    """The stdout lines `strata` should print, from the oracle's strata."""
+    pairs = oracle_lines(labels)
+    fv = [0] * (max(dim for dim, _ in pairs) + 1)
+    for dim, _ in pairs:
+        fv[dim] += 1
+    euler = sum((-1) ** dim * n for dim, n in enumerate(fv))
+    if fmt == "machine":
+        lines = ["stratum.%d=%s" % (i, line) for i, (_, line) in enumerate(pairs)]
+        lines += ["f-vector=%s" % ",".join(map(str, fv)), "euler=%d" % euler,
+                  "count=%d" % len(pairs)]
+    else:
+        lines = [line for _, line in pairs]
+        lines += ["f-vector: [%s]" % ",".join(map(str, fv)), "euler: %d" % euler,
+                  "count: %d" % len(pairs)]
+    return lines
+
+
+LABEL_CASES = [labels_for(d) for d in range(2, 8)] + [
+    tuple("AABABBAA"[:d + 1]) for d in range(2, 8)] + [("L",) * (d + 1) for d in range(2, 8)]
+
+
+@pytest.mark.parametrize("labels", LABEL_CASES, ids=",".join)
+def test_cluster_report_lines_match_strata(labels):
+    items = stable_templates(len(labels) - 1, spans=True)
+    assert list(cluster_report_lines(labels, items)) == oracle_lines(labels)
+
+
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+@pytest.mark.parametrize("labels", LABEL_CASES, ids=",".join)
+def test_cli_strata_matches_report_lines(capsys, labels, fmt):
+    assert main(["strata", "--labels", ",".join(labels), "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("\n")
+    assert out.splitlines() == oracle_report(labels, fmt)
 
 
 def test_facet_descriptors_distinct():

@@ -1,8 +1,11 @@
+import inspect
 import itertools
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from fukaya_workbench import INF, LabelledTree, MetricTree
@@ -10,7 +13,8 @@ from fukaya_workbench.trees import (classify_tuple, compositions, enumerate_stab
                                     fundamental_decomposition, glue_labels, glue_metrics,
                                     glue_trees, gluing_length, metric_from_text,
                                     metric_to_text, reduce_tuple, sexpr_to_shape,
-                                    shape_to_sexpr, tree_from_text, tree_to_text)
+                                    shape_to_sexpr, stable_templates, tree_from_text,
+                                    tree_to_text)
 
 
 def all_label_tuples(d, alphabet):
@@ -129,6 +133,51 @@ def test_stable_needs_two_leaves():
         enumerate_stable_trees(1)
     with pytest.raises(ValueError):
         enumerate_stable_trees(4, 1)
+
+
+# -- s-expression templates --------------------------------------------
+# The oracles are enumerate_stable_trees, shape_to_sexpr and
+# LabelledTree, which walk the shapes node by node and share no code
+# with the templates.
+
+
+def filled(template, d):
+    return template % tuple(range(1, d + 1))
+
+
+@pytest.mark.parametrize("max_arity", [None, 2])
+def test_templates_fill_to_the_sexprs_in_order(max_arity):
+    for d in range(2, 10):
+        expected = [shape_to_sexpr(s) for s in enumerate_stable_trees(d, max_arity)]
+        assert [filled(t, d) for t in stable_templates(d, max_arity)] == expected, d
+        with_spans = stable_templates(d, max_arity, spans=True)
+        assert [filled(t, d) for t, _ in with_spans] == expected, d
+
+
+def test_templates_are_generated_lazily_after_checking_arguments():
+    items = stable_templates(8)
+    assert inspect.isgenerator(items)
+    assert filled(next(items), 8) == shape_to_sexpr(enumerate_stable_trees(8)[0])
+    for d, max_arity in ((1, None), (4, 1)):
+        with pytest.raises(ValueError):
+            stable_templates(d, max_arity)
+
+
+STABLE_SHAPES = [(d, shape) for d in range(2, 8) for shape in enumerate_stable_trees(d)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.sampled_from("ABC"), min_size=8, max_size=8))
+def test_span_counts_match_labelled_tree_edges(letters):
+    items = [item for d in range(2, 8) for item in stable_templates(d, spans=True)]
+    assert len(items) == len(STABLE_SHAPES)
+    for (d, shape), (template, spans) in zip(STABLE_SHAPES, items):
+        labels = letters[:d + 1]
+        t = LabelledTree(shape, labels)
+        assert filled(template, d) == shape_to_sexpr(shape)
+        uni = sum(labels[a - 1] == labels[b] for a, b in spans)
+        assert uni == len(t.uni_interior_edges)
+        assert len(spans) - uni == len(t.floer_interior_edges)
 
 
 def test_compositions():
