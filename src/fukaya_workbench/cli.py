@@ -16,7 +16,6 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
-from functools import partial
 from importlib import resources
 
 from .ainfinity import (
@@ -74,6 +73,9 @@ def _fmt_float(x) -> str:
     return "%.12g" % float(x)
 
 
+_BLOCK = 256
+
+
 class Out:
     def __init__(self, fmt: str):
         self.fmt = fmt
@@ -88,6 +90,21 @@ class Out:
             print("%s=%s" % (key, text))
         else:
             print(text)
+
+    def items(self, key, lines):
+        """item(key.i, line) for each line, i = 0, 1, .., written in
+        blocks of _BLOCK lines as they come; returns how many there were."""
+        it = iter(lines)
+        count = 0
+        while True:
+            block = list(itertools.islice(it, _BLOCK))
+            if not block:
+                return count
+            n = len(block)
+            if self.fmt == "machine":
+                block = map((key + ".%d=%s").__mod__, zip(itertools.count(count), block))
+            sys.stdout.write("\n".join(block) + "\n")
+            count += n
 
     def seq(self, key, values):
         body = ",".join(str(v) for v in values)
@@ -131,62 +148,34 @@ def _labels_from_args(args):
     raise ValueError("give either --labels or --d")
 
 
-def _map_shapes(args, worker, items, *context):
-    """worker(*context, items), an iterator.  With --parallel, the items
-    are cut into eight chunks in canonical order, each chunk's job runs
-    in a process pool, and the results are chained in order; the pool is
-    imported only then.  Workers must be importable module-level
+def _map_shapes(args, worker, shapes, *context):
+    """worker(context + (shapes,)).  With --parallel, the shapes are cut
+    into eight chunks in canonical order, each chunk's job runs in a
+    process pool, and the results are concatenated in order; the pool
+    is imported only then.  Workers must be importable module-level
     functions."""
     if not args.parallel:
-        return worker(*context, items)
+        return worker(context + (shapes,))
     from concurrent.futures import ProcessPoolExecutor
 
-    items = list(items)
-    step = max(1, (len(items) + 7) // 8)
-    jobs = [context + (items[i:i + step],) for i in range(0, len(items), step)]
+    step = max(1, (len(shapes) + 7) // 8)
+    jobs = [context + (shapes[i:i + step],) for i in range(0, len(shapes), step)]
     with ProcessPoolExecutor(max_workers=min(4, os.cpu_count() or 1)) as pool:
-        chunks = list(pool.map(partial(_listed, worker), jobs))
-    return itertools.chain.from_iterable(chunks)
+        return [x for chunk in pool.map(worker, jobs) for x in chunk]
 
 
-def _listed(worker, job):
-    return list(worker(*job))
-
-
-def _tree_lines(leaves, templates):
-    """Each template filled with the leaf numbers."""
-    return map(str.__mod__, templates, itertools.repeat(leaves))
-
-
-def _stacked_lines(labels, shapes):
+def _stacked_chunk(job):
     """(dim, report line) of every stacked stratum of the shapes."""
-    for shape in shapes:
-        for s in stacked_strata_for_shape(labels, shape):
-            yield s.dim, s.report_line()
+    labels, shapes = job
+    return [(s.dim, s.report_line())
+            for shape in shapes for s in stacked_strata_for_shape(labels, shape)]
 
 
-_BLOCK = 256
-
-
-def _write_items(fmt, key, items, dims=None):
-    """Write the lines as Out.item(key.i, line) would, for i = 0, 1, ..,
-    one block of _BLOCK lines per write as they come, and return how
-    many there were.  With a Counter dims, the items are (dim, line)
-    pairs and dims counts their dimensions."""
-    it = iter(items)
-    count = 0
-    while True:
-        block = list(itertools.islice(it, _BLOCK))
-        if not block:
-            return count
-        if dims is not None:
-            dims.update([dim for dim, _ in block])
-            block = [line for _, line in block]
-        n = len(block)
-        if fmt == "machine":
-            block = map((key + ".%d=%s").__mod__, zip(itertools.count(count), block))
-        sys.stdout.write("\n".join(block) + "\n")
-        count += n
+def _tally(dims, pairs):
+    """The lines of the (dim, line) pairs, counting each dim in dims."""
+    for dim, line in pairs:
+        dims[dim] += 1
+        yield line
 
 
 # -- verbs -------------------------------------------------------------
@@ -218,9 +207,10 @@ def cmd_classify(args):
 
 
 def cmd_trees(args):
+    out = Out(args.format)
+    leaves = tuple(range(1, args.d + 1))
     templates = stable_templates(args.d, 2 if args.binary else None)
-    lines = _map_shapes(args, _tree_lines, templates, tuple(range(1, args.d + 1)))
-    Out(args.format).kv("count", _write_items(args.format, "tree", lines))
+    out.kv("count", out.items("tree", map(str.__mod__, templates, itertools.repeat(leaves))))
     return 0
 
 
@@ -229,7 +219,7 @@ def _report_strata(args, pairs):
     f-vector, the Euler characteristic and the count."""
     out = Out(args.format)
     dims = Counter()
-    count = _write_items(args.format, "stratum", pairs, dims)
+    count = out.items("stratum", _tally(dims, pairs))
     counts = count_by_dim(dims)
     out.seq("f-vector", counts)
     out.kv("euler", sum((-1) ** dim * n for dim, n in enumerate(counts)))
@@ -242,14 +232,13 @@ def cmd_strata(args):
     d = len(labels) - 1
     if d < 2:
         raise ValueError("cluster strata need d >= 2")
-    items = stable_templates(d, spans=True)
-    return _report_strata(args, _map_shapes(args, cluster_report_lines, items, labels))
+    return _report_strata(args, cluster_report_lines(labels, stable_templates(d, spans=True)))
 
 
 def cmd_stacked(args):
     labels = _labels_from_args(args)
     shapes = stacked_shapes(len(labels) - 1)
-    return _report_strata(args, _map_shapes(args, _stacked_lines, shapes, labels))
+    return _report_strata(args, _map_shapes(args, _stacked_chunk, shapes, labels))
 
 
 def cmd_coloring(args):
@@ -543,7 +532,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="output style (default text)")
     par = argparse.ArgumentParser(add_help=False)
     par.add_argument("--parallel", action="store_true",
-                     help="shard the enumeration over a process pool")
+                     help="shard the enumeration over a process pool; only stacked "
+                     "uses it, trees and strata run serially, which is faster")
 
     p = argparse.ArgumentParser(
         prog="workbench",

@@ -106,13 +106,16 @@ print(*sorted(m for m in sys.modules if m.startswith(("concurrent", "multiproces
 def test_process_pool_is_imported_only_under_parallel():
     env = dict(os.environ, PYTHONPATH=str(Path(fukaya_workbench.__file__).parents[1]))
 
-    def pool_modules(*flags):
-        argv = [sys.executable, "-c", _LOADED_POOL_MODULES, "strata", "--d", "3", *flags]
+    def pool_modules(verb, *flags):
+        argv = [sys.executable, "-c", _LOADED_POOL_MODULES, verb, "--d", "3", *flags]
         res = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
         return res.stderr.split()
 
-    assert pool_modules() == []
-    assert "concurrent.futures" in pool_modules("--parallel")
+    assert pool_modules("stacked") == []
+    assert "concurrent.futures" in pool_modules("stacked", "--parallel")
+    # trees and strata fill templates faster than the pool could ship them.
+    assert pool_modules("trees", "--parallel") == []
+    assert pool_modules("strata", "--parallel") == []
 
 
 STACKED_MACHINE_MD5 = {
