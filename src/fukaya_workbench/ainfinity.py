@@ -19,6 +19,7 @@ from functools import partial
 from .novikov import (
     NovikovElement,
     _frac,
+    _int,
     action_of_sum,
     nov_add,
     nov_from_text,
@@ -122,23 +123,6 @@ class FilteredAInfCategory:
     def mu_entry(self, inputs) -> dict:
         return self.mu.get(tuple(inputs), {})
 
-    def composable_tuples(self, d: int):
-        """All length-d composable generator tuples, lexicographic in
-        generator names."""
-        by_source = {}
-        for name in sorted(self.gens):
-            by_source.setdefault(self.gens[name].source, []).append(name)
-
-        def extend(chain):
-            if len(chain) == d:
-                yield chain
-                return
-            for g in by_source.get(self.gens[chain[-1]].target, ()):
-                yield from extend(chain + (g,))
-
-        for name in sorted(self.gens):
-            yield from extend((name,))
-
 
 def _block_insertions(total, inputs, inner, outer):
     """Add to total every single insertion outer(.., inner(block), ..)
@@ -186,6 +170,13 @@ def ainf_defect(cat: FilteredAInfCategory, inputs) -> dict:
 
 
 # -- first-violation scans ---------------------------------------------
+#
+# A defect is nonzero only if one of its single insertions
+# outer(.., inner(..), ..) is, so a violating input is an outer key with
+# one slot filled by an inner key that outputs the generator there.  Each
+# scan builds those candidates one length at a time, for the lengths
+# that the arities of its tables can reach, and visits them in the dense
+# scan's order, so its first witness is the dense scan's.
 
 
 def _first_violation(tuples, defect):
@@ -204,16 +195,78 @@ def _require_positive(name, value):
                          % (name, value))
 
 
-def _up_to(tuples_of, top):
-    """tuples_of(1), .., tuples_of(top), one after the other."""
-    return itertools.chain.from_iterable(map(tuples_of, range(1, top + 1)))
+def _rank(basis):
+    """Each element's index in basis."""
+    return {b: i for i, b in enumerate(basis)}.__getitem__
+
+
+def _by_output(table):
+    """The keys of table by arity, then by output: {m: {g: [keys]}}."""
+    index = {}
+    for key, out in table.items():
+        by_output = index.setdefault(len(key), {})
+        for g in out:
+            by_output.setdefault(g, []).append(key)
+    return index
+
+
+def _splices(key, fills):
+    """key with the generator g in one slot replaced by each tuple in
+    fills[g], over every slot."""
+    for j, g in enumerate(key):
+        for fill in fills.get(g, ()):
+            yield key[:j] + fill + key[j + 1:]
+
+
+def _joins(key, fills, rank):
+    """The multiset key less one occurrence of g, joined with each
+    multiset in fills[g], over every g in key; written in rank order."""
+    for j, g in enumerate(key):
+        if g in fills and g not in key[:j]:
+            rest = key[:j] + key[j + 1:]
+            for fill in fills[g]:
+                yield tuple(sorted(rest + fill, key=rank))
+
+
+def _insertions(inner, outer, insert):
+    """(lengths, build) for the insertions of an inner key of arity m
+    into an outer key of arity k: their lengths m + k - 1, and build(n),
+    which yields insert(key, fills) for every outer key, where fills
+    holds the inner keys of arity n - k + 1 by output."""
+    inner_by = _by_output(inner)
+    outer_by = {}
+    for key in outer:
+        outer_by.setdefault(len(key), []).append(key)
+
+    def build(n):
+        for k, keys in outer_by.items():
+            fills = inner_by.get(n - k + 1)
+            if fills:
+                for key in keys:
+                    yield from insert(key, fills)
+
+    return {m + k - 1 for m in inner_by for k in outer_by}, build
+
+
+def _candidates(top, lengths, build, order=None):
+    """The distinct items of build(n) for each n in lengths up to top:
+    by n, then sorted by order, one n at a time."""
+    for n in sorted(x for x in lengths if x <= top):
+        yield from sorted(set(build(n)), key=order)
+
+
+def _ainf_candidates(cat: FilteredAInfCategory, max_d: int, order=None):
+    """The tuples of length <= max_d with a nonzero insertion
+    mu(.., mu(..), ..), by length and then by order (default:
+    lexicographic in generator names)."""
+    return _candidates(max_d, *_insertions(cat.mu, cat.mu, _splices), order)
 
 
 def find_ainf_violation(cat: FilteredAInfCategory, max_d: int):
     """First composable tuple (by length, then lexicographically) with
     nonzero defect, as (inputs, defect); None if all relations hold."""
     _require_positive("max_d", max_d)
-    return _first_violation(_up_to(cat.composable_tuples, max_d), partial(ainf_defect, cat))
+    return _first_violation(_ainf_candidates(cat, max_d), partial(ainf_defect, cat))
 
 
 # -- discrepancy measurement -------------------------------------------
@@ -351,14 +404,21 @@ def linf_defect(alg: LInfinityAlgebra, inputs) -> dict:
     return total
 
 
+def _linf_candidates(alg: LInfinityAlgebra, max_n: int):
+    """The multisets of size <= max_n with a nonzero insertion
+    l(l(..), ..), each written in basis order, by size and then as
+    combinations_with_replacement(alg.basis) yields them."""
+    rank = _rank(alg.basis)
+    return _candidates(max_n, *_insertions(alg.l, alg.l, partial(_joins, rank=rank)),
+                       lambda key: tuple(map(rank, key)))
+
+
 def find_linf_violation(alg: LInfinityAlgebra, max_n: int):
     """First multiset of basis elements (by size, then in basis order)
     with nonzero defect, as (inputs, defect); None if all relations
     hold."""
     _require_positive("max_n", max_n)
-    return _first_violation(_up_to(partial(itertools.combinations_with_replacement, alg.basis),
-                                   max_n),
-                            partial(linf_defect, alg))
+    return _first_violation(_linf_candidates(alg, max_n), partial(linf_defect, alg))
 
 
 # -- open-closed structures --------------------------------------------
@@ -436,6 +496,42 @@ def ocha_defect(s: OCHAStructure, closed_inputs, open_inputs) -> dict:
     return total
 
 
+def _ocha_candidates(s: OCHAStructure, max_closed: int, max_open: int):
+    """The (closed, open) pairs within the bounds with a nonzero
+    insertion, in find_ocha_violation's order, one closed size at a time.
+    A closed-bracket insertion is a mu key with one closed g replaced by
+    an l key that outputs g; an open one is an inner mu key spliced into
+    an open slot of an outer mu key, with the closed multisets joined."""
+    closed_rank, open_rank = _rank(s.closed_basis), _rank(s.open_basis)
+    brackets = _by_output(s.l)
+    parts, opens_by = {}, {}
+    for (closed, opens), out in s.mu.items():
+        if closed not in opens_by:
+            parts.setdefault(len(closed), []).append(closed)
+        by_output = opens_by.setdefault(closed, {})
+        for g in out:
+            by_output.setdefault(g, []).append(opens)
+
+    def build(k):
+        for closed, opens in s.mu:
+            if len(opens) <= max_open:
+                fills = brackets.get(k - len(closed) + 1)
+                if fills:
+                    for joined in _joins(closed, fills, closed_rank):
+                        yield joined, opens
+            for inner in parts.get(k - len(closed), ()):
+                joined = tuple(sorted(closed + inner, key=closed_rank))
+                for spliced in _splices(opens, opens_by[inner]):
+                    if len(spliced) <= max_open:
+                        yield joined, spliced
+
+    sizes = ({len(c) - 1 + m for c, _ in s.mu if c for m in brackets}
+             | {len(c) + i for c, _ in s.mu for i in parts})
+    return _candidates(max_closed, sizes, build,
+                       lambda pair: (tuple(map(closed_rank, pair[0])), len(pair[1]),
+                                     tuple(map(open_rank, pair[1]))))
+
+
 def find_ocha_violation(s: OCHAStructure, max_closed: int, max_open: int):
     """First (closed, open) input pair with nonzero defect, as
     ((closed, open), defect); None if all relations hold.  Closed
@@ -445,12 +541,8 @@ def find_ocha_violation(s: OCHAStructure, max_closed: int, max_open: int):
         raise ValueError("max_closed and max_open must be nonnegative")
     if max_closed == max_open == 0:
         raise ValueError("max_closed = max_open = 0 leaves no tuple to check")
-    pairs = ((closed, opens)
-             for k in range(max_closed + 1)
-             for closed in itertools.combinations_with_replacement(s.closed_basis, k)
-             for d in range(max_open + 1) if k or d
-             for opens in itertools.product(s.open_basis, repeat=d))
-    return _first_violation(pairs, lambda pair: ocha_defect(s, *pair))
+    return _first_violation(_ocha_candidates(s, max_closed, max_open),
+                            lambda pair: ocha_defect(s, *pair))
 
 
 @dataclass
@@ -482,11 +574,10 @@ def ocha_specialization_report(s: OCHAStructure, max_open=4, max_closed=4) -> Sp
     closed tables are reported through their standalone bracket
     defects; the structure is its own closed L-infinity algebra."""
     cat = open_sector_category(s)
-    mismatches = []
-    for d in range(1, max_open + 1):
-        for tup in itertools.product(s.open_basis, repeat=d):
-            if ainf_defect(cat, tup) != ocha_defect(s, (), tup):
-                mismatches.append(tup)
+    # Both defects vanish off the A-infinity candidates of mu_{0,*}.
+    rank = _rank(s.open_basis)
+    mismatches = [t for t in _ainf_candidates(cat, max_open, lambda key: tuple(map(rank, key)))
+                  if ainf_defect(cat, t) != ocha_defect(s, (), t)]
     closed_defects = {}
     for n in range(1, max_closed + 1):
         for tup in itertools.product(s.closed_basis, repeat=n):
@@ -563,12 +654,56 @@ def functor_defect(F: AInfFunctor, inputs) -> dict:
     return total
 
 
+def _concatenations(F: AInfFunctor):
+    """(lengths, build) for the target half of the functor equation:
+    build(n) yields the composable source tuples of length n that split
+    into F keys whose outputs, in order, form a target-mu key."""
+    gens = F.source.gens
+    pieces = _by_output(F.table)
+    targets = []
+    for names in F.target.mu:
+        reach = [{0}]  # reach[i]: the lengths that names[i:] can take
+        for t in reversed(names):
+            reach.insert(0, {a + n for a, by in pieces.items() if t in by for n in reach[0]})
+        if reach[0]:
+            targets.append((names, reach))
+
+    def extend(names, reach, chain, rest):
+        """chain continued by a piece for each of names, rest inputs in
+        all; reach[1:] belongs to names[1:]."""
+        if not names:
+            yield chain
+            return
+        for a, by in pieces.items():
+            if rest - a in reach[1]:
+                for key in by.get(names[0], ()):
+                    if not chain or gens[chain[-1]].target == gens[key[0]].source:
+                        yield from extend(names[1:], reach[1:], chain + key, rest - a)
+
+    def build(n):
+        for names, reach in targets:
+            if n in reach[0]:
+                yield from extend(names, reach, (), n)
+
+    return set().union(*(reach[0] for _, reach in targets)), build
+
+
+def _functor_candidates(F: AInfFunctor, max_d: int):
+    """The composable source tuples of length <= max_d with a nonzero
+    term on either side of the functor equation, by length and then
+    lexicographically."""
+    source_lengths, source_build = _insertions(F.source.mu, F.table, _splices)
+    target_lengths, target_build = _concatenations(F)
+    return _candidates(max_d, source_lengths | target_lengths,
+                       lambda n: itertools.chain(source_build(n), target_build(n)))
+
+
 def find_functor_violation(F: AInfFunctor, max_d: int):
     """First composable source tuple (by length, then lexicographically)
     where the functor equation fails, as (inputs, defect); None if it
     holds throughout."""
     _require_positive("max_d", max_d)
-    return _first_violation(_up_to(F.source.composable_tuples, max_d), partial(functor_defect, F))
+    return _first_violation(_functor_candidates(F, max_d), partial(functor_defect, F))
 
 
 @dataclass
@@ -696,12 +831,12 @@ def _chain(gens, inputs):
     return tuple(gens[g].source for g in inputs) + (gens[inputs[-1]].target,)
 
 
-def _chain_arity(tokens):
+def _chain_arity(head, tokens):
     """A chain line has d >= 1 and then d + 1 objects before its fields;
     a field the line lacks among those objects means a short path."""
     if not tokens:
         raise ValueError("missing arity")
-    d = int(tokens[0])
+    d = _int(tokens[0], "%s arity" % head)
     if d < 1:
         raise ValueError("arity must be at least 1, got %d" % d)
     if len(tokens) < d + 5:  # fewer than the three fields after the objects
@@ -714,10 +849,10 @@ def _chain_arity(tokens):
     return d + 2
 
 
-def _chain_kind(entries, gens):
-    """'d X0 .. Xd in=g1,..,gd out=g coeff=..' lines (mu in categories, F
-    in functor maps): the inputs come from gens, and the objects must be
-    the chain they run through."""
+def _chain_kind(head, entries, gens):
+    """'HEAD d X0 .. Xd in=g1,..,gd out=g coeff=..' lines (mu in
+    categories, F in functor maps): the inputs come from gens, and the
+    objects must be the chain they run through."""
 
     def inputs_of(pos, fields):
         inputs = _split_names(fields["in"])
@@ -731,7 +866,7 @@ def _chain_kind(entries, gens):
                              % (" ".join(pos[1:]), ",".join(inputs)))
         return inputs
 
-    return entries.kind(_chain_arity, inputs_of)
+    return entries.kind(partial(_chain_arity, head), inputs_of)
 
 
 def _chain_lines(head, table, gens):
@@ -742,7 +877,7 @@ def _chain_lines(head, table, gens):
 def _bracket_inputs(pos, fields):
     """'l n in=x,.. out=x coeff=..'; brackets store their inputs sorted."""
     inputs = _split_names(fields["in"])
-    if len(inputs) != int(pos[0]):
+    if len(inputs) != _int(pos[0], "l arity"):
         raise ValueError("l %s with %d inputs" % (pos[0], len(inputs)))
     return tuple(sorted(inputs))
 
@@ -767,7 +902,7 @@ def load_category(text: str) -> FilteredAInfCategory:
         "gen": _LineKind(3, lambda n, pos, f: cat.add_gen(pos[2], pos[0], pos[1],
                                                           f["level"], f["ham"]),
                          {"level": None, "ham": None}),
-        "mu": _chain_kind(mu, cat.gens),
+        "mu": _chain_kind("mu", mu, cat.gens),
     })
     mu.store(cat.set_mu)
     return cat
@@ -799,7 +934,8 @@ def _open_closed_inputs(pos, fields):
     stored sorted."""
     closed = _split_names(fields["closed"])
     opens = _split_names(fields["in"])
-    if len(closed) != int(pos[0]) or len(opens) != int(pos[1]):
+    k, d = _int(pos[0], "mu closed arity"), _int(pos[1], "mu open arity")
+    if (len(closed), len(opens)) != (k, d):
         raise ValueError("mu %s %s with %d closed and %d open inputs"
                          % (pos[0], pos[1], len(closed), len(opens)))
     return tuple(sorted(closed)), opens
@@ -844,7 +980,7 @@ def load_functor(text: str, source: FilteredAInfCategory, target: FilteredAInfCa
         object_map[pos[0]] = pos[1]
 
     _read_lines(text, {"obj": _LineKind(2, obj_line, {}),
-                       "F": _chain_kind(components, source.gens)})
+                       "F": _chain_kind("F", components, source.gens)})
     F = AInfFunctor(source, target, object_map)
     components.store(F.set_component)
     return F

@@ -44,7 +44,7 @@ from .budget import (
     vertex_curvature_budget,
     virtual_dimension,
 )
-from .novikov import ActionValue, _frac
+from .novikov import ActionValue, _frac, _int
 from .strata import (
     ColoredTree,
     Glue,
@@ -506,8 +506,7 @@ def cmd_dim(args):
     out = Out(args.format)
     morse = None
     if args.morse is not None:
-        morse = tuple(_each(int, [x for x in args.morse.split(",") if x.strip() != ""],
-                            "a --morse entry must be an integer"))
+        morse = tuple(_int(x, "a --morse entry") for x in args.morse.split(",") if x.strip())
     inp = IndexInput(
         case=args.case,
         d=args.d,

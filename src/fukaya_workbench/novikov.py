@@ -41,6 +41,15 @@ def _frac(x, what="a Novikov exponent") -> Fraction:
         raise ValueError("%s must be a rational number, got %r" % (what, x)) from None
 
 
+def _int(text, what) -> int:
+    """A token that must be an integer; what names it in the error."""
+    try:
+        return int(text)
+    except ValueError:
+        shown = repr(text) if len(text) <= 24 else repr(text[:24]) + "..."
+        raise ValueError("%s must be an integer, got %s" % (what, shown)) from None
+
+
 def _value_text(x) -> str:
     """x as str, or to six significant digits when that would be long."""
     text = str(x)

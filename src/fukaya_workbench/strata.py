@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .novikov import _frac, _value_text
+from .novikov import _frac, _int, _value_text
 from .trees import (
     LabelledTree,
     MetricTree,
@@ -452,10 +452,10 @@ def width_expr_from_text(text: str):
         tokens.take("(")
         head = tokens.take()
         if head == "surface":
-            node = Surface(int(tokens.take()))
+            node = Surface(_int(tokens.take(), "surface arity"))
         elif head == "glue":
             outer = parse()
-            n = int(tokens.take())
+            n = _int(tokens.take(), "glue slot")
             inner = parse()
             node = Glue(outer, n, inner, _frac(tokens.take(), "a neck length"))
         else:

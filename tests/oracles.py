@@ -5,8 +5,9 @@ package: polygon diagonals instead of trees, edge contraction instead
 of arity recursion, two-level composition instead of constraint
 filtering, a filter over every loose shape instead of pruned
 generation, the corank of the equidistance system instead of a vertex
-count, interval bookkeeping instead of profile splicing, and a
-direct associator scan instead of insertion sums.
+count, interval bookkeeping instead of profile splicing, a direct
+associator scan instead of insertion sums, and relation scans over
+every tuple instead of over the insertion candidates.
 """
 
 import itertools
@@ -358,19 +359,19 @@ def associativity_violations(table, basis):
     return out
 
 
-# -- dense first-violation scans ----------------------------------------
+# -- dense relation scans ------------------------------------------------
 #
-# The tuple loops the command line ran before the scans moved into the
-# library.  Composable tuples come from a filter over every tuple of
-# generator names rather than from a walk along composable chains.
+# Every tuple up to the bound, in the order the library's scans promise.
+# Composable tuples come from a filter over every tuple of generator
+# names rather than from a walk along composable chains.
 
 
-def _first_nonzero(tuples, defect):
+def _violations(tuples, defect):
+    """Every (tuple, defect) with a nonzero defect, in the order given."""
     for t in tuples:
         value = defect(t)
         if value:
-            return t, value
-    return None
+            yield t, value
 
 
 def _composable_oracle(gens, max_d):
@@ -381,40 +382,69 @@ def _composable_oracle(gens, max_d):
                 yield tup
 
 
-def ainf_scan_oracle(cat, max_d):
+def ainf_violations_oracle(cat, max_d):
     from fukaya_workbench.ainfinity import ainf_defect
 
-    return _first_nonzero(_composable_oracle(cat.gens, max_d), lambda t: ainf_defect(cat, t))
+    return _violations(_composable_oracle(cat.gens, max_d), lambda t: ainf_defect(cat, t))
+
+
+def functor_violations_oracle(F, max_d):
+    from fukaya_workbench.ainfinity import functor_defect
+
+    return _violations(_composable_oracle(F.source.gens, max_d), lambda t: functor_defect(F, t))
+
+
+def linf_violations_oracle(alg, max_n):
+    from fukaya_workbench.ainfinity import linf_defect
+
+    multisets = (tup for n in range(1, max_n + 1)
+                 for tup in itertools.combinations_with_replacement(alg.basis, n))
+    return _violations(multisets, lambda t: linf_defect(alg, t))
+
+
+def ocha_violations_oracle(s, max_closed, max_open):
+    from fukaya_workbench.ainfinity import ocha_defect
+
+    pairs = ((closed, opens)
+             for k in range(0, max_closed + 1)
+             for closed in itertools.combinations_with_replacement(s.closed_basis, k)
+             for d in range(0, max_open + 1) if k or d
+             for opens in itertools.product(s.open_basis, repeat=d))
+    return _violations(pairs, lambda pair: ocha_defect(s, *pair))
+
+
+def ainf_scan_oracle(cat, max_d):
+    return next(ainf_violations_oracle(cat, max_d), None)
 
 
 def functor_scan_oracle(F, max_d):
-    from fukaya_workbench.ainfinity import functor_defect
-
-    return _first_nonzero(_composable_oracle(F.source.gens, max_d),
-                          lambda t: functor_defect(F, t))
+    return next(functor_violations_oracle(F, max_d), None)
 
 
 def linf_scan_oracle(alg, max_n):
-    from fukaya_workbench.ainfinity import linf_defect
-
-    for n in range(1, max_n + 1):
-        for tup in itertools.combinations_with_replacement(alg.basis, n):
-            defect = linf_defect(alg, tup)
-            if defect:
-                return tup, defect
-    return None
+    return next(linf_violations_oracle(alg, max_n), None)
 
 
 def ocha_scan_oracle(s, max_closed, max_open):
-    from fukaya_workbench.ainfinity import ocha_defect
+    return next(ocha_violations_oracle(s, max_closed, max_open), None)
 
-    for k in range(0, max_closed + 1):
-        for closed in itertools.combinations_with_replacement(s.closed_basis, k):
-            for d in range(0, max_open + 1):
-                if k == 0 and d == 0:
-                    continue
-                for opens in itertools.product(s.open_basis, repeat=d):
-                    defect = ocha_defect(s, closed, opens)
-                    if defect:
-                        return (closed, opens), defect
-    return None
+
+def ocha_specialization_oracle(s, max_open=4, max_closed=4):
+    """ocha_specialization_report with the open sector compared on every
+    open tuple up to max_open, in itertools.product order."""
+    from fukaya_workbench.ainfinity import (SpecializationReport, ainf_defect, linf_defect,
+                                            ocha_defect, open_sector_category)
+
+    cat = open_sector_category(s)
+    mismatches = []
+    for d in range(1, max_open + 1):
+        for tup in itertools.product(s.open_basis, repeat=d):
+            if ainf_defect(cat, tup) != ocha_defect(s, (), tup):
+                mismatches.append(tup)
+    closed_defects = {}
+    for n in range(1, max_closed + 1):
+        for tup in itertools.product(s.closed_basis, repeat=n):
+            key = tuple(sorted(tup))
+            if key not in closed_defects:
+                closed_defects[key] = linf_defect(s, key)
+    return SpecializationReport(not mismatches, tuple(mismatches), closed_defects)

@@ -19,6 +19,7 @@ from fukaya_workbench.ainfinity import (AInfFunctor, FilteredAInfCategory,
                                         measure_discrepancies, ocha_defect,
                                         ocha_specialization_report,
                                         open_sector_category)
+from fukaya_workbench.cli import main
 
 ONE = NovikovElement.one()
 
@@ -63,12 +64,6 @@ def test_exterior_unit_and_filtration():
     assert rep.is_filtered
 
 
-def test_composable_tuples_one_object():
-    cat = exterior()
-    assert len(list(cat.composable_tuples(2))) == 16
-    assert list(cat.composable_tuples(1)) == [("a",), ("ab",), ("b",), ("e",)]
-
-
 # -- defect detection against the associator oracle --------------------
 
 
@@ -98,7 +93,7 @@ def test_defect_matches_oracle_on_every_triple():
     cat = exterior()
     cat.set_mu(("e", "e"), {"e": NovikovElement([0, Fraction(1, 2)])})
     table = mu2_table(cat)
-    for tup in cat.composable_tuples(3):
+    for tup in itertools.product(cat.gens, repeat=3):
         assert defect_exps(ainf_defect(cat, tup)) == oracles.associator(table, *tup)
 
 
@@ -342,7 +337,7 @@ def test_identity_functor_has_zero_defect():
     cat = exterior()
     F = identity_functor(cat, cat)
     for d in range(1, 4):
-        for tup in cat.composable_tuples(d):
+        for tup in itertools.product(cat.gens, repeat=d):
             assert functor_defect(F, tup) == {}
     rep = functor_shift(F)
     assert rep.rho_star == 0
@@ -355,7 +350,7 @@ def test_functor_shift_with_raised_target_levels():
     for name, g in list(target.gens.items()):
         target.gens[name] = g.__class__(name, "M", "M", g.level + Fraction(1, 2), g.ham)
     F = identity_functor(source, target)
-    for tup in source.composable_tuples(2):
+    for tup in itertools.product(source.gens, repeat=2):
         assert functor_defect(F, tup) == {}
     rep = functor_shift(F)
     assert rep.raw == {1: Fraction(1, 2)}
@@ -485,6 +480,22 @@ def test_loaders_name_the_line_in_every_format():
         load_functor("obj M Q\n", cat, cat)
     with pytest.raises(ValueError, match="object map misses 'M'"):
         load_functor("F 1 M M in=a out=a coeff=T^0\n", cat, cat)
+
+
+@pytest.mark.parametrize("verb, text, message", [
+    ("check-ainf", HEAD + "mu x M M in=a out=a coeff=T^0\n",
+     "line 3: mu arity must be an integer, got 'x'"),
+    ("check-linf", "basis x\nl two in=x,x out=x coeff=T^0\n",
+     "line 2: l arity must be an integer, got 'two'"),
+    ("check-ocha", "closed c\nopen o\nmu 1 z closed=c in=o out=o coeff=T^0\n",
+     "line 3: mu open arity must be an integer, got 'z'"),
+])
+def test_integer_tokens_are_named(tmp_path, capsys, verb, text, message):
+    path = tmp_path / "table.txt"
+    path.write_text(text)
+    assert main([verb, str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: %s\n" % message)
 
 
 def test_functor_components_may_precede_the_object_map():

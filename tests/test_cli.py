@@ -53,6 +53,12 @@ def test_trees_counts(capsys):
     assert out.count("(v ") + out.count("(v(") >= 5
 
 
+def test_check_ainf_with_only_mu2_entries_passes_at_any_max_d(capsys):
+    # A violation has length 2 + 2 - 1 = 3, so --max-d 12 costs what 3 does.
+    assert run(capsys, "check-ainf", "bundled:exterior", "--max-d", "12",
+               "--format", "machine") == (0, "ainf=pass\nmax_d=12\n", "")
+
+
 def test_strata_report(capsys):
     code, out, _ = run(capsys, "strata", "--d", "4")
     assert code == 0

@@ -347,6 +347,16 @@ def test_width_errors():
         intrinsic_width("nope")
 
 
+@pytest.mark.parametrize("expr, message", [
+    ("(surface x)", "surface arity must be an integer, got 'x'"),
+    ("(glue (surface 2) y (surface 2) 1)", "glue slot must be an integer, got 'y'"),
+])
+def test_width_integer_tokens_are_named(capsys, expr, message):
+    assert main(["width", expr]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: %s\n" % message)
+
+
 def test_width_expr_text_round_trip():
     expr = Glue(Glue(Surface(2), 1, Surface(2), Fraction(1, 2)), 3,
                 Surface(3), Fraction(1, 4))
