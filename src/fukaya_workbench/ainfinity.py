@@ -123,6 +123,23 @@ class FilteredAInfCategory:
     def mu_entry(self, inputs) -> dict:
         return self.mu.get(tuple(inputs), {})
 
+    def composable_tuples(self, d: int):
+        """All length-d composable generator tuples, lexicographic in
+        generator names."""
+        by_source = {}
+        for name in sorted(self.gens):
+            by_source.setdefault(self.gens[name].source, []).append(name)
+
+        def extend(chain):
+            if len(chain) == d:
+                yield chain
+                return
+            for g in by_source.get(self.gens[chain[-1]].target, ()):
+                yield from extend(chain + (g,))
+
+        for name in sorted(self.gens):
+            yield from extend((name,))
+
 
 def _block_insertions(total, inputs, inner, outer):
     """Add to total every single insertion outer(.., inner(block), ..)

@@ -44,7 +44,7 @@ from .budget import (
     vertex_curvature_budget,
     virtual_dimension,
 )
-from .novikov import ActionValue, _frac, _int
+from .novikov import ActionValue, _frac
 from .strata import (
     ColoredTree,
     Glue,
@@ -506,7 +506,8 @@ def cmd_dim(args):
     out = Out(args.format)
     morse = None
     if args.morse is not None:
-        morse = tuple(_int(x, "a --morse entry") for x in args.morse.split(",") if x.strip())
+        morse = tuple(_each(int, [x for x in args.morse.split(",") if x.strip() != ""],
+                            "a --morse entry must be an integer"))
     inp = IndexInput(
         case=args.case,
         d=args.d,

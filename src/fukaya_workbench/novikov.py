@@ -46,8 +46,7 @@ def _int(text, what) -> int:
     try:
         return int(text)
     except ValueError:
-        shown = repr(text) if len(text) <= 24 else repr(text[:24]) + "..."
-        raise ValueError("%s must be an integer, got %s" % (what, shown)) from None
+        raise ValueError("%s must be an integer, got %r" % (what, text)) from None
 
 
 def _value_text(x) -> str:

@@ -64,6 +64,12 @@ def test_exterior_unit_and_filtration():
     assert rep.is_filtered
 
 
+def test_composable_tuples_one_object():
+    cat = exterior()
+    assert len(list(cat.composable_tuples(2))) == 16
+    assert list(cat.composable_tuples(1)) == [("a",), ("ab",), ("b",), ("e",)]
+
+
 # -- defect detection against the associator oracle --------------------
 
 
@@ -93,7 +99,7 @@ def test_defect_matches_oracle_on_every_triple():
     cat = exterior()
     cat.set_mu(("e", "e"), {"e": NovikovElement([0, Fraction(1, 2)])})
     table = mu2_table(cat)
-    for tup in itertools.product(cat.gens, repeat=3):
+    for tup in cat.composable_tuples(3):
         assert defect_exps(ainf_defect(cat, tup)) == oracles.associator(table, *tup)
 
 
@@ -337,7 +343,7 @@ def test_identity_functor_has_zero_defect():
     cat = exterior()
     F = identity_functor(cat, cat)
     for d in range(1, 4):
-        for tup in itertools.product(cat.gens, repeat=d):
+        for tup in cat.composable_tuples(d):
             assert functor_defect(F, tup) == {}
     rep = functor_shift(F)
     assert rep.rho_star == 0
@@ -350,7 +356,7 @@ def test_functor_shift_with_raised_target_levels():
     for name, g in list(target.gens.items()):
         target.gens[name] = g.__class__(name, "M", "M", g.level + Fraction(1, 2), g.ham)
     F = identity_functor(source, target)
-    for tup in itertools.product(source.gens, repeat=2):
+    for tup in source.composable_tuples(2):
         assert functor_defect(F, tup) == {}
     rep = functor_shift(F)
     assert rep.raw == {1: Fraction(1, 2)}
