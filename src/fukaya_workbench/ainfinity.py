@@ -19,8 +19,8 @@ from functools import partial
 from .novikov import (
     NovikovElement,
     _frac,
+    _frac_memo,
     _int,
-    action_of_sum,
     nov_add,
     nov_from_text,
     nov_mul,
@@ -291,14 +291,16 @@ def find_ainf_violation(cat: FilteredAInfCategory, max_d: int):
 
 def _worst_gaps(table, in_gens, out_gens) -> dict:
     """Largest action(output) - sum of input levels per arity over a
-    table of entries; entries whose output has action -inf are skipped."""
+    table of entries.  The action of an output is the max over its
+    nonzero terms c*g of level(g) - val(c); an entry with no nonzero
+    term has action -inf and is skipped."""
     raw = {}
     for inputs, out in table.items():
-        d = len(inputs)
-        a_out = action_of_sum((c, out_gens[g].level) for g, c in out.items())
-        if a_out.is_neg_inf:
+        actions = [out_gens[g].level - min(c.exps) for g, c in out.items() if c.exps]
+        if not actions:
             continue
-        gap = a_out.value - sum(in_gens[g].level for g in inputs)
+        gap = max(actions) - sum(in_gens[g].level for g in inputs)
+        d = len(inputs)
         if d not in raw or gap > raw[d]:
             raw[d] = gap
     return raw
@@ -595,12 +597,12 @@ def ocha_specialization_report(s: OCHAStructure, max_open=4, max_closed=4) -> Sp
     rank = _rank(s.open_basis)
     mismatches = [t for t in _ainf_candidates(cat, max_open, lambda key: tuple(map(rank, key)))
                   if ainf_defect(cat, t) != ocha_defect(s, (), t)]
+    # Each multiset once, in the order of its first ordered appearance.
     closed_defects = {}
     for n in range(1, max_closed + 1):
-        for tup in itertools.product(s.closed_basis, repeat=n):
-            key = tuple(sorted(tup))
-            if key not in closed_defects:
-                closed_defects[key] = linf_defect(s, key)
+        for combo in itertools.combinations_with_replacement(s.closed_basis, n):
+            key = tuple(sorted(combo))
+            closed_defects[key] = linf_defect(s, key)
     return SpecializationReport(not mismatches, tuple(mismatches), closed_defects)
 
 
@@ -795,11 +797,14 @@ class _Entries:
     """Table entries read line by line, one out= and coeff= term per
     line.  Terms with the same inputs and output add over Z2; store()
     hands each inputs' outputs to a setter in order of first appearance,
-    and an entry the setter rejects is reported at its first line."""
+    and an entry the setter rejects is reported at its first line.  memo
+    holds the texts parsed so far (see nov_from_text), so a load parses
+    each distinct coefficient and exponent text once."""
 
     def __init__(self):
         self.outs = {}
         self.first_line = {}
+        self.memo = {}
 
     def kind(self, arity, inputs_of, accepted=_ENTRY_FIELDS):
         """Lines that add a term; inputs_of(positional, fields) parses
@@ -807,7 +812,7 @@ class _Entries:
 
         def handler(number, pos, fields):
             inputs = inputs_of(pos, fields)
-            out, coeff = fields["out"], nov_from_text(fields["coeff"])
+            out, coeff = fields["out"], nov_from_text(fields["coeff"], self.memo)
             outs = self.outs.get(inputs)
             if outs is None:
                 outs = self.outs[inputs] = {}
@@ -815,6 +820,15 @@ class _Entries:
             outs[out] = nov_add(outs[out], coeff) if out in outs else coeff
 
         return _LineKind(arity, handler, accepted)
+
+    def exact(self, text):
+        """text as a Fraction through memo.  A text that _frac rejects
+        comes back as it is, for the caller to coerce and report after
+        its own checks, so that a bad line keeps its message."""
+        try:
+            return _frac_memo(text, self.memo)
+        except ValueError:
+            return text
 
     def store(self, setter):
         for inputs, outs in self.outs.items():
@@ -917,7 +931,7 @@ def load_category(text: str) -> FilteredAInfCategory:
     _read_lines(text, {
         "object": _name_kind(cat.add_object),
         "gen": _LineKind(3, lambda n, pos, f: cat.add_gen(pos[2], pos[0], pos[1],
-                                                          f["level"], f["ham"]),
+                                                          mu.exact(f["level"]), mu.exact(f["ham"])),
                          {"level": None, "ham": None}),
         "mu": _chain_kind("mu", mu, cat.gens),
     })

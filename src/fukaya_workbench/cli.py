@@ -423,8 +423,11 @@ def cmd_unit(args):
 
 def cmd_functor(args):
     out = Out(args.format)
-    source = load_category(_read_source(args.source))
-    target = load_category(_read_source(args.target))
+    source_text = _read_source(args.source)
+    source = load_category(source_text)
+    # The same text needs no second load; the functor only reads both.
+    target_text = _read_source(args.target)
+    target = source if target_text == source_text else load_category(target_text)
     F = load_functor(_read_source(args.map), source, target)
     # Scan before printing, so that a bad --max-d leaves stdout empty.
     hit = None if args.no_check else find_functor_violation(F, args.max_d)

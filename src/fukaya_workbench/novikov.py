@@ -41,6 +41,14 @@ def _frac(x, what="a Novikov exponent") -> Fraction:
         raise ValueError("%s must be a rational number, got %r" % (what, x)) from None
 
 
+def _frac_memo(text: str, memo: dict) -> Fraction:
+    """_frac(text) through memo, which keeps only the texts that parse."""
+    x = memo.get(text)
+    if x is None:
+        x = memo[text] = _frac(text)
+    return x
+
+
 def _int(text, what) -> int:
     """A token that must be an integer; what names it in the error."""
     try:
@@ -59,7 +67,11 @@ def _value_text(x) -> str:
 
 
 class NovikovElement:
-    """A finite Z2 Novikov sum, canonically a frozenset of exponents."""
+    """A finite Z2 Novikov sum, canonically a frozenset of exponents.
+
+    An element is never mutated after construction, so one instance may
+    be shared: by the entries of a table, by a parse memo and by the
+    results of arithmetic."""
 
     __slots__ = ("exps",)
 
@@ -73,6 +85,14 @@ class NovikovElement:
             else:
                 seen.add(e)
         self.exps = frozenset(seen)
+
+    @classmethod
+    def _of(cls, exps: frozenset) -> "NovikovElement":
+        """The element whose exponents are exps, a frozenset of
+        Fractions, taken as it is: no coercion and no cancellation."""
+        out = object.__new__(cls)
+        out.exps = exps
+        return out
 
     @classmethod
     def zero(cls) -> "NovikovElement":
@@ -110,13 +130,17 @@ class NovikovElement:
 
 
 def nov_add(a: NovikovElement, b: NovikovElement) -> NovikovElement:
-    out = NovikovElement()
-    out.exps = a.exps ^ b.exps
-    return out
+    return NovikovElement._of(a.exps ^ b.exps)
 
 
 def nov_mul(a: NovikovElement, b: NovikovElement) -> NovikovElement:
-    return NovikovElement(x + y for x in a.exps for y in b.exps)
+    # The exponent sums are exact Fractions already; a repeated sum
+    # cancels in pairs.
+    out = set()
+    for x in a.exps:
+        for y in b.exps:
+            out ^= {x + y}
+    return NovikovElement._of(frozenset(out))
 
 
 def valuation(a: NovikovElement):
@@ -133,28 +157,44 @@ def nov_to_text(a: NovikovElement) -> str:
     return "+".join("T^%s" % e for e in sorted(a.exps))
 
 
-def nov_from_text(text: str) -> NovikovElement:
+def nov_from_text(text: str, memo=None) -> NovikovElement:
     """Parse the canonical form. Also accepted: braces around exponents
-    ('T^{1/2}'), bare '1' for T^0, and redundant whitespace."""
+    ('T^{1/2}'), bare '1' for T^0, and redundant whitespace.
+
+    memo, a dict the caller keeps for one load, makes a repeated text
+    cost one lookup: it maps each exponent text to its Fraction and each
+    whole coefficient text, under the key (text,), to its element.  The
+    tuple keeps the two apart: the coefficient '1' is T^0, the exponent
+    '1' is 1.  A text that fails to parse is never stored."""
+    if memo is None:
+        memo = {}
+    key = (text,)
+    if key in memo:
+        return memo[key]
     s = text.strip()
-    if s == "0":
-        return NovikovElement.zero()
-    exps = []
-    for term in s.split("+"):
-        term = term.strip()
-        if term == "1":
-            exps.append(Fraction(0))
-            continue
-        if not term.startswith("T^"):
-            raise ValueError("bad Novikov term %r in %r" % (term, text))
-        body = term[2:].strip()
-        if body.startswith("{") and body.endswith("}"):
-            body = body[1:-1].strip()
-        exps.append(body)
-    try:
-        return NovikovElement(exps)
-    except ValueError as e:
-        raise ValueError("bad Novikov exponent in %r: %s" % (text, e)) from None
+    bodies = []
+    if s != "0":
+        for term in s.split("+"):
+            term = term.strip()
+            if term == "1":
+                bodies.append(None)  # T^0
+                continue
+            if not term.startswith("T^"):
+                raise ValueError("bad Novikov term %r in %r" % (term, text))
+            body = term[2:].strip()
+            if body.startswith("{") and body.endswith("}"):
+                body = body[1:-1].strip()
+            bodies.append(body)
+    exps = set()
+    for body in bodies:
+        try:
+            e = Fraction(0) if body is None else _frac_memo(body, memo)
+        except ValueError as err:
+            raise ValueError("bad Novikov exponent in %r: %s" % (text, err)) from None
+        # Z2: a repeated exponent cancels in pairs.
+        exps ^= {e}
+    el = memo[key] = NovikovElement._of(frozenset(exps))
+    return el
 
 
 class ActionValue:

@@ -6,8 +6,9 @@ of arity recursion, two-level composition instead of constraint
 filtering, a filter over every loose shape instead of pruned
 generation, the corank of the equidistance system instead of a vertex
 count, interval bookkeeping instead of profile splicing, a direct
-associator scan instead of insertion sums, and relation scans over
-every tuple instead of over the insertion candidates.
+associator scan instead of insertion sums, relation scans over every
+tuple instead of over the insertion candidates, and action gaps through
+ActionValue bookkeeping instead of direct rational arithmetic.
 """
 
 import itertools
@@ -448,3 +449,24 @@ def ocha_specialization_oracle(s, max_open=4, max_closed=4):
             if key not in closed_defects:
                 closed_defects[key] = linf_defect(s, key)
     return SpecializationReport(not mismatches, tuple(mismatches), closed_defects)
+
+
+# -- action gaps through ActionValue -------------------------------------
+
+
+def worst_gaps_oracle(table, in_gens, out_gens):
+    """Largest action(output) - sum of input levels per arity, each
+    action an ActionValue; an entry whose output has action -inf (no
+    nonzero coefficient) is skipped."""
+    from fukaya_workbench.novikov import action_of_sum
+
+    raw = {}
+    for inputs, out in table.items():
+        a_out = action_of_sum((c, out_gens[g].level) for g, c in out.items())
+        if a_out.is_neg_inf:
+            continue
+        gap = a_out.value - sum(in_gens[g].level for g in inputs)
+        d = len(inputs)
+        if d not in raw or gap > raw[d]:
+            raw[d] = gap
+    return raw

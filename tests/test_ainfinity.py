@@ -4,9 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from fukaya_workbench import NovikovElement
+from fukaya_workbench import NovikovElement, ainfinity, novikov
 from fukaya_workbench.ainfinity import (AInfFunctor, FilteredAInfCategory,
                                         LInfinityAlgebra, OCHAStructure, ainf_defect,
                                         check_strict_unit, dump_category, dump_functor,
@@ -190,6 +192,65 @@ def test_positive_unit_level_blocks_filtration():
         measure_discrepancies(cat, units={"M": "nope"})
 
 
+LEVELS = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+COEFFICIENTS = st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4),
+                        max_size=3).map(NovikovElement)
+
+
+def leveled_category(draw, names):
+    cat = FilteredAInfCategory()
+    cat.add_object("M")
+    for g in names:
+        cat.add_gen(g, "M", "M", draw(LEVELS), draw(LEVELS))
+    return cat
+
+
+@st.composite
+def gap_tables(draw):
+    """Source and target generators with random levels, and a table
+    stored directly, as a library user may: a coefficient can be zero and
+    an entry can have several outputs."""
+    names = ["g%d" % i for i in range(draw(st.integers(1, 4)))]
+    source, target = leveled_category(draw, names), leveled_category(draw, names)
+    table = {}
+    for _ in range(draw(st.integers(0, 6))):
+        key = tuple(draw(st.lists(st.sampled_from(names), min_size=1, max_size=3)))
+        outputs = draw(st.sets(st.sampled_from(names), min_size=1, max_size=3))
+        table[key] = {g: draw(COEFFICIENTS) for g in sorted(outputs)}
+    return source, target, table
+
+
+@given(gap_tables())
+@settings(max_examples=150, deadline=None)
+def test_gaps_match_the_action_value_oracle(tables):
+    source, target, table = tables
+    source.mu = table
+    assert measure_discrepancies(source).raw == oracles.worst_gaps_oracle(table, source.gens,
+                                                                          source.gens)
+    F = AInfFunctor(source, target, {"M": "M"})
+    F.table = table
+    raw = oracles.worst_gaps_oracle(table, source.gens, target.gens)
+    rep = functor_shift(F)
+    assert rep.raw == raw
+    assert rep.rho_star == max([Fraction(0)] + [v / d for d, v in raw.items()])
+
+
+def test_gaps_skip_outputs_stored_as_zero():
+    cat = FilteredAInfCategory()
+    cat.add_object("M")
+    cat.add_gen("a", "M", "M", level=0)
+    cat.add_gen("b", "M", "M", level=5)
+    zero = NovikovElement.zero()
+    cat.mu = {
+        ("a",): {"b": zero},  # action -inf: no arity-1 gap
+        ("a", "a"): {"a": NovikovElement.monomial(1), "b": NovikovElement([0, 2])},
+        ("a", "a", "a"): {"b": zero, "a": ONE},
+    }
+    expected = {2: Fraction(5), 3: Fraction(0)}
+    assert measure_discrepancies(cat).raw == expected
+    assert oracles.worst_gaps_oracle(cat.mu, cat.gens, cat.gens) == expected
+
+
 # -- L-infinity --------------------------------------------------------
 
 
@@ -316,6 +377,21 @@ def test_ocha_specialization_report():
     assert rep.closed_sector_consistent
 
 
+def test_closed_sector_defects_keep_the_ordered_walk_order():
+    """Each multiset is listed where the walk over ordered tuples first
+    meets it, on a basis out of name order; dict == ignores order."""
+    s = OCHAStructure()
+    for name in ("z", "b", "m", "a"):
+        s.add_closed(name)
+    s.set_l(("z", "b"), {"m": ONE})
+    s.set_l(("a",), {"z": ONE})
+    rep = ocha_specialization_report(s, max_open=1, max_closed=4)
+    dense = oracles.ocha_specialization_oracle(s, max_open=1, max_closed=4)
+    assert list(rep.closed_sector_defects) == list(dense.closed_sector_defects)
+    assert rep.closed_sector_defects == dense.closed_sector_defects
+    assert len(rep.closed_sector_defects) == 4 + 10 + 20 + 35
+
+
 def test_ocha_dump_load_round_trip():
     s = OCHAStructure()
     s.add_closed("c")
@@ -405,6 +481,38 @@ def test_duplicate_mu_lines_cancel():
     text = bundled("exterior.cat") + "mu 2 M M M in=a,b out=ab coeff=T^0\n"
     cat = load_category(text)
     assert cat.mu_entry(("a", "b")) == {}
+
+
+def test_load_coerces_each_distinct_text_once(monkeypatch):
+    """A load pays per distinct exponent, level or ham text, not per line:
+    3,000 lines written with six exponent texts coerce each text once."""
+    rng = random.Random(0)
+    exponents = ["0", "1/2", "-3/4", "5", "7/6", "2/3"]
+    levels = ["0", "1/2", "-1", "5"]
+    names = ["a", "b", "c", "d"]
+    lines = ["object M"] + ["gen M M %s level=%s ham=%s"
+                            % (g, rng.choice(levels), rng.choice(levels)) for g in names]
+    for _ in range(3000):
+        inputs = [rng.choice(names) for _ in range(rng.randint(1, 3))]
+        terms = [rng.choice(("T^%s", "T^{%s}")) % e
+                 for e in rng.sample(exponents, rng.randint(1, 3))]
+        lines.append("mu %d %s in=%s out=%s coeff=%s"
+                     % (len(inputs), " ".join(["M"] * (len(inputs) + 1)), ",".join(inputs),
+                        rng.choice(names), "+".join(terms)))
+    coerced = []
+    frac = novikov._frac
+
+    def counting(x, *args):
+        if isinstance(x, str):
+            coerced.append(x)
+        return frac(x, *args)
+
+    monkeypatch.setattr(novikov, "_frac", counting)
+    monkeypatch.setattr(ainfinity, "_frac", counting)
+    cat = load_category("\n".join(lines) + "\n")
+    assert cat.mu
+    assert len(coerced) == len(set(coerced))
+    assert set(coerced) <= set(exponents) | set(levels)
 
 
 def test_load_category_errors():

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import fukaya_workbench
+from fukaya_workbench import cli
 from fukaya_workbench.cli import _read_source, main
 
 
@@ -336,6 +337,31 @@ def test_scans_that_check_nothing_are_rejected(tmp_path, capsys):
     code, out, _ = run(capsys, *functor, "--max-d", "0", "--no-check")
     assert code == 0
     assert "equation" not in out
+
+
+def test_functor_loads_a_category_once_when_source_and_target_texts_agree(
+        tmp_path, monkeypatch, capsys):
+    exterior = _read_source("bundled:exterior")
+    (tmp_path / "a.cat").write_text(exterior)
+    (tmp_path / "copy_of_a.cat").write_text(exterior)
+    (tmp_path / "raised.cat").write_text(exterior.replace("level=0", "level=1/2"))
+    (tmp_path / "id.fun").write_text(EXTERIOR_MAP)
+    monkeypatch.chdir(tmp_path)
+    loads = []
+    load = cli.load_category
+    monkeypatch.setattr(cli, "load_category", lambda text: loads.append(text) or load(text))
+
+    def functor(target):
+        loads.clear()
+        result = run(capsys, "functor", "--source", "a.cat", "--target", target,
+                     "--map", "id.fun", "--max-d", "3")
+        return result, len(loads)
+
+    same = functor("a.cat")
+    assert same == ((0, "raw.1: 0\nrho_star: 0\nequation: pass\nmax_d: 3\n", ""), 1)
+    assert functor("copy_of_a.cat") == same
+    assert functor("raised.cat") == (
+        (0, "raw.1: 1/2\nrho_star: 1/2\nequation: pass\nmax_d: 3\n", ""), 2)
 
 
 def test_measure(capsys):

@@ -1,5 +1,8 @@
+import importlib.resources
+import importlib.util
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -134,3 +137,58 @@ def test_action_value_text():
     assert ActionValue.neg_inf().to_text() == "-inf"
     assert ActionValue.from_text("-inf").is_neg_inf
     assert ActionValue.from_text(" 7/3 ") == ActionValue.of("7/3")
+
+
+# -- parsing through a shared memo ---------------------------------------
+
+
+def _perfbench_inputs():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def coefficient_texts():
+    """Every coeff= text of the bundled fixtures and of the seeded
+    tables and relations files at two seeds, in file order."""
+    data = importlib.resources.files("fukaya_workbench").joinpath("data")
+    files = [ref.read_text() for ref in data.iterdir() if ref.name.endswith(".cat")]
+    inputs = _perfbench_inputs()
+    for seed in (0, 1):
+        for make in (inputs.tables_inputs, inputs.relations_inputs):
+            files += make(seed)[0].values()
+    return [token[len("coeff="):] for text in files for line in text.splitlines()
+            for token in line.split() if token.startswith("coeff=")]
+
+
+def test_a_shared_memo_parses_every_text_as_a_fresh_parse(coefficient_texts):
+    assert len(coefficient_texts) > 20000
+    memo = {}
+    for text in coefficient_texts:
+        assert nov_from_text(text, memo) == nov_from_text(text)
+    # A coefficient that reads like an exponent keeps its own meaning.
+    assert nov_from_text("1", memo) == NovikovElement.one()
+    assert nov_from_text("T^1", memo) == NovikovElement.monomial(1)
+
+
+@pytest.mark.parametrize("bad", ["T^x", "T^1/0", "q^2", "T^1/2+q", "T^1/2+T^{x}", "T^1e99999999",
+                                 "", "T^1/2+T^0.5.5"])
+def test_a_memo_keeps_no_failure(coefficient_texts, bad):
+    with pytest.raises(ValueError) as fresh:
+        nov_from_text(bad)
+    memo = {}
+    for text in coefficient_texts[:2000]:
+        nov_from_text(text, memo)
+    for _ in range(2):
+        with pytest.raises(ValueError) as memoised:
+            nov_from_text(bad, memo)
+        assert str(memoised.value) == str(fresh.value)
+
+
+@given(elements, elements)
+def test_arithmetic_matches_the_coercing_constructor(a, b):
+    assert nov_mul(a, b) == NovikovElement(x + y for x in a.exps for y in b.exps)
+    assert nov_add(a, b) == NovikovElement(list(a.exps) + list(b.exps))

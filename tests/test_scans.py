@@ -354,3 +354,4 @@ def test_specialization_report_matches_dense_version(s, max_open, max_closed, bl
         report = ocha_specialization_report(s, max_open, max_closed)
         dense = oracles.ocha_specialization_oracle(s, max_open, max_closed)
     assert report == dense
+    assert list(report.closed_sector_defects) == list(dense.closed_sector_defects)
