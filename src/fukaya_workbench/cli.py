@@ -44,7 +44,7 @@ from .budget import (
     vertex_curvature_budget,
     virtual_dimension,
 )
-from .novikov import ActionValue, _frac
+from .novikov import ActionValue, _frac, _int
 from .strata import (
     ColoredTree,
     Glue,
@@ -56,8 +56,7 @@ from .strata import (
     generalized_corner_flag,
     intrinsic_width,
     stacked_gluing_lengths,
-    stacked_shapes,
-    stacked_strata_for_shape,
+    stacked_report_lines,
     validate_coloring,
     width_expr_from_text,
 )
@@ -115,7 +114,7 @@ class Out:
 
 
 def _seed() -> int:
-    return int(os.environ.get("WORKBENCH_SEED", "0"))
+    return _int(os.environ.get("WORKBENCH_SEED", "0"), "WORKBENCH_SEED")
 
 
 def _read_source(path: str) -> str:
@@ -141,34 +140,13 @@ def _parse_labels(text: str):
 
 
 def _labels_from_args(args):
-    if getattr(args, "labels", None):
+    if args.labels and args.d is not None:
+        raise ValueError("give either --labels or --d, not both")
+    if args.labels:
         return _parse_labels(args.labels)
-    if getattr(args, "d", None) is not None:
+    if args.d is not None:
         return tuple("L%d" % i for i in range(args.d + 1))
     raise ValueError("give either --labels or --d")
-
-
-def _map_shapes(args, worker, shapes, *context):
-    """worker(context + (shapes,)).  With --parallel, the shapes are cut
-    into eight chunks in canonical order, each chunk's job runs in a
-    process pool, and the results are concatenated in order; the pool
-    is imported only then.  Workers must be importable module-level
-    functions."""
-    if not args.parallel:
-        return worker(context + (shapes,))
-    from concurrent.futures import ProcessPoolExecutor
-
-    step = max(1, (len(shapes) + 7) // 8)
-    jobs = [context + (shapes[i:i + step],) for i in range(0, len(shapes), step)]
-    with ProcessPoolExecutor(max_workers=min(4, os.cpu_count() or 1)) as pool:
-        return [x for chunk in pool.map(worker, jobs) for x in chunk]
-
-
-def _stacked_chunk(job):
-    """(dim, report line) of every stacked stratum of the shapes."""
-    labels, shapes = job
-    return [(s.dim, s.report_line())
-            for shape in shapes for s in stacked_strata_for_shape(labels, shape)]
 
 
 def _tally(dims, pairs):
@@ -236,9 +214,7 @@ def cmd_strata(args):
 
 
 def cmd_stacked(args):
-    labels = _labels_from_args(args)
-    shapes = stacked_shapes(len(labels) - 1)
-    return _report_strata(args, _map_shapes(args, _stacked_chunk, shapes, labels))
+    return _report_strata(args, stacked_report_lines(len(_labels_from_args(args)) - 1))
 
 
 def cmd_coloring(args):
@@ -283,10 +259,13 @@ def _random_width_expr(rng, depth):
 
 
 def _check_random(args):
-    """Reject --random N below 1, which would check nothing and pass."""
+    """Reject --random N below 1, which would check nothing and pass, and
+    a WORKBENCH_SEED that is no integer, before anything is printed."""
     if args.random is not None and args.random < 1:
         raise ValueError("--random must be at least 1, got %d; the self-check would "
                          "check nothing" % args.random)
+    if args.random is not None:
+        _seed()
 
 
 def _self_check(out, n, trial):
@@ -535,8 +514,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="output style (default text)")
     par = argparse.ArgumentParser(add_help=False)
     par.add_argument("--parallel", action="store_true",
-                     help="shard the enumeration over a process pool; only stacked "
-                     "uses it, trees and strata run serially, which is faster")
+                     help="accepted for compatibility; has no effect, every "
+                     "enumeration verb streams serially")
 
     p = argparse.ArgumentParser(
         prog="workbench",

@@ -282,36 +282,61 @@ def generalized_corner_flag(ct: ColoredTree) -> bool:
 # -- stacked strata ----------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _stacked_subtrees(d: int, parent_unary: bool):
-    """Subtrees with d leaves that occur in some colored tree, as
-    (shape, stable) pairs in canonical order: root arity, composition,
-    child choices.
+# A leaf's item: stable, no vertex, no coloring.
+_LEAF = (None, True, 0, "(leaf %d)", ())
+
+
+def _stacked_items(d: int, stable=False):
+    """The subtrees with d leaves that occur in some colored tree, in
+    canonical order (root arity, composition, child choices), as items
+    (shape, stable, vertex count, plain template, coloring records).
+    With stable, only the stable subtrees, the children a unary vertex
+    can have: it must be colored, so everything below it is stable.
 
     A subtree may be stable (every vertex has arity >= 2, so it may sit
-    above the color line; a leaf counts as stable) or colorable (it has
-    a coloring of its own: at its root when all children are stable,
-    or, at arity >= 2, in every child).  A subtree with neither property
-    fits nowhere and is dropped as soon as it is built, so the cost
-    follows the faces of the multiplihedron rather than every planar
-    shape with arities >= 1.  A stable vertex is colorable at its root,
-    so every kept subtree other than a leaf is colorable.  A unary
-    vertex directly under a unary vertex is neither, and is never
-    built."""
-    out = []
-    kmin = 2 if parent_unary else 1
-    for k in range(kmin, d + 1):
+    above the color line) or colorable (at its root when all children
+    are stable, or, at arity >= 2, in every child).  A subtree with
+    neither property fits nowhere and is dropped as soon as it is
+    built, so the cost follows the faces of the multiplihedron rather
+    than every planar shape.  Children with fewer than d leaves come
+    from _stacked_subtrees; the child of a unary root is streamed, so no
+    item with d leaves is kept.
+
+    The records follow _colorings: root colored first, then the product
+    of the children's records.  A record is (colored template with v*
+    heads, colored paths as suffixes of 'r', |colored|, below), where
+    below is 0, 1 or 2 as the vertices strictly below the color line
+    are none, a chain, or split over two branches."""
+    for k in range(2 if stable else 1, d + 1):
         for comp in compositions(d, k):
-            options = []
-            for m in comp:
-                subs = [(None, True)] if m == 1 else []
-                subs.extend(_stacked_subtrees(m, k == 1))
-                options.append(subs)
-            for children in itertools.product(*options):
-                all_stable = all(stable for _, stable in children)
-                if all_stable or (k >= 2 and all(c is not None for c, _ in children)):
-                    out.append((tuple(c for c, _ in children), k >= 2 and all_stable))
-    return tuple(out)
+            if k == 1:
+                combos = zip(itertools.chain((_LEAF,) if d == 1 else (), _stacked_items(d, True)))
+            else:
+                options = [((_LEAF,) if m == 1 else ()) + _stacked_subtrees(m) for m in comp]
+                if stable:
+                    options = [[c for c in o if c[1]] for o in options]
+                combos = itertools.product(*options)
+            for children in combos:
+                all_stable = all([c[1] for c in children])
+                product = k >= 2 and all([c[0] is not None for c in children])
+                if not (all_stable or product):
+                    continue
+                heads = " ".join([c[3] for c in children])
+                records = [("(v* %s)" % heads, ("",), 1, 0)] if all_stable else []
+                for combo in itertools.product(*[c[4] for c in children]) if product else ():
+                    records.append(("(v %s)" % " ".join([r[0] for r in combo]),
+                                    tuple([".%d%s" % (i, s) for i, r in enumerate(combo)
+                                           for s in r[1]]),
+                                    sum([r[2] for r in combo]),
+                                    1 if sum([r[3] for r in combo]) <= 1 else 2))
+                yield (tuple([c[0] for c in children]), k >= 2 and all_stable,
+                       1 + sum([c[2] for c in children]), "(v %s)" % heads, tuple(records))
+
+
+@lru_cache(maxsize=None)
+def _stacked_subtrees(d: int):
+    """The items of _stacked_items(d), kept for reuse as children."""
+    return tuple(_stacked_items(d))
 
 
 def _stable(node) -> bool:
@@ -337,7 +362,24 @@ def stacked_shapes(d: int):
     """Shapes admitting at least one coloring, in canonical order."""
     if d < 1:
         raise ValueError("stacked strata need d >= 1")
-    return [shape for shape, _ in _stacked_subtrees(d, False)]
+    return [item[0] for item in _stacked_items(d)]
+
+
+def stacked_report_lines(d: int):
+    """(dim, report line) of every stacked stratum with d leaves, as
+    enumerate_stacked_strata and Stratum.report_line would give them
+    for any d + 1 labels, generated one at a time from the coloring
+    records: codim = |V| - |colored|, and the corner is generalized
+    exactly when the vertices below the color line split."""
+    if d < 1:
+        raise ValueError("stacked strata need d >= 1")
+    leaves = tuple(range(1, d + 1))
+    for _, _, vertices, _, records in _stacked_items(d):
+        for template, suffixes, colored, below in records:
+            codim = vertices - colored
+            yield d - 1 - codim, stratum_line(d - 1 - codim, codim, template % leaves, 0,
+                                              "{%s}" % ",".join(["r" + s for s in suffixes]),
+                                              below == 2)
 
 
 def stacked_strata_for_shape(labels, shape):

@@ -110,19 +110,14 @@ print(*sorted(m for m in sys.modules if m.startswith(("concurrent", "multiproces
 """
 
 
-def test_process_pool_is_imported_only_under_parallel():
+def test_enumeration_loads_no_process_pool():
+    # --parallel is accepted and has no effect: every enumeration verb streams serially.
     env = dict(os.environ, PYTHONPATH=str(Path(fukaya_workbench.__file__).parents[1]))
-
-    def pool_modules(verb, *flags):
-        argv = [sys.executable, "-c", _LOADED_POOL_MODULES, verb, "--d", "3", *flags]
-        res = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
-        return res.stderr.split()
-
-    assert pool_modules("stacked") == []
-    assert "concurrent.futures" in pool_modules("stacked", "--parallel")
-    # trees and strata fill templates faster than the pool could ship them.
-    assert pool_modules("trees", "--parallel") == []
-    assert pool_modules("strata", "--parallel") == []
+    for verb in ("trees", "strata", "stacked"):
+        for flags in ((), ("--parallel",)):
+            argv = [sys.executable, "-c", _LOADED_POOL_MODULES, verb, "--d", "3", *flags]
+            res = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+            assert res.stderr.split() == [], (verb, flags)
 
 
 STACKED_MACHINE_MD5 = {
@@ -131,6 +126,9 @@ STACKED_MACHINE_MD5 = {
     3: "86f9a189583074812123ecae24eb5a3e",
     4: "869854feff0dfbbb7e68e2b395fb8cc0",
     5: "6327943831c5a21cb133a3d23ce50440",
+    6: "66de401e57896f6961447dc871b4213a",
+    7: "4af247a24aea141e2faaf4f52bfed275",
+    8: "0638af255cff274ad56d750e22e8e221",
 }
 
 
@@ -139,6 +137,8 @@ def test_stacked_machine_bytes_pinned(capsys):
         code, out, _ = run(capsys, "stacked", "--d", str(d), "--format", "machine")
         assert code == 0
         assert hashlib.md5(out.encode()).hexdigest() == digest, d
+    assert out.endswith("f-vector=5814,21702,32413,24602,9910,1986,155,1\n"
+                        "euler=1\ncount=96583\n")
 
 
 # (machine, text) stdout md5s of the enumeration verbs.
@@ -182,6 +182,14 @@ def test_d_zero_reports_range_error(capsys):
         assert err == "error: %s\n" % message
 
 
+@pytest.mark.parametrize("verb", ["strata", "stacked"])
+def test_labels_and_d_together_are_a_usage_error(capsys, verb):
+    code, out, err = run(capsys, verb, "--labels", "(L0,L1,L2)", "--d", "5")
+    assert code == 2
+    assert out == ""
+    assert err == "error: give either --labels or --d, not both\n"
+
+
 def test_coloring_valid_file(tmp_path, capsys):
     f = tmp_path / "ok.tree"
     f.write_text("labels: L0,L1,L2,L3,L4,L5,L6\n"
@@ -219,6 +227,18 @@ def test_width_random_self_check(capsys, monkeypatch):
     code, out, _ = run(capsys, "width", "--random", "10")
     assert code == 0
     assert "seed: 123" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("width", "--random", "3"),
+    ("budget", "epsdelta", "--eps", "1/2", "--delta", "3/4", "--random", "3"),
+], ids=" ".join)
+def test_invalid_seed_is_named(capsys, monkeypatch, argv):
+    monkeypatch.setenv("WORKBENCH_SEED", "abc")
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: WORKBENCH_SEED must be an integer, got 'abc'\n"
 
 
 def test_width_stack(capsys):

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -12,10 +13,11 @@ from fukaya_workbench.strata import (ColoredTree, Glue, Surface, WidthProfile,
                                      enumerate_cluster_strata, enumerate_stacked_strata,
                                      f_vector, facet_term_bijection,
                                      generalized_corner_flag, intrinsic_width,
-                                     _colorings, stacked_gluing_lengths, stacked_shapes,
+                                     _colorings, _stacked_subtrees, stacked_gluing_lengths,
+                                     stacked_report_lines, stacked_shapes,
                                      stacked_strata_for_shape, validate_coloring,
                                      width_expr_from_text, width_expr_to_text)
-from fukaya_workbench.trees import enumerate_stable_trees, stable_templates
+from fukaya_workbench.trees import enumerate_stable_trees, sexpr_to_shape, stable_templates
 
 
 def labels_for(d):
@@ -284,6 +286,41 @@ def test_stacked_corner_flags():
     assert s.dim == 0
     assert len([s for s in enumerate_stacked_strata(labels_for(5))
                 if s.generalized_corner]) == 19
+    assert len([line for _, line in stacked_report_lines(5)
+                if line.endswith(" corner=generalized")]) == 19
+
+
+STACKED_LABEL_CASES = [labels_for(d) for d in range(1, 8)] + [
+    tuple("AABABBAA"[:d + 1]) for d in range(1, 8)] + [("L",) * (d + 1) for d in range(1, 8)]
+
+
+@pytest.mark.parametrize("labels", STACKED_LABEL_CASES, ids=",".join)
+def test_stacked_report_lines_match_strata(labels):
+    d = len(labels) - 1
+    pairs = list(stacked_report_lines(d))
+    assert pairs == [(s.dim, s.report_line()) for s in enumerate_stacked_strata(labels)]
+    if d > 6:
+        return
+    fields = [re.fullmatch(r"dim=(\d+) codim=(\d+) tree=(.*) broken=0 colored=\S*"
+                           r"( corner=generalized)?", line).groups() for _, line in pairs]
+    parsed = [sexpr_to_shape(tree) for _, _, tree, _ in fields]
+    assert set(parsed) == oracles.stacked_strata_oracle(d)
+    for (dim, _), (dim_text, codim, _, _), (shape, colored) in zip(pairs, fields, parsed):
+        assert dim == int(dim_text) == oracles.stacked_dim_oracle(shape, colored)
+        assert int(codim) == oracles.cone_dim_oracle(shape, colored)
+
+
+def test_stacked_report_lines_keep_no_subtree_with_d_leaves():
+    d = 6
+    _stacked_subtrees.cache_clear()
+    for _ in stacked_report_lines(d):
+        pass
+    # Every entry has fewer than d leaves: asking for them again misses nothing.
+    misses = _stacked_subtrees.cache_info().misses
+    for m in range(1, d):
+        _stacked_subtrees(m)
+    assert _stacked_subtrees.cache_info().misses == misses
+    assert _stacked_subtrees.cache_info().currsize == d - 1
 
 
 def test_stacked_shapes_validation():
