@@ -597,12 +597,13 @@ def ocha_specialization_report(s: OCHAStructure, max_open=4, max_closed=4) -> Sp
     rank = _rank(s.open_basis)
     mismatches = [t for t in _ainf_candidates(cat, max_open, lambda key: tuple(map(rank, key)))
                   if ainf_defect(cat, t) != ocha_defect(s, (), t)]
-    # Each multiset once, in the order of its first ordered appearance.
-    closed_defects = {}
-    for n in range(1, max_closed + 1):
-        for combo in itertools.combinations_with_replacement(s.closed_basis, n):
-            key = tuple(sorted(combo))
-            closed_defects[key] = linf_defect(s, key)
+    # Each multiset once, in the order of its first ordered appearance;
+    # only the check-linf candidates can have a nonzero defect.
+    closed_defects = {tuple(sorted(combo)): {} for n in range(1, max_closed + 1)
+                      for combo in itertools.combinations_with_replacement(s.closed_basis, n)}
+    for key in _linf_candidates(s, max_closed):
+        key = tuple(sorted(key))
+        closed_defects[key] = linf_defect(s, key)
     return SpecializationReport(not mismatches, tuple(mismatches), closed_defects)
 
 

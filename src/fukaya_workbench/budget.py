@@ -13,14 +13,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .novikov import ActionValue, _frac, action_sum
+from .novikov import ActionValue, _frac, _value_text, action_sum
 
 
-def _num(x) -> float:
+def _num(x, what) -> float:
     try:
-        return float(_frac(x)) if isinstance(x, str) else float(x)
+        return float(_frac(x, what)) if isinstance(x, str) else float(x)
     except OverflowError:
-        raise ValueError("%s does not fit in a float" % (x,)) from None
+        raise ValueError("%s %s does not fit in a float" % (what, _value_text(x))) from None
 
 
 def _eps(x, what="eps") -> Fraction:
@@ -125,7 +125,7 @@ def strip_end_bound(lo, hi, end: str, cutoffs) -> StripBound:
     The telescoped closed form is returned alongside for comparison."""
     if end not in ("entry", "exit"):
         raise ValueError("end must be 'entry' or 'exit', got %r" % end)
-    cuts = [_num(c) for c in cutoffs]
+    cuts = [_num(c, "a cutoff") for c in cutoffs]
     if len(cuts) < 2:
         raise ValueError("need at least two cutoff samples")
     if not all(math.isfinite(c) for c in cuts):
@@ -133,7 +133,7 @@ def strip_end_bound(lo, hi, end: str, cutoffs) -> StripBound:
     for a, b in zip(cuts, cuts[1:]):
         if b < a:
             raise ValueError("cutoff samples must be nondecreasing")
-    lo, hi = _num(lo), _num(hi)
+    lo, hi = _num(lo, "lo"), _num(hi, "hi")
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("the Hamiltonian range must be finite, got lo=%r hi=%r" % (lo, hi))
     const = -lo if end == "entry" else hi

@@ -159,14 +159,13 @@ def _tally(dims, pairs):
 # -- verbs -------------------------------------------------------------
 
 
-def cmd_reduce(args):
-    out = Out(args.format)
+def cmd_reduce(args, out):
     labels = _parse_labels(args.tuple)
     rt = reduce_tuple(labels)
     out.kv("input", "(%s)" % ",".join(labels))
     out.kv("reduced", rt.to_text())
     out.kv("d_R", rt.d_R)
-    if args.format == "machine":
+    if out.fmt == "machine":
         out.kv("m0_begin", rt.m0_begin)
         out.kv("m0_end", rt.m0_end)
     else:
@@ -176,26 +175,23 @@ def cmd_reduce(args):
     return 0
 
 
-def cmd_classify(args):
-    out = Out(args.format)
+def cmd_classify(args, out):
     labels = _parse_labels(args.tuple)
     out.kv("input", "(%s)" % ",".join(labels))
     out.kv("class", classify_tuple(labels))
     return 0
 
 
-def cmd_trees(args):
-    out = Out(args.format)
+def cmd_trees(args, out):
     leaves = tuple(range(1, args.d + 1))
     templates = stable_templates(args.d, 2 if args.binary else None)
     out.kv("count", out.items("tree", map(str.__mod__, templates, itertools.repeat(leaves))))
     return 0
 
 
-def _report_strata(args, pairs):
+def _report_strata(out, pairs):
     """Stream the (dim, report line) pairs as stratum items, then the
     f-vector, the Euler characteristic and the count."""
-    out = Out(args.format)
     dims = Counter()
     count = out.items("stratum", _tally(dims, pairs))
     counts = count_by_dim(dims)
@@ -205,20 +201,19 @@ def _report_strata(args, pairs):
     return 0
 
 
-def cmd_strata(args):
+def cmd_strata(args, out):
     labels = _labels_from_args(args)
     d = len(labels) - 1
     if d < 2:
         raise ValueError("cluster strata need d >= 2")
-    return _report_strata(args, cluster_report_lines(labels, stable_templates(d, spans=True)))
+    return _report_strata(out, cluster_report_lines(labels, stable_templates(d, spans=True)))
 
 
-def cmd_stacked(args):
-    return _report_strata(args, stacked_report_lines(len(_labels_from_args(args)) - 1))
+def cmd_stacked(args, out):
+    return _report_strata(out, stacked_report_lines(len(_labels_from_args(args)) - 1))
 
 
-def cmd_coloring(args):
-    out = Out(args.format)
+def cmd_coloring(args, out):
     tree, colored = tree_from_text(_read_source(args.file))
     ct = ColoredTree(tree, colored)
     report = validate_coloring(ct)
@@ -227,10 +222,10 @@ def cmd_coloring(args):
         out.kv("violation", report.violation)
         return 1
     for i, c in enumerate(report.constraints):
-        out.item("constraint.%d" % i, "constraint: %s" % c if args.format == "text" else c)
+        out.item("constraint.%d" % i, "constraint: %s" % c if out.fmt == "text" else c)
     for k, p in enumerate(tree.interior_edges, start=1):
         v = report.witness.lengths[p]
-        out.item("witness.e%d" % k, "len e%d = %s" % (k, v) if args.format == "text" else str(v))
+        out.item("witness.e%d" % k, "len e%d = %s" % (k, v) if out.fmt == "text" else str(v))
     out.kv("cone_dim", coloring_cone_dim(ct))
     out.kv("corner", "generalized" if generalized_corner_flag(ct) else "simplicial")
     return 0
@@ -294,9 +289,14 @@ def _epsdelta_trial(rng) -> bool:
     return eps_delta_budget(eps, delta).worst_case == 0
 
 
-def cmd_width(args):
+def cmd_width(args, out):
     _check_random(args)
-    out = Out(args.format)
+    modes = [name for name, value in (("a width expression", args.expr), ("--random", args.random),
+                                      ("--stack", args.stack)) if value is not None]
+    if len(modes) > 1:
+        raise ValueError("%s cannot be combined" % " and ".join(modes))
+    if args.stack is None and (args.child_widths is not None or args.root_widths is not None):
+        raise ValueError("--child-widths and --root-widths need --stack")
     if args.stack is not None:
         rho = _frac(args.stack, "--stack")
         child = ([_frac(x, "a child width") for x in args.child_widths.split(",")]
@@ -334,20 +334,19 @@ def _report_scan(out, verdict, hit, witness_keys=None, **bounds):
     return 1
 
 
-def cmd_check_ainf(args):
+def cmd_check_ainf(args, out):
     cat = load_category(_read_source(args.file))
     hit = find_ainf_violation(cat, args.max_d)
-    return _report_scan(Out(args.format), "ainf", hit, max_d=args.max_d)
+    return _report_scan(out, "ainf", hit, max_d=args.max_d)
 
 
-def cmd_check_linf(args):
+def cmd_check_linf(args, out):
     alg = load_linf(_read_source(args.file))
     hit = find_linf_violation(alg, args.max_n)
-    return _report_scan(Out(args.format), "linf", hit, max_n=args.max_n)
+    return _report_scan(out, "linf", hit, max_n=args.max_n)
 
 
-def cmd_check_ocha(args):
-    out = Out(args.format)
+def cmd_check_ocha(args, out):
     s = load_ocha(_read_source(args.file))
     hit = find_ocha_violation(s, args.max_closed, args.max_open)
     code = _report_scan(out, "ocha", hit, ("witness_closed", "witness_open"),
@@ -370,8 +369,7 @@ def _parse_units(values):
     return units
 
 
-def cmd_measure(args):
-    out = Out(args.format)
+def cmd_measure(args, out):
     cat = load_category(_read_source(args.file))
     rep = measure_discrepancies(cat, _parse_units(args.unit))
     for d in sorted(rep.raw):
@@ -384,8 +382,7 @@ def cmd_measure(args):
     return 0
 
 
-def cmd_unit(args):
-    out = Out(args.format)
+def cmd_unit(args, out):
     cat = load_category(_read_source(args.file))
     rep = check_strict_unit(cat, args.object, args.unit)
     if rep.ok:
@@ -400,8 +397,7 @@ def cmd_unit(args):
     return 1
 
 
-def cmd_functor(args):
-    out = Out(args.format)
+def cmd_functor(args, out):
     source_text = _read_source(args.source)
     source = load_category(source_text)
     # The same text needs no second load; the functor only reads both.
@@ -431,61 +427,67 @@ def _each(convert, texts, rule):
     return out
 
 
-def cmd_budget(args):
-    out = Out(args.format)
-    which = args.which
-    if which == "vertex":
-        val = vertex_curvature_budget(args.d, args.eps, args.case, args.convention)
-        out.kv("budget", val)
-        return 0
-    if which == "epsdelta":
-        _check_random(args)
-        rep = eps_delta_budget(args.eps, args.delta)
-        out.kv("worst_case", rep.worst_case)
-        out.kv("interior_cap", rep.interior_cap)
-        if args.random is not None:
-            return _self_check(out, args.random, _epsdelta_trial)
-        return 0
-    if which == "window":
-        delta = _frac(args.delta, "--delta") if args.delta is not None else None
-        rep = validate_floer_window(_frac(args.lo, "--lo"), _frac(args.hi, "--hi"),
-                                    _frac(args.eps, "--eps"), delta)
-        out.kv("window", "(%s, %s)" % (rep.lower, rep.upper))
-        out.kv("ok", "yes" if rep.ok else "no")
-        if not rep.ok:
-            out.kv("reason", rep.reason)
-            return 1
-        return 0
-    if which == "strip":
-        cutoffs = _each(float, args.cutoffs.split(","), "a --cutoffs entry must be a number")
-        rep = strip_end_bound(_frac(args.lo, "--lo"), _frac(args.hi, "--hi"), args.end, cutoffs)
-        out.kv("bound", _fmt_float(rep.bound))
-        out.kv("closed_form", _fmt_float(rep.closed_form))
-        out.kv("quadrature_error", _fmt_float(rep.quadrature_error))
-        return 0
-    if which == "energy":
-        inputs = [ActionValue.from_text(x) for x in args.inputs.split(",")]
-        output = ActionValue.from_text(args.output)
-        rep = energy_action_check(inputs, output, _frac(args.curvature, "--curvature"))
-        out.kv("bound", rep.bound.to_text())
-        out.kv("output", rep.output.to_text())
-        out.kv("ok", "yes" if rep.ok else "no")
-        return 0 if rep.ok else 1
-    if which == "continuation":
-        rep = continuation_shift(args.eps1, args.delta1, args.eps2, args.delta2, args.d)
-        out.kv("per_d", rep.per_d)
-        out.kv("overall", rep.overall)
-        out.kv("theorem_bound", rep.theorem_bound)
-        out.kv("filtered", "yes" if rep.filtered else "no")
-        return 0
-    if which == "thin":
-        out.kv("thin_parts", thin_part_count(args.d, args.case))
-        return 0
-    raise ValueError("unknown budget subcommand %r" % which)
+def cmd_budget_vertex(args, out):
+    out.kv("budget", vertex_curvature_budget(args.d, args.eps, args.case, args.convention))
+    return 0
 
 
-def cmd_dim(args):
-    out = Out(args.format)
+def cmd_budget_epsdelta(args, out):
+    _check_random(args)
+    rep = eps_delta_budget(args.eps, args.delta)
+    out.kv("worst_case", rep.worst_case)
+    out.kv("interior_cap", rep.interior_cap)
+    if args.random is not None:
+        return _self_check(out, args.random, _epsdelta_trial)
+    return 0
+
+
+def cmd_budget_window(args, out):
+    delta = _frac(args.delta, "--delta") if args.delta is not None else None
+    rep = validate_floer_window(_frac(args.lo, "--lo"), _frac(args.hi, "--hi"),
+                                _frac(args.eps, "--eps"), delta)
+    out.kv("window", "(%s, %s)" % (rep.lower, rep.upper))
+    out.kv("ok", "yes" if rep.ok else "no")
+    if not rep.ok:
+        out.kv("reason", rep.reason)
+        return 1
+    return 0
+
+
+def cmd_budget_strip(args, out):
+    cutoffs = _each(float, args.cutoffs.split(","), "a --cutoffs entry must be a number")
+    rep = strip_end_bound(_frac(args.lo, "--lo"), _frac(args.hi, "--hi"), args.end, cutoffs)
+    out.kv("bound", _fmt_float(rep.bound))
+    out.kv("closed_form", _fmt_float(rep.closed_form))
+    out.kv("quadrature_error", _fmt_float(rep.quadrature_error))
+    return 0
+
+
+def cmd_budget_energy(args, out):
+    inputs = [ActionValue.from_text(x) for x in args.inputs.split(",")]
+    output = ActionValue.from_text(args.output)
+    rep = energy_action_check(inputs, output, _frac(args.curvature, "--curvature"))
+    out.kv("bound", rep.bound.to_text())
+    out.kv("output", rep.output.to_text())
+    out.kv("ok", "yes" if rep.ok else "no")
+    return 0 if rep.ok else 1
+
+
+def cmd_budget_continuation(args, out):
+    rep = continuation_shift(args.eps1, args.delta1, args.eps2, args.delta2, args.d)
+    out.kv("per_d", rep.per_d)
+    out.kv("overall", rep.overall)
+    out.kv("theorem_bound", rep.theorem_bound)
+    out.kv("filtered", "yes" if rep.filtered else "no")
+    return 0
+
+
+def cmd_budget_thin(args, out):
+    out.kv("thin_parts", thin_part_count(args.d, args.case))
+    return 0
+
+
+def cmd_dim(args, out):
     morse = None
     if args.morse is not None:
         morse = tuple(_each(int, [x for x in args.morse.split(",") if x.strip() != ""],
@@ -512,10 +514,6 @@ def build_parser() -> argparse.ArgumentParser:
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=("text", "machine"), default="text",
                      help="output style (default text)")
-    par = argparse.ArgumentParser(add_help=False)
-    par.add_argument("--parallel", action="store_true",
-                     help="accepted for compatibility; has no effect, every "
-                     "enumeration verb streams serially")
 
     p = argparse.ArgumentParser(
         prog="workbench",
@@ -531,17 +529,17 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("tuple")
     s.set_defaults(func=cmd_classify)
 
-    s = sub.add_parser("trees", parents=[fmt, par], help="enumerate stable shapes")
+    s = sub.add_parser("trees", parents=[fmt], help="enumerate stable shapes")
     s.add_argument("--d", type=int, required=True)
     s.add_argument("--binary", action="store_true", help="only binary shapes")
     s.set_defaults(func=cmd_trees)
 
-    s = sub.add_parser("strata", parents=[fmt, par], help="cluster strata report")
+    s = sub.add_parser("strata", parents=[fmt], help="cluster strata report")
     s.add_argument("--labels")
     s.add_argument("--d", type=int, help="shorthand for distinct labels L0..Ld")
     s.set_defaults(func=cmd_strata)
 
-    s = sub.add_parser("stacked", parents=[fmt, par], help="stacked strata report")
+    s = sub.add_parser("stacked", parents=[fmt], help="stacked strata report")
     s.add_argument("--labels")
     s.add_argument("--d", type=int)
     s.set_defaults(func=cmd_stacked)
@@ -554,8 +552,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("expr", nargs="?", help="expression like '(glue (surface 2) 1 (surface 2) 3/10)'")
     s.add_argument("--random", type=int, metavar="N", help="self-check N random expressions")
     s.add_argument("--stack", metavar="RHO", help="stacking parameter in (-1,0)")
-    s.add_argument("--child-widths", default="", help="comma list of widths at the colored vertices")
-    s.add_argument("--root-widths", default="", help="comma list of root surface widths")
+    s.add_argument("--child-widths", help="comma list of widths at the colored vertices")
+    s.add_argument("--root-widths", help="comma list of root surface widths")
     s.set_defaults(func=cmd_width)
 
     s = sub.add_parser("check-ainf", parents=[fmt], help="scan a category for relation violations")
@@ -603,33 +601,33 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--eps", required=True)
     w.add_argument("--case", choices=("open", "closed"), default="open")
     w.add_argument("--convention", choices=("main", "draft"), default="main")
-    w.set_defaults(func=cmd_budget)
+    w.set_defaults(func=cmd_budget_vertex)
 
     w = which.add_parser("epsdelta", parents=[fmt])
     w.add_argument("--eps", required=True)
     w.add_argument("--delta", required=True)
     w.add_argument("--random", type=int, metavar="N")
-    w.set_defaults(func=cmd_budget)
+    w.set_defaults(func=cmd_budget_epsdelta)
 
     w = which.add_parser("window", parents=[fmt])
     w.add_argument("--lo", required=True)
     w.add_argument("--hi", required=True)
     w.add_argument("--eps", required=True)
     w.add_argument("--delta")
-    w.set_defaults(func=cmd_budget)
+    w.set_defaults(func=cmd_budget_window)
 
     w = which.add_parser("strip", parents=[fmt])
     w.add_argument("--lo", required=True)
     w.add_argument("--hi", required=True)
     w.add_argument("--end", choices=("entry", "exit"), required=True)
     w.add_argument("--cutoffs", required=True, help="comma list of monotone samples")
-    w.set_defaults(func=cmd_budget)
+    w.set_defaults(func=cmd_budget_strip)
 
     w = which.add_parser("energy", parents=[fmt])
     w.add_argument("--inputs", required=True, help="comma list of actions, -inf allowed")
     w.add_argument("--output", required=True)
     w.add_argument("--curvature", default="0")
-    w.set_defaults(func=cmd_budget)
+    w.set_defaults(func=cmd_budget_energy)
 
     w = which.add_parser("continuation", parents=[fmt])
     w.add_argument("--eps1", required=True)
@@ -637,12 +635,12 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--eps2", required=True)
     w.add_argument("--delta2", required=True)
     w.add_argument("--d", type=int, required=True)
-    w.set_defaults(func=cmd_budget)
+    w.set_defaults(func=cmd_budget_continuation)
 
     w = which.add_parser("thin", parents=[fmt])
     w.add_argument("--d", type=int, required=True)
     w.add_argument("--case", choices=("open", "closed"), default="open")
-    w.set_defaults(func=cmd_budget)
+    w.set_defaults(func=cmd_budget_thin)
 
     s = sub.add_parser("dim", parents=[fmt], help="virtual dimension formulas")
     s.add_argument("--case", required=True)
@@ -660,10 +658,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, Out(args.format))
     except (ValueError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2

@@ -139,8 +139,13 @@ def test_strip_end_rejects_non_finite_range():
                 strip_end_bound(bad, 1, end, [0, 1])
             with pytest.raises(ValueError, match="must be finite"):
                 strip_end_bound(0, bad, end, [0, 1])
-    with pytest.raises(ValueError, match="does not fit in a float"):
-        strip_end_bound(Fraction(10) ** 400, 1, "entry", [0, 1])
+    # an overflowing value is named and shown in a bounded form
+    for lo, hi, cutoffs, value in ((Fraction(10) ** 400, 1, [0, 1], "lo 1e+400"),
+                                   (0, -Fraction(10) ** 400, [0, 1], "hi -1e+400"),
+                                   (0, 1, ["0", "1e400"], "a cutoff 1e400")):
+        with pytest.raises(ValueError, match="does not fit in a float") as exc:
+            strip_end_bound(lo, hi, "entry", cutoffs)
+        assert str(exc.value) == value + " does not fit in a float"
 
 
 def test_energy_action_check():

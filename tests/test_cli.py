@@ -88,17 +88,12 @@ def test_stacked_machine(capsys):
     )
 
 
-@pytest.mark.parametrize("argv", [
-    ("trees", "--d", "5"),
-    ("trees", "--d", "6", "--binary"),
-    ("strata", "--d", "5"),
-    ("strata", "--labels", "(A,A,B,A,B,B)"),
-    ("stacked", "--d", "4"),
-], ids=" ".join)
-def test_parallel_matches_serial(capsys, argv):
-    _, serial, _ = run(capsys, *argv)
-    _, parallel, _ = run(capsys, *argv, "--parallel")
-    assert serial == parallel
+@pytest.mark.parametrize("verb", ["trees", "strata", "stacked"])
+def test_parallel_is_no_option(capsys, verb):
+    with pytest.raises(SystemExit) as exc:
+        main([verb, "--d", "3", "--parallel"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 _LOADED_POOL_MODULES = """
@@ -111,13 +106,12 @@ print(*sorted(m for m in sys.modules if m.startswith(("concurrent", "multiproces
 
 
 def test_enumeration_loads_no_process_pool():
-    # --parallel is accepted and has no effect: every enumeration verb streams serially.
+    # Every enumeration verb streams serially.
     env = dict(os.environ, PYTHONPATH=str(Path(fukaya_workbench.__file__).parents[1]))
     for verb in ("trees", "strata", "stacked"):
-        for flags in ((), ("--parallel",)):
-            argv = [sys.executable, "-c", _LOADED_POOL_MODULES, verb, "--d", "3", *flags]
-            res = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
-            assert res.stderr.split() == [], (verb, flags)
+        argv = [sys.executable, "-c", _LOADED_POOL_MODULES, verb, "--d", "3"]
+        res = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+        assert res.stderr.split() == [], verb
 
 
 STACKED_MACHINE_MD5 = {
@@ -252,6 +246,24 @@ def test_width_usage_error(capsys):
     code, _, err = run(capsys, "width")
     assert code == 2
     assert "error:" in err
+
+
+WIDTH_MIXES = [
+    (("(surface 2)", "--stack=-0.5"), "a width expression and --stack cannot be combined"),
+    (("(surface 2)", "--random", "3"), "a width expression and --random cannot be combined"),
+    (("--stack=-0.5", "--random", "3"), "--random and --stack cannot be combined"),
+    (("(surface 2)", "--random", "3", "--stack=-0.5"),
+     "a width expression and --random and --stack cannot be combined"),
+    (("--random", "3", "--child-widths", "1"), "--child-widths and --root-widths need --stack"),
+    (("(surface 2)", "--root-widths", "0"), "--child-widths and --root-widths need --stack"),
+    (("--child-widths", ""), "--child-widths and --root-widths need --stack"),
+]
+
+
+@pytest.mark.parametrize("argv, message", WIDTH_MIXES,
+                         ids=[" ".join(argv) for argv, _ in WIDTH_MIXES])
+def test_width_runs_one_mode(capsys, argv, message):
+    assert run(capsys, "width", *argv) == (2, "", "error: %s\n" % message)
 
 
 # Scan verbs: exact stdout in both formats, on passing and failing inputs.
@@ -444,6 +456,14 @@ def test_random_self_checks_that_check_nothing_are_rejected(capsys):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith("error: --random must be at least 1, got "), argv
+
+
+def test_budget_strip_overflow_names_the_value(capsys):
+    code, out, err = run(capsys, "budget", "strip", "--lo", "0", "--hi", "1e400",
+                         "--end", "exit", "--cutoffs", "0,1")
+    assert (code, out) == (2, "")
+    assert err == "error: hi 1e+400 does not fit in a float\n"
+    assert len(err) < 120
 
 
 def test_budget_window_failure_exit(capsys):

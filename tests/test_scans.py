@@ -17,7 +17,7 @@ from fukaya_workbench.ainfinity import (AInfFunctor, FilteredAInfCategory, LInfi
                                         OCHAStructure, _ainf_candidates, _functor_candidates,
                                         _linf_candidates, _ocha_candidates, find_ainf_violation,
                                         find_functor_violation, find_linf_violation,
-                                        find_ocha_violation, load_category,
+                                        find_ocha_violation, load_category, load_ocha,
                                         ocha_specialization_report)
 from fukaya_workbench.cli import _read_source
 
@@ -355,3 +355,18 @@ def test_specialization_report_matches_dense_version(s, max_open, max_closed, bl
         dense = oracles.ocha_specialization_oracle(s, max_open, max_closed)
     assert report == dense
     assert list(report.closed_sector_defects) == list(dense.closed_sector_defects)
+
+
+def test_specialization_report_evaluates_only_linf_candidates(monkeypatch):
+    """Without brackets no multiset has a nonzero defect, so the closed
+    sector calls linf_defect on none of the 454 multisets of size <= 12."""
+    evaluated = []
+    monkeypatch.setattr(ainfinity, "linf_defect", lambda *args: evaluated.append(args) or {})
+    s = load_ocha("closed x\nclosed y\nclosed z\nopen a\n")
+    report = ocha_specialization_report(s, 1, 12)
+    assert evaluated == []
+    assert len(report.closed_sector_defects) == 454 and report.closed_sector_consistent
+    s = load_ocha("closed x\nclosed y\nopen a\nl 2 in=x,y out=x coeff=T^0\n")
+    ocha_specialization_report(s, 1, 5)
+    # l(l(x,y),y) = l(x,y) is the one insertion; l(x,x) is absent.
+    assert [key for _, key in evaluated] == [("x", "y", "y")]
