@@ -158,13 +158,13 @@ def _block_insertions(total, inputs, inner, outer):
                         _add_term(total, h, nov_mul(c, c2))
 
 
-def _subset_insertions(total, inputs, sizes, inner, outer):
+def _subset_insertions(total, inputs, inner, outer):
     """Add to total every single insertion outer((inner(v_S),) + v_rest)
-    over the index-ordered subsets S of the inputs with a size in sizes,
-    so that each unordered split counts once; inner and outer look up
-    entries by input tuple."""
+    over the nonempty index-ordered subsets S of the inputs, so that each
+    unordered split counts once; inner and outer look up entries by input
+    tuple."""
     n = len(inputs)
-    for m in sizes:
+    for m in range(1, n + 1):
         for S in itertools.combinations(range(n), m):
             entry = inner(tuple(inputs[i] for i in S))
             if not entry:
@@ -419,7 +419,7 @@ def linf_defect(alg: LInfinityAlgebra, inputs) -> dict:
     if n < 1:
         raise ValueError("defect needs at least one input")
     total = {}
-    _subset_insertions(total, inputs, range(1, n + 1), alg.l_entry, alg.l_entry)
+    _subset_insertions(total, inputs, alg.l_entry, alg.l_entry)
     return total
 
 
@@ -491,8 +491,7 @@ def ocha_defect(s: OCHAStructure, closed_inputs, open_inputs) -> dict:
     k = len(closed)
     d = len(opens)
     total = {}
-    _subset_insertions(total, closed, range(k, 0, -1), s.l_entry,
-                       lambda key: s.mu_entry(key, opens))
+    _subset_insertions(total, closed, s.l_entry, lambda key: s.mu_entry(key, opens))
     # Its own loop: ocha_specialization_report checks it against ainf_defect.
     for m in range(0, k + 1):
         for S in itertools.combinations(range(k), m):

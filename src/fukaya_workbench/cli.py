@@ -202,11 +202,7 @@ def _report_strata(out, pairs):
 
 
 def cmd_strata(args, out):
-    labels = _labels_from_args(args)
-    d = len(labels) - 1
-    if d < 2:
-        raise ValueError("cluster strata need d >= 2")
-    return _report_strata(out, cluster_report_lines(labels, stable_templates(d, spans=True)))
+    return _report_strata(out, cluster_report_lines(_labels_from_args(args)))
 
 
 def cmd_stacked(args, out):

@@ -19,26 +19,39 @@ from fractions import Fraction
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
+def _preview(x) -> str:
+    """repr(x), with a text cut after 40 characters."""
+    return repr(x[:40]) + "..." if type(x) is str and len(x) > 40 else repr(x)
+
+
 def _frac(x, what="a Novikov exponent") -> Fraction:
     """Coerce ints, strings like '3/4', and Fractions. Floats are rejected
-    to keep exponents exact; what names the value in the error.  A written
-    exponent past the int-to-text digit limit is rejected, since Fraction
-    would expand it digit by digit and the value could not be printed."""
+    to keep exponents exact; what names the value in the error.  A text
+    whose value has more digits than the int-to-text limit allows is
+    rejected, since the value could not be printed; only a text with an
+    exponent or longer than the limit can have one."""
     if type(x) is Fraction:
         return x
+    big = False
     if type(x) is str:
-        if ("e" in x or "E" in x) and (m := _EXPONENT.search(x)):
-            limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-            if abs(int(m.group(1))) > limit:
-                raise ValueError("%s has an exponent beyond %d: %r" % (what, limit, x))
+        limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+        m = ("e" in x or "E" in x) and _EXPONENT.search(x)
+        if m and len(m.group(1)) <= limit and abs(int(m.group(1))) > limit:
+            raise ValueError("%s has an exponent beyond %d: %s" % (what, limit, _preview(x)))
+        big = bool(m) or len(x) > limit
     elif isinstance(x, float):
         raise ValueError("%s must be an exact rational, got float %r" % (what, x))
     try:
-        return Fraction(x)
+        value = Fraction(x)
     except ZeroDivisionError:
-        raise ValueError("%s has a zero denominator: %r" % (what, x)) from None
+        raise ValueError("%s has a zero denominator: %s" % (what, _preview(x))) from None
     except ValueError:
-        raise ValueError("%s must be a rational number, got %r" % (what, x)) from None
+        if big and sum(c.isdigit() for c in x) > limit:
+            raise ValueError("%s has more than %d digits: %s" % (what, limit, _preview(x))) from None
+        raise ValueError("%s must be a rational number, got %s" % (what, _preview(x))) from None
+    if big and max(abs(value.numerator), value.denominator) >= 10 ** limit:
+        raise ValueError("%s has more than %d digits: %s" % (what, limit, _preview(x)))
+    return value
 
 
 def _frac_memo(text: str, memo: dict) -> Fraction:
@@ -180,7 +193,7 @@ def nov_from_text(text: str, memo=None) -> NovikovElement:
                 bodies.append(None)  # T^0
                 continue
             if not term.startswith("T^"):
-                raise ValueError("bad Novikov term %r in %r" % (term, text))
+                raise ValueError("bad Novikov term %s in %s" % (_preview(term), _preview(text)))
             body = term[2:].strip()
             if body.startswith("{") and body.endswith("}"):
                 body = body[1:-1].strip()
@@ -190,7 +203,7 @@ def nov_from_text(text: str, memo=None) -> NovikovElement:
         try:
             e = Fraction(0) if body is None else _frac_memo(body, memo)
         except ValueError as err:
-            raise ValueError("bad Novikov exponent in %r: %s" % (text, err)) from None
+            raise ValueError("bad Novikov exponent in %s: %s" % (_preview(text), err)) from None
         # Z2: a repeated exponent cancels in pairs.
         exps ^= {e}
     el = memo[key] = NovikovElement._of(frozenset(exps))

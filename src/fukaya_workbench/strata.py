@@ -26,6 +26,7 @@ from .trees import (
     compositions,
     enumerate_stable_trees,
     shape_to_sexpr,
+    stable_templates,
 )
 
 
@@ -77,16 +78,18 @@ def cluster_strata_for_shape(labels, shape):
     return out
 
 
-def cluster_report_lines(labels, items):
-    """(dim, report line) of every cluster stratum of the shapes given as
-    stable_templates(d, spans=True) items, as cluster_strata_for_shape
-    and Stratum.report_line would give them, without building a tree:
-    an interior edge with leaf span (a, b) is unilabelled exactly when
-    labels[a - 1] == labels[b]."""
+def cluster_report_lines(labels):
+    """(dim, report line) of every cluster stratum, as
+    enumerate_cluster_strata and Stratum.report_line would give them,
+    generated one at a time from stable_templates(d, spans=True) without
+    building a tree: an interior edge with leaf span (a, b) is
+    unilabelled exactly when labels[a - 1] == labels[b]."""
     labels = tuple(labels)
     d = len(labels) - 1
+    if d < 2:
+        raise ValueError("cluster strata need d >= 2")
     leaves = tuple(range(1, d + 1))
-    for template, spans in items:
+    for template, spans in stable_templates(d, spans=True):
         tree = template % leaves
         uni = sum([labels[a - 1] == labels[b] for a, b in spans])
         floer = len(spans) - uni
@@ -286,49 +289,49 @@ def generalized_corner_flag(ct: ColoredTree) -> bool:
 _LEAF = (None, True, 0, "(leaf %d)", ())
 
 
-def _stacked_items(d: int, stable=False):
+def _stacked_items(d: int):
     """The subtrees with d leaves that occur in some colored tree, in
     canonical order (root arity, composition, child choices), as items
     (shape, stable, vertex count, plain template, coloring records).
-    With stable, only the stable subtrees, the children a unary vertex
-    can have: it must be colored, so everything below it is stable.
 
     A subtree may be stable (every vertex has arity >= 2, so it may sit
     above the color line) or colorable (at its root when all children
     are stable, or, at arity >= 2, in every child).  A subtree with
     neither property fits nowhere and is dropped as soon as it is
     built, so the cost follows the faces of the multiplihedron rather
-    than every planar shape.  Children with fewer than d leaves come
-    from _stacked_subtrees; the child of a unary root is streamed, so no
-    item with d leaves is kept.
+    than every planar shape.  A unary root must be colored, so its
+    child is a leaf or a stable tree, streamed from the stable
+    templates of trees; the other children with fewer than d leaves
+    come from _stacked_subtrees, so no item with d leaves is kept.
 
     The records follow _colorings: root colored first, then the product
     of the children's records.  A record is (colored template with v*
-    heads, colored paths as suffixes of 'r', |colored|, below), where
-    below is 0, 1 or 2 as the vertices strictly below the color line
-    are none, a chain, or split over two branches."""
-    for k in range(2 if stable else 1, d + 1):
+    heads, colored paths as suffixes of 'r', below), where below is 0,
+    1 or 2 as the vertices strictly below the color line are none, a
+    chain, or split over two branches."""
+    for k in range(1, d + 1):
         for comp in compositions(d, k):
             if k == 1:
-                combos = zip(itertools.chain((_LEAF,) if d == 1 else (), _stacked_items(d, True)))
+                combos = zip((_LEAF,) if d == 1 else (
+                    (shape, True, len(spans) + 1, template, ())
+                    for shape, (template, spans) in zip(enumerate_stable_trees(d),
+                                                        stable_templates(d, spans=True),
+                                                        strict=True)))
             else:
-                options = [((_LEAF,) if m == 1 else ()) + _stacked_subtrees(m) for m in comp]
-                if stable:
-                    options = [[c for c in o if c[1]] for o in options]
-                combos = itertools.product(*options)
+                combos = itertools.product(
+                    *[((_LEAF,) if m == 1 else ()) + _stacked_subtrees(m) for m in comp])
             for children in combos:
                 all_stable = all([c[1] for c in children])
                 product = k >= 2 and all([c[0] is not None for c in children])
                 if not (all_stable or product):
                     continue
                 heads = " ".join([c[3] for c in children])
-                records = [("(v* %s)" % heads, ("",), 1, 0)] if all_stable else []
+                records = [("(v* %s)" % heads, ("",), 0)] if all_stable else []
                 for combo in itertools.product(*[c[4] for c in children]) if product else ():
                     records.append(("(v %s)" % " ".join([r[0] for r in combo]),
                                     tuple([".%d%s" % (i, s) for i, r in enumerate(combo)
                                            for s in r[1]]),
-                                    sum([r[2] for r in combo]),
-                                    1 if sum([r[3] for r in combo]) <= 1 else 2))
+                                    1 if sum([r[2] for r in combo]) <= 1 else 2))
                 yield (tuple([c[0] for c in children]), k >= 2 and all_stable,
                        1 + sum([c[2] for c in children]), "(v %s)" % heads, tuple(records))
 
@@ -375,8 +378,8 @@ def stacked_report_lines(d: int):
         raise ValueError("stacked strata need d >= 1")
     leaves = tuple(range(1, d + 1))
     for _, _, vertices, _, records in _stacked_items(d):
-        for template, suffixes, colored, below in records:
-            codim = vertices - colored
+        for template, suffixes, below in records:
+            codim = vertices - len(suffixes)
             yield d - 1 - codim, stratum_line(d - 1 - codim, codim, template % leaves, 0,
                                               "{%s}" % ",".join(["r" + s for s in suffixes]),
                                               below == 2)
@@ -460,7 +463,7 @@ def intrinsic_width(expr) -> WidthProfile:
         inner = intrinsic_width(expr.inner)
         if not 1 <= expr.n <= outer.d:
             raise ValueError("glue slot %d out of range 1..%d" % (expr.n, outer.d))
-        rho = Fraction(expr.length)
+        rho = _frac(expr.length, "a neck length")
         if rho < 0:
             raise ValueError("neck length must be nonnegative, got %s" % rho)
         n = expr.n
@@ -482,7 +485,7 @@ def width_expr_to_text(expr) -> str:
             width_expr_to_text(expr.outer),
             expr.n,
             width_expr_to_text(expr.inner),
-            Fraction(expr.length),
+            _frac(expr.length, "a neck length"),
         )
     raise ValueError("not a width expression: %r" % (expr,))
 

@@ -578,6 +578,24 @@ def test_load_category_names_the_line(text, message):
         load_category(text)
 
 
+# Each value has more than 4300 digits, the int-to-text limit, so it could
+# be read but never printed.
+@pytest.mark.parametrize("value", ["1e4300", "12e4299", "1e-4300", "9" * 4301],
+                         ids=["1e4300", "12e4299", "1e-4300", "4301 nines"])
+@pytest.mark.parametrize("line", ["gen M M b level=%s ham=0", "mu 1 M M in=a out=a coeff=T^%s"],
+                         ids=["level", "coeff"])
+def test_load_category_rejects_values_past_the_digit_limit(line, value):
+    with pytest.raises(ValueError, match="line 3: .*has more than 4300 digits") as info:
+        load_category(HEAD + line % value + "\n")
+    assert len(str(info.value)) < 200
+
+
+def test_load_category_keeps_values_at_the_digit_limit():
+    cat = load_category(HEAD + "gen M M b level=1e4299 ham=0\nmu 1 M M in=a out=a coeff=T^1e-4299\n")
+    assert cat.gens["b"].level == 10 ** 4299
+    assert "T^1/1%s" % ("0" * 4299) in dump_category(cat)
+
+
 def test_loaders_name_the_line_in_every_format():
     with pytest.raises(ValueError, match="line 2: closed line 'closed' is too short"):
         load_ocha("open o\nclosed\n")

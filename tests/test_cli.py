@@ -402,6 +402,15 @@ def test_measure(capsys):
     assert out == "raw.2: 1/2\neps.2: 1/2\nfiltered: no\n"
 
 
+def test_measure_rejects_a_value_it_could_not_print(tmp_path, capsys):
+    f = tmp_path / "big.cat"
+    f.write_text("object M\ngen M M a level=0 ham=0\nmu 1 M M in=a out=a coeff=T^1e-4300\n")
+    code, out, err = run(capsys, "measure", str(f))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: line 3: ") and "has more than 4300 digits" in err
+    assert len(err.splitlines()) == 1 and len(err) < 120
+
+
 def test_measure_with_unit(capsys):
     code, out, _ = run(capsys, "measure", "bundled:exterior", "--unit", "M:e")
     assert code == 0

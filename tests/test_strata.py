@@ -17,7 +17,7 @@ from fukaya_workbench.strata import (ColoredTree, Glue, Surface, WidthProfile,
                                      stacked_report_lines, stacked_shapes,
                                      stacked_strata_for_shape, validate_coloring,
                                      width_expr_from_text, width_expr_to_text)
-from fukaya_workbench.trees import enumerate_stable_trees, sexpr_to_shape, stable_templates
+from fukaya_workbench.trees import enumerate_stable_trees, sexpr_to_shape
 
 
 def labels_for(d):
@@ -77,6 +77,8 @@ def test_cluster_constant_labels():
 def test_cluster_errors():
     with pytest.raises(ValueError):
         enumerate_cluster_strata(("A", "B"))
+    with pytest.raises(ValueError, match="cluster strata need d >= 2"):
+        list(cluster_report_lines(("A", "B")))
 
 
 def test_cluster_strata_for_shape_matches_enumeration():
@@ -121,8 +123,7 @@ LABEL_CASES = [labels_for(d) for d in range(2, 8)] + [
 
 @pytest.mark.parametrize("labels", LABEL_CASES, ids=",".join)
 def test_cluster_report_lines_match_strata(labels):
-    items = stable_templates(len(labels) - 1, spans=True)
-    assert list(cluster_report_lines(labels, items)) == oracle_lines(labels)
+    assert list(cluster_report_lines(labels)) == oracle_lines(labels)
 
 
 @pytest.mark.parametrize("fmt", ["text", "machine"])
@@ -382,6 +383,21 @@ def test_width_errors():
         intrinsic_width(Glue(Surface(2), 1, Surface(2), Fraction(-1)))
     with pytest.raises(ValueError):
         intrinsic_width("nope")
+
+
+@pytest.mark.parametrize("length", [0.1, math.inf, math.nan])
+def test_width_neck_length_must_be_exact(length):
+    expr = Glue(Surface(2), 1, Surface(2), length)
+    with pytest.raises(ValueError, match="a neck length must be an exact rational"):
+        intrinsic_width(expr)
+    with pytest.raises(ValueError, match="a neck length must be an exact rational"):
+        width_expr_to_text(expr)
+
+
+def test_width_neck_length_int_is_a_fraction():
+    assert intrinsic_width(Glue(Surface(2), 1, Surface(2), 2)) == intrinsic_width(
+        Glue(Surface(2), 1, Surface(2), Fraction(2)))
+    assert width_expr_to_text(Glue(Surface(2), 1, Surface(2), 2)) == "(glue (surface 2) 1 (surface 2) 2)"
 
 
 @pytest.mark.parametrize("expr, message", [
