@@ -81,14 +81,28 @@ from .ainfinity import (
     ocha_defect,
     ocha_specialization_report,
 )
-from .budget import (
-    IndexInput,
-    continuation_shift,
-    energy_action_check,
-    eps_delta_budget,
-    strip_end_bound,
-    thin_part_count,
-    validate_floer_window,
-    vertex_curvature_budget,
-    virtual_dimension,
-)
+# budget's names load on first use (PEP 562): its dataclasses import
+# dataclasses and inspect, which the CLI's other verbs never need.
+_BUDGET_NAMES = frozenset({
+    "IndexInput",
+    "continuation_shift",
+    "energy_action_check",
+    "eps_delta_budget",
+    "strip_end_bound",
+    "thin_part_count",
+    "validate_floer_window",
+    "vertex_curvature_budget",
+    "virtual_dimension",
+})
+
+
+def __getattr__(name):
+    if name not in _BUDGET_NAMES:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    from . import budget
+
+    return getattr(budget, name)
+
+
+def __dir__():
+    return sorted(set(globals()) | _BUDGET_NAMES)

@@ -12,9 +12,9 @@ defect is the zero element.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from typing import NamedTuple
 
 from .novikov import (
     NovikovElement,
@@ -69,8 +69,7 @@ def element_to_text(el: dict) -> str:
     return " + ".join("%s*(%s)" % (g, nov_to_text(el[g])) for g in sorted(el))
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(NamedTuple):
     name: str
     source: str
     target: str
@@ -306,8 +305,7 @@ def _worst_gaps(table, in_gens, out_gens) -> dict:
     return raw
 
 
-@dataclass
-class DiscrepancyReport:
+class DiscrepancyReport(NamedTuple):
     raw: dict
     eps: dict
     unit_levels: dict
@@ -336,8 +334,7 @@ def measure_discrepancies(cat: FilteredAInfCategory, units=None) -> DiscrepancyR
 # -- strict units ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UnitViolation:
+class UnitViolation(NamedTuple):
     d: int
     slot: int
     inputs: tuple
@@ -345,8 +342,7 @@ class UnitViolation:
     expected: dict
 
 
-@dataclass
-class UnitReport:
+class UnitReport(NamedTuple):
     ok: bool
     violations: tuple
 
@@ -563,8 +559,7 @@ def find_ocha_violation(s: OCHAStructure, max_closed: int, max_open: int):
                             lambda pair: ocha_defect(s, *pair))
 
 
-@dataclass
-class SpecializationReport:
+class SpecializationReport(NamedTuple):
     open_sector_matches: bool
     open_mismatches: tuple
     closed_sector_defects: dict
@@ -725,8 +720,7 @@ def find_functor_violation(F: AInfFunctor, max_d: int):
     return _first_violation(_functor_candidates(F, max_d), partial(functor_defect, F))
 
 
-@dataclass
-class FunctorShiftReport:
+class FunctorShiftReport(NamedTuple):
     raw: dict
     rho_star: Fraction
 
@@ -744,8 +738,7 @@ def functor_shift(F: AInfFunctor) -> FunctorShiftReport:
 # -- text formats ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _LineKind:
+class _LineKind(NamedTuple):
     """One kind of line: how many positional tokens follow the head (or a
     function of those tokens that says so), the handler, and the
     key=value fields it accepts, each with its default (None: required)."""

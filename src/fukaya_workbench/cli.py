@@ -33,17 +33,8 @@ from .ainfinity import (
     measure_discrepancies,
     ocha_specialization_report,
 )
-from .budget import (
-    IndexInput,
-    continuation_shift,
-    energy_action_check,
-    eps_delta_budget,
-    strip_end_bound,
-    thin_part_count,
-    validate_floer_window,
-    vertex_curvature_budget,
-    virtual_dimension,
-)
+# budget is imported by the verbs that use it (cmd_budget_*, cmd_dim):
+# its dataclasses load dataclasses and inspect, which no other verb needs.
 from .novikov import ActionValue, _frac, _int
 from .strata import (
     ColoredTree,
@@ -280,6 +271,7 @@ def _width_trial(rng) -> bool:
 
 
 def _epsdelta_trial(rng) -> bool:
+    from .budget import eps_delta_budget
     eps = Fraction(rng.randint(1, 2000), rng.randint(1, 2000))
     delta = Fraction(1000 + rng.randint(1, 999), 2000)
     return eps_delta_budget(eps, delta).worst_case == 0
@@ -424,11 +416,13 @@ def _each(convert, texts, rule):
 
 
 def cmd_budget_vertex(args, out):
+    from .budget import vertex_curvature_budget
     out.kv("budget", vertex_curvature_budget(args.d, args.eps, args.case, args.convention))
     return 0
 
 
 def cmd_budget_epsdelta(args, out):
+    from .budget import eps_delta_budget
     _check_random(args)
     rep = eps_delta_budget(args.eps, args.delta)
     out.kv("worst_case", rep.worst_case)
@@ -439,6 +433,7 @@ def cmd_budget_epsdelta(args, out):
 
 
 def cmd_budget_window(args, out):
+    from .budget import validate_floer_window
     delta = _frac(args.delta, "--delta") if args.delta is not None else None
     rep = validate_floer_window(_frac(args.lo, "--lo"), _frac(args.hi, "--hi"),
                                 _frac(args.eps, "--eps"), delta)
@@ -451,6 +446,7 @@ def cmd_budget_window(args, out):
 
 
 def cmd_budget_strip(args, out):
+    from .budget import strip_end_bound
     cutoffs = _each(float, args.cutoffs.split(","), "a --cutoffs entry must be a number")
     rep = strip_end_bound(_frac(args.lo, "--lo"), _frac(args.hi, "--hi"), args.end, cutoffs)
     out.kv("bound", _fmt_float(rep.bound))
@@ -460,6 +456,7 @@ def cmd_budget_strip(args, out):
 
 
 def cmd_budget_energy(args, out):
+    from .budget import energy_action_check
     inputs = [ActionValue.from_text(x) for x in args.inputs.split(",")]
     output = ActionValue.from_text(args.output)
     rep = energy_action_check(inputs, output, _frac(args.curvature, "--curvature"))
@@ -470,6 +467,7 @@ def cmd_budget_energy(args, out):
 
 
 def cmd_budget_continuation(args, out):
+    from .budget import continuation_shift
     rep = continuation_shift(args.eps1, args.delta1, args.eps2, args.delta2, args.d)
     out.kv("per_d", rep.per_d)
     out.kv("overall", rep.overall)
@@ -479,11 +477,13 @@ def cmd_budget_continuation(args, out):
 
 
 def cmd_budget_thin(args, out):
+    from .budget import thin_part_count
     out.kv("thin_parts", thin_part_count(args.d, args.case))
     return 0
 
 
 def cmd_dim(args, out):
+    from .budget import IndexInput, virtual_dimension
     morse = None
     if args.morse is not None:
         morse = tuple(_each(int, [x for x in args.morse.split(",") if x.strip() != ""],

@@ -14,9 +14,9 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .novikov import _frac, _int, _value_text
 from .trees import (
@@ -25,6 +25,7 @@ from .trees import (
     _Tokens,
     compositions,
     enumerate_stable_trees,
+    sexpr_to_shape,
     shape_to_sexpr,
     stable_templates,
 )
@@ -45,8 +46,7 @@ def stratum_line(dim, codim, tree, broken, colored="{}", generalized=False) -> s
     return line + " corner=generalized" if generalized else line
 
 
-@dataclass(frozen=True)
-class Stratum:
+class Stratum(NamedTuple):
     tree: LabelledTree
     broken_count: int
     codim: int
@@ -159,19 +159,27 @@ def facet_term_bijection(labels):
 # -- colored trees -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ColoredTree:
+class _ColoredTreeFields(NamedTuple):
     tree: LabelledTree
     colored: frozenset
 
-    def __post_init__(self):
+
+class ColoredTree(_ColoredTreeFields):
+    """A labelled tree with a set of colored vertex paths, checked when
+    called (a NamedTuple body cannot define __new__); _make and
+    _replace skip the check."""
+
+    __slots__ = ()
+
+    def __new__(cls, tree, colored):
+        self = super().__new__(cls, tree, colored)
         extra = self.colored - set(self.tree.vertex_paths)
         if extra:
             raise ValueError("colored set names non-vertices: %s" % sorted(extra))
+        return self
 
 
-@dataclass(frozen=True)
-class ColoringReport:
+class ColoringReport(NamedTuple):
     valid: bool
     violation: str | None
     witness: MetricTree | None
@@ -286,13 +294,14 @@ def generalized_corner_flag(ct: ColoredTree) -> bool:
 
 
 # A leaf's item: stable, no vertex, no coloring.
-_LEAF = (None, True, 0, "(leaf %d)", ())
+_LEAF = (True, 0, "(leaf %d)", ())
 
 
 def _stacked_items(d: int):
     """The subtrees with d leaves that occur in some colored tree, in
     canonical order (root arity, composition, child choices), as items
-    (shape, stable, vertex count, plain template, coloring records).
+    (stable, vertex count, plain template, coloring records); no shape
+    is built, and stacked_shapes reads the shapes off the templates.
 
     A subtree may be stable (every vertex has arity >= 2, so it may sit
     above the color line) or colorable (at its root when all children
@@ -313,27 +322,25 @@ def _stacked_items(d: int):
         for comp in compositions(d, k):
             if k == 1:
                 combos = zip((_LEAF,) if d == 1 else (
-                    (shape, True, len(spans) + 1, template, ())
-                    for shape, (template, spans) in zip(enumerate_stable_trees(d),
-                                                        stable_templates(d, spans=True),
-                                                        strict=True)))
+                    (True, len(spans) + 1, template, ())
+                    for template, spans in stable_templates(d, spans=True)))
             else:
                 combos = itertools.product(
                     *[((_LEAF,) if m == 1 else ()) + _stacked_subtrees(m) for m in comp])
             for children in combos:
-                all_stable = all([c[1] for c in children])
-                product = k >= 2 and all([c[0] is not None for c in children])
+                all_stable = all([c[0] for c in children])
+                product = k >= 2 and all([c[1] for c in children])
                 if not (all_stable or product):
                     continue
-                heads = " ".join([c[3] for c in children])
+                heads = " ".join([c[2] for c in children])
                 records = [("(v* %s)" % heads, ("",), 0)] if all_stable else []
-                for combo in itertools.product(*[c[4] for c in children]) if product else ():
+                for combo in itertools.product(*[c[3] for c in children]) if product else ():
                     records.append(("(v %s)" % " ".join([r[0] for r in combo]),
                                     tuple([".%d%s" % (i, s) for i, r in enumerate(combo)
                                            for s in r[1]]),
                                     1 if sum([r[2] for r in combo]) <= 1 else 2))
-                yield (tuple([c[0] for c in children]), k >= 2 and all_stable,
-                       1 + sum([c[2] for c in children]), "(v %s)" % heads, tuple(records))
+                yield (k >= 2 and all_stable, 1 + sum([c[1] for c in children]),
+                       "(v %s)" % heads, tuple(records))
 
 
 @lru_cache(maxsize=None)
@@ -365,7 +372,8 @@ def stacked_shapes(d: int):
     """Shapes admitting at least one coloring, in canonical order."""
     if d < 1:
         raise ValueError("stacked strata need d >= 1")
-    return [item[0] for item in _stacked_items(d)]
+    leaves = tuple(range(1, d + 1))
+    return [sexpr_to_shape(template % leaves)[0] for _, _, template, _ in _stacked_items(d)]
 
 
 def stacked_report_lines(d: int):
@@ -377,7 +385,7 @@ def stacked_report_lines(d: int):
     if d < 1:
         raise ValueError("stacked strata need d >= 1")
     leaves = tuple(range(1, d + 1))
-    for _, _, vertices, _, records in _stacked_items(d):
+    for _, vertices, _, records in _stacked_items(d):
         for template, suffixes, below in records:
             codim = vertices - len(suffixes)
             yield d - 1 - codim, stratum_line(d - 1 - codim, codim, template % leaves, 0,
@@ -413,15 +421,13 @@ def enumerate_stacked_strata(labels):
 # -- intrinsic widths --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Surface:
+class Surface(NamedTuple):
     """A disc with d boundary inputs; all widths vanish."""
 
     d: int
 
 
-@dataclass(frozen=True)
-class Glue:
+class Glue(NamedTuple):
     """Glue the root of the inner surface into input slot n (1-based) of
     the outer surface, with the given neck length."""
 
@@ -431,8 +437,7 @@ class Glue:
     length: Fraction
 
 
-@dataclass(frozen=True)
-class WidthProfile:
+class WidthProfile(NamedTuple):
     widths: tuple
 
     @property

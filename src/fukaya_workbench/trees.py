@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .novikov import _frac, _value_text
 
@@ -385,8 +385,7 @@ def metric_from_text(text: str):
 # -- label tuples ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReducedTuple:
+class ReducedTuple(NamedTuple):
     """Cyclic run-length reduction of a label tuple.
 
     entries[i] = (label, multiplicity); the 0-th multiplicity splits as
@@ -619,8 +618,7 @@ def stable_templates(d: int, max_arity=None, spans=False):
 # -- fundamental decomposition -----------------------------------------
 
 
-@dataclass
-class TreeDecomposition:
+class TreeDecomposition(NamedTuple):
     """Split of a labelled tree into its reduced part and unilabelled
     forests.
 

@@ -96,22 +96,48 @@ def test_parallel_is_no_option(capsys, verb):
     assert capsys.readouterr().out == ""
 
 
-_LOADED_POOL_MODULES = """
+# importlib.resources (bundled: inputs) is the standard library's own
+# cost; on Python 3.13 it imports inspect.
+_NEWLY_LOADED_MODULES = """
 import sys
+from importlib import resources
+before = set(sys.modules)
 from fukaya_workbench.cli import main
 main(sys.argv[1:])
-print(*sorted(m for m in sys.modules if m.startswith(("concurrent", "multiprocessing"))),
-      file=sys.stderr)
+print(*sorted(set(sys.modules) - before), file=sys.stderr)
 """
+
+
+def _fresh_run(*argv):
+    """(stdout, the modules that importing cli and running argv loaded
+    beyond importlib.resources) of a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(fukaya_workbench.__file__).parents[1]))
+    res = subprocess.run([sys.executable, "-c", _NEWLY_LOADED_MODULES, *argv],
+                         env=env, capture_output=True, text=True, check=True)
+    return res.stdout, set(res.stderr.split())
 
 
 def test_enumeration_loads_no_process_pool():
     # Every enumeration verb streams serially.
-    env = dict(os.environ, PYTHONPATH=str(Path(fukaya_workbench.__file__).parents[1]))
     for verb in ("trees", "strata", "stacked"):
-        argv = [sys.executable, "-c", _LOADED_POOL_MODULES, verb, "--d", "3"]
-        res = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
-        assert res.stderr.split() == [], verb
+        loaded = _fresh_run(verb, "--d", "3")[1]
+        assert not [m for m in loaded if m.startswith(("concurrent", "multiprocessing"))], verb
+
+
+def test_verbs_load_neither_dataclasses_nor_budget():
+    # The records are named tuples, and budget is imported by its verbs.
+    for argv in (("strata", "--d", "2"), ("check-ainf", "bundled:exterior", "--max-d", "1"),
+                 ("measure", "bundled:weakly")):
+        loaded = _fresh_run(*argv)[1]
+        assert not loaded & {"dataclasses", "inspect", "fukaya_workbench.budget"}, argv
+
+
+def test_budget_verbs_import_budget_when_run():
+    for argv, stdout in ((("budget", "thin", "--d", "5"), "thin_parts: 9\n"),
+                         (("dim", "--case", "marked_disc", "--l", "3", "--k", "2"), "dim: 5\n")):
+        out, loaded = _fresh_run(*argv)
+        assert out == stdout
+        assert "fukaya_workbench.budget" in loaded
 
 
 STACKED_MACHINE_MD5 = {
