@@ -12,6 +12,7 @@ defect is the zero element.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import partial
 from typing import NamedTuple
@@ -36,22 +37,37 @@ def _set_entry(table, key, out, names, what, hom=None):
     (src, tgt, noun) it must also be a generator of hom(src, tgt)."""
     clean = {}
     for g, c in out.items():
-        if isinstance(c, str):
-            c = nov_from_text(c)
         if not isinstance(c, NovikovElement):
-            raise ValueError("coefficient of %s must be a Novikov element" % g)
-        if not c.is_zero:
+            if isinstance(c, str):
+                c = nov_from_text(c)
+            if not isinstance(c, NovikovElement):
+                raise ValueError("coefficient of %s must be a Novikov element" % g)
+        if c.exps:
             clean[g] = c
     for g in clean:
         if g not in names:
             raise ValueError("unknown %s %r" % (what, g))
-        if hom and (names[g].source, names[g].target) != hom[:2]:
-            raise ValueError("%s %s lies in hom(%s,%s), expected hom(%s,%s)"
-                             % (hom[2], g, names[g].source, names[g].target, *hom[:2]))
+        if hom:
+            gen = names[g]
+            if (gen.source, gen.target) != hom[:2]:
+                raise ValueError("%s %s lies in hom(%s,%s), expected hom(%s,%s)"
+                                 % (hom[2], g, gen.source, gen.target, *hom[:2]))
     if clean:
         table[key] = clean
     else:
         table.pop(key, None)
+
+
+def _lookup(table, names, unknown):
+    """[table[g] for g in names]; the first of names that table lacks
+    is reported by the message unknown % g."""
+    try:
+        return [table[g] for g in names]
+    except KeyError:
+        for g in names:
+            if g not in table:
+                raise ValueError(unknown % (g,)) from None
+        raise
 
 
 def _add_term(acc: dict, gen: str, coeff: NovikovElement):
@@ -99,25 +115,25 @@ class FilteredAInfCategory:
                                     _frac(level, "a level"), _frac(ham, "a ham term"))
 
     def _check_chain(self, names):
+        """The generators of names, which must be known and composable."""
         if not names:
             raise ValueError("operations need at least one input")
-        for g in names:
-            if g not in self.gens:
-                raise ValueError("unknown generator %r" % g)
-        for a, b in zip(names, names[1:]):
-            if self.gens[a].target != self.gens[b].source:
+        chain = _lookup(self.gens, names, "unknown generator %r")
+        for a, b in zip(chain, chain[1:]):
+            if a.target != b.source:
                 raise ValueError(
                     "inputs not composable: %s ends at %s but %s starts at %s"
-                    % (a, self.gens[a].target, b, self.gens[b].source)
+                    % (a.name, a.target, b.name, b.source)
                 )
+        return chain
 
     def set_mu(self, inputs, out):
         """Define mu on a basis tuple; out maps generator names to
         Novikov coefficients (text accepted).  Zero entries are dropped."""
         inputs = tuple(inputs)
-        self._check_chain(inputs)
+        chain = self._check_chain(inputs)
         _set_entry(self.mu, inputs, out, self.gens, "output generator",
-                   (self.gens[inputs[0]].source, self.gens[inputs[-1]].target, "output"))
+                   (chain[0].source, chain[-1].target, "output"))
 
     def mu_entry(self, inputs) -> dict:
         return self.mu.get(tuple(inputs), {})
@@ -292,17 +308,38 @@ def _worst_gaps(table, in_gens, out_gens) -> dict:
     """Largest action(output) - sum of input levels per arity over a
     table of entries.  The action of an output is the max over its
     nonzero terms c*g of level(g) - val(c); an entry with no nonzero
-    term has action -inf and is skipped."""
-    raw = {}
+    term has action -inf and is skipped.
+
+    The work is on integers.  With L the lcm of the level denominators,
+    every level is an integer over L, and a gap whose exponent p/q comes
+    from c is the pair (n, q) that stands for n / (L q).  Pairs compare
+    by cross-multiplication; each arity's worst pair becomes one
+    Fraction."""
+    scale = math.lcm(*(g.level.denominator for gens in (in_gens, out_gens)
+                       for g in gens.values()))
+
+    def scaled(gens):
+        return {name: g.level.numerator * (scale // g.level.denominator)
+                for name, g in gens.items()}
+
+    in_level, out_level = scaled(in_gens), scaled(out_gens)
+    worst = {}
     for inputs, out in table.items():
-        actions = [out_gens[g].level - min(c.exps) for g, c in out.items() if c.exps]
-        if not actions:
+        n = q = None
+        for g, c in out.items():
+            for e in c.exps:
+                r = e.denominator
+                m = out_level[g] * r - e.numerator * scale
+                if n is None or m * q > n * r:
+                    n, q = m, r
+        if n is None:
             continue
-        gap = max(actions) - sum(in_gens[g].level for g in inputs)
+        n -= q * sum(map(in_level.__getitem__, inputs))
         d = len(inputs)
-        if d not in raw or gap > raw[d]:
-            raw[d] = gap
-    return raw
+        best = worst.get(d)
+        if best is None or n * best[1] > best[0] * q:
+            worst[d] = (n, q)
+    return {d: Fraction(n, scale * q) for d, (n, q) in worst.items()}
 
 
 class DiscrepancyReport(NamedTuple):
@@ -628,9 +665,9 @@ class AInfFunctor:
 
     def set_component(self, inputs, out):
         inputs = tuple(inputs)
-        self.source._check_chain(inputs)
-        src = self.object_map[self.source.gens[inputs[0]].source]
-        tgt = self.object_map[self.source.gens[inputs[-1]].target]
+        chain = self.source._check_chain(inputs)
+        src = self.object_map[chain[0].source]
+        tgt = self.object_map[chain[-1].target]
         _set_entry(self.table, inputs, out, self.target.gens, "target generator",
                    (src, tgt, "component output"))
 
@@ -773,11 +810,12 @@ def _read_lines(text, kinds):
                 if key in fields:
                     raise ValueError("repeated field %r" % key)
                 fields[key] = value
-            for key, default in kind.fields.items():
-                if key not in fields:
-                    if default is None:
-                        raise ValueError("%s line %r has no %s= field" % (head, line, key))
-                    fields[key] = default
+            if len(fields) < len(kind.fields):
+                for key, default in kind.fields.items():
+                    if key not in fields:
+                        if default is None:
+                            raise ValueError("%s line %r has no %s= field" % (head, line, key))
+                        fields[key] = default
             kind.handler(number, tokens[:arity], fields)
         except ValueError as e:
             raise ValueError("line %d: %s" % (number, e)) from None
@@ -792,7 +830,7 @@ class _Entries:
     hands each inputs' outputs to a setter in order of first appearance,
     and an entry the setter rejects is reported at its first line.  memo
     holds the texts parsed so far (see nov_from_text), so a load parses
-    each distinct coefficient and exponent text once."""
+    each distinct coefficient, term and exponent text once."""
 
     def __init__(self):
         self.outs = {}
@@ -847,7 +885,7 @@ def _text(lines) -> str:
 
 
 def _split_names(text):
-    return tuple(x for x in text.split(",") if x) if text else ()
+    return tuple(filter(None, text.split(",")))
 
 
 def _chain(gens, inputs):
@@ -882,10 +920,10 @@ def _chain_kind(head, entries, gens):
         inputs = _split_names(fields["in"])
         if len(inputs) != len(pos) - 2:
             raise ValueError("arity %s with %d inputs" % (pos[0], len(inputs)))
-        for g in inputs:
-            if g not in gens:
-                raise ValueError("unknown generator %r" % g)
-        if tuple(pos[1:]) != _chain(gens, inputs):
+        chain = _lookup(gens, inputs, "unknown generator %r")
+        path = [g.source for g in chain]
+        path.append(chain[-1].target)
+        if pos[1:] != path:
             raise ValueError("object path %s does not match inputs %s"
                              % (" ".join(pos[1:]), ",".join(inputs)))
         return inputs

@@ -16,7 +16,6 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
-from importlib import resources
 
 from .ainfinity import (
     check_strict_unit,
@@ -111,6 +110,8 @@ def _seed() -> int:
 def _read_source(path: str) -> str:
     """Read a file; 'bundled:NAME' loads NAME.cat from the package data."""
     if path.startswith("bundled:"):
+        from importlib import resources
+
         name = path[len("bundled:"):]
         ref = resources.files("fukaya_workbench").joinpath("data", name + ".cat")
         if not ref.is_file():

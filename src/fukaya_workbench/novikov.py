@@ -178,36 +178,59 @@ def nov_from_text(text: str, memo=None) -> NovikovElement:
     cost one lookup: it maps each exponent text to its Fraction and each
     whole coefficient text, under the key (text,), to its element.  The
     tuple keeps the two apart: the coefficient '1' is T^0, the exponent
-    '1' is 1.  A text that fails to parse is never stored."""
+    '1' is 1.  Each raw term between '+' signs is a one-term coefficient
+    text of the same meaning, so it is stored under (term,) as well, and
+    a text whose terms are all known costs one lookup and one set merge
+    per term.  The one text that differs as a term is '0', the zero
+    coefficient; a zero element found for a term is never used.  A text
+    that fails to parse is never stored."""
     if memo is None:
         memo = {}
-    key = (text,)
-    if key in memo:
-        return memo[key]
-    s = text.strip()
-    bodies = []
-    if s != "0":
-        for term in s.split("+"):
-            term = term.strip()
-            if term == "1":
-                bodies.append(None)  # T^0
-                continue
-            if not term.startswith("T^"):
-                raise ValueError("bad Novikov term %s in %s" % (_preview(term), _preview(text)))
-            body = term[2:].strip()
-            if body.startswith("{") and body.endswith("}"):
-                body = body[1:-1].strip()
-            bodies.append(body)
+    el = memo.get((text,))
+    if el is not None:
+        return el
     exps = set()
-    for body in bodies:
-        try:
-            e = Fraction(0) if body is None else _frac_memo(body, memo)
-        except ValueError as err:
-            raise ValueError("bad Novikov exponent in %s: %s" % (_preview(text), err)) from None
-        # Z2: a repeated exponent cancels in pairs.
-        exps ^= {e}
-    el = memo[key] = NovikovElement._of(frozenset(exps))
+    if text.strip() != "0":
+        for term in text.split("+"):
+            one = memo.get((term,))
+            if one is None or not one.exps:
+                exps = _parse_terms(text, memo)
+                break
+            # Z2: a repeated exponent cancels in pairs.
+            exps ^= one.exps
+    el = memo[(text,)] = NovikovElement._of(frozenset(exps))
     return el
+
+
+def _parse_terms(text, memo) -> set:
+    """The exponents of a coefficient text other than '0', storing each
+    term in memo once it parses.  Every term's syntax is checked before
+    any exponent is coerced, so a text with both faults names the bad
+    term, whatever memo holds."""
+    terms = text.split("+")
+    bodies = []
+    for term in terms:
+        s = term.strip()
+        if s == "1":
+            bodies.append(None)  # T^0
+            continue
+        if not s.startswith("T^"):
+            raise ValueError("bad Novikov term %s in %s" % (_preview(s), _preview(text)))
+        body = s[2:].strip()
+        if body.startswith("{") and body.endswith("}"):
+            body = body[1:-1].strip()
+        bodies.append(body)
+    exps = set()
+    for term, body in zip(terms, bodies):
+        one = memo.get((term,))
+        if one is None:
+            try:
+                e = Fraction(0) if body is None else _frac_memo(body, memo)
+            except ValueError as err:
+                raise ValueError("bad Novikov exponent in %s: %s" % (_preview(text), err)) from None
+            one = memo[(term,)] = NovikovElement._of(frozenset((e,)))
+        exps ^= one.exps
+    return exps
 
 
 class ActionValue:

@@ -192,16 +192,19 @@ def test_positive_unit_level_blocks_filtration():
         measure_discrepancies(cat, units={"M": "nope"})
 
 
-LEVELS = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+LEVELS = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+# Another grid, so that the level denominators of a source and a target
+# category mostly have different lcms.
+TARGET_LEVELS = st.builds(Fraction, st.integers(-40, 40), st.sampled_from((5, 7, 10, 35)))
 COEFFICIENTS = st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4),
                         max_size=3).map(NovikovElement)
 
 
-def leveled_category(draw, names):
+def leveled_category(draw, names, levels=LEVELS):
     cat = FilteredAInfCategory()
     cat.add_object("M")
     for g in names:
-        cat.add_gen(g, "M", "M", draw(LEVELS), draw(LEVELS))
+        cat.add_gen(g, "M", "M", draw(levels), draw(LEVELS))
     return cat
 
 
@@ -211,7 +214,7 @@ def gap_tables(draw):
     stored directly, as a library user may: a coefficient can be zero and
     an entry can have several outputs."""
     names = ["g%d" % i for i in range(draw(st.integers(1, 4)))]
-    source, target = leveled_category(draw, names), leveled_category(draw, names)
+    source, target = leveled_category(draw, names), leveled_category(draw, names, TARGET_LEVELS)
     table = {}
     for _ in range(draw(st.integers(0, 6))):
         key = tuple(draw(st.lists(st.sampled_from(names), min_size=1, max_size=3)))
@@ -232,6 +235,65 @@ def test_gaps_match_the_action_value_oracle(tables):
     raw = oracles.worst_gaps_oracle(table, source.gens, target.gens)
     rep = functor_shift(F)
     assert rep.raw == raw
+    assert rep.rho_star == max([Fraction(0)] + [v / d for d, v in raw.items()])
+
+
+def random_gap_category(rng, n_lines=2000):
+    """The text of a random category: 30 generators on 3 objects, with
+    level denominators 1 to 8, and n_lines mu lines whose exponents have
+    denominators 1, 2, 3, 4 and 6, some lines twice so that they cancel."""
+    objects = ["X0", "X1", "X2"]
+    gens = {}
+    for i in range(30):
+        gens["g%d" % i] = (rng.choice(objects), rng.choice(objects),
+                           Fraction(rng.randint(-30, 30), rng.randint(1, 8)))
+    by_source = {}
+    for g, (src, _, _) in gens.items():
+        by_source.setdefault(src, []).append(g)
+    lines = ["object %s" % x for x in objects]
+    lines += ["gen %s %s %s level=%s ham=0" % (src, tgt, g, level)
+              for g, (src, tgt, level) in gens.items()]
+    mu = []
+    while len(mu) < n_lines:
+        chain = [rng.choice(sorted(gens))]
+        for _ in range(rng.randint(0, 3)):
+            if gens[chain[-1]][1] not in by_source:
+                break
+            chain.append(rng.choice(by_source[gens[chain[-1]][1]]))
+        src, tgt = gens[chain[0]][0], gens[chain[-1]][1]
+        outs = [g for g, v in gens.items() if v[:2] == (src, tgt)]
+        if not outs:
+            continue
+        exps = {Fraction(rng.randint(-12, 12), rng.choice((1, 2, 3, 4, 6)))
+                for _ in range(rng.randint(1, 3))}
+        path = " ".join([gens[g][0] for g in chain] + [tgt])
+        coeff = novikov.nov_to_text(NovikovElement(exps))
+        line = "mu %d %s in=%s out=%s coeff=%s" % (len(chain), path, ",".join(chain),
+                                                   rng.choice(outs), coeff)
+        mu += [line] * (2 if rng.random() < 0.1 else 1)
+    rng.shuffle(mu)
+    return "\n".join(lines + mu) + "\n"
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_gaps_of_a_large_random_category_match_the_oracle(seed):
+    rng = random.Random(seed)
+    cat = load_category(random_gap_category(rng))
+    assert len(cat.mu) > 1000
+    assert measure_discrepancies(cat).raw == oracles.worst_gaps_oracle(cat.mu, cat.gens, cat.gens)
+    # A target with the same generators and levels on another grid: 11
+    # and 13 do not divide the source's lcm.
+    target = FilteredAInfCategory()
+    for x in cat.objects:
+        target.add_object(x)
+    for g in cat.gens.values():
+        target.add_gen(g.name, g.source, g.target,
+                       Fraction(rng.randint(-50, 50), rng.choice((11, 13))), 0)
+    F = AInfFunctor(cat, target, {x: x for x in cat.objects})
+    F.table = cat.mu
+    raw = oracles.worst_gaps_oracle(cat.mu, cat.gens, target.gens)
+    rep = functor_shift(F)
+    assert rep.raw == raw and len(raw) == 4
     assert rep.rho_star == max([Fraction(0)] + [v / d for d, v in raw.items()])
 
 
@@ -557,6 +619,8 @@ def test_scan_with_no_arity_is_rejected():
 
 
 HEAD = "object M\ngen M M a level=0 ham=0\n"
+# a lies in hom(M,N) and b in hom(M,M), so (a, b) is not composable.
+TWO = "object M\nobject N\ngen M N a level=0 ham=0\ngen M M b level=0 ham=0\n"
 
 
 @pytest.mark.parametrize("text, message", [
@@ -572,6 +636,11 @@ HEAD = "object M\ngen M M a level=0 ham=0\n"
     (HEAD + "gen M M b level=1e10000 ham=0\n", "line 3: a level has an exponent beyond 4300"),
     (HEAD + "mu 1 M M in=a out=zz coeff=T^0\nmu 1 M M in=a out=a coeff=T^0\n",
      "line 3: unknown output generator 'zz'"),
+    # A line-time error anywhere wins over a store-time error before it.
+    (TWO + "mu 2 M M M in=a,b out=b coeff=T^0\nmu 1 M M in=b out=b coeff=T^0 junk\n",
+     "line 6: expected key=value, got 'junk'"),
+    (TWO + "mu 1 M N in=a out=b coeff=T^0\n",
+     r"line 5: output b lies in hom\(M,M\), expected hom\(M,N\)"),
 ])
 def test_load_category_names_the_line(text, message):
     with pytest.raises(ValueError, match=message):

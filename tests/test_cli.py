@@ -132,6 +132,25 @@ def test_verbs_load_neither_dataclasses_nor_budget():
         assert not loaded & {"dataclasses", "inspect", "fukaya_workbench.budget"}, argv
 
 
+def _run_without_site(*argv):
+    """(stdout, whether importlib.resources got loaded) of the CLI run
+    by an interpreter that skips site, whose hooks may load it."""
+    env = dict(os.environ, PYTHONPATH=str(Path(fukaya_workbench.__file__).parents[1]))
+    code = ("import sys\nfrom fukaya_workbench.cli import main\nmain(sys.argv[1:])\n"
+            "print('importlib.resources' in sys.modules, file=sys.stderr)")
+    res = subprocess.run([sys.executable, "-S", "-c", code, *argv],
+                         env=env, capture_output=True, text=True, check=True)
+    return res.stdout, res.stderr.split()[-1] == "True"
+
+
+def test_only_bundled_inputs_load_importlib_resources():
+    assert _run_without_site("strata", "--d", "2")[1] is False
+    out, loaded = _run_without_site("check-ainf", "bundled:exterior", "--max-d", "1",
+                                    "--format", "machine")
+    assert out == "ainf=pass\nmax_d=1\n"
+    assert loaded
+
+
 def test_budget_verbs_import_budget_when_run():
     for argv, stdout in ((("budget", "thin", "--d", "5"), "thin_parts: 9\n"),
                          (("dim", "--case", "marked_disc", "--l", "3", "--k", "2"), "dim: 5\n")):

@@ -192,3 +192,70 @@ def test_a_memo_keeps_no_failure(coefficient_texts, bad):
 def test_arithmetic_matches_the_coercing_constructor(a, b):
     assert nov_mul(a, b) == NovikovElement(x + y for x in a.exps for y in b.exps)
     assert nov_add(a, b) == NovikovElement(list(a.exps) + list(b.exps))
+
+
+# Every term's syntax is checked before any exponent is coerced, whatever
+# the memo has seen: a term-by-term parse would report T^1/0 first.
+PARSE_ORDER = [
+    ("T^1/0+X", "bad Novikov term 'X' in 'T^1/0+X'"),
+    ("T^x+T^1/0", "bad Novikov exponent in 'T^x+T^1/0': a Novikov exponent must be a "
+                  "rational number, got 'x'"),
+    ("T^1/2+T^1/0+X", "bad Novikov term 'X' in 'T^1/2+T^1/0+X'"),
+]
+
+
+def _seen_memo():
+    """A memo that holds T^1/2 and T^3 as terms and has failed on T^1/0,
+    alone and inside a text with good terms."""
+    memo = {}
+    for text in ("T^1/2+T^3", "T^3", "1+T^1/2"):
+        nov_from_text(text, memo)
+    for bad in ("T^1/0", "T^1/2+T^1/0", "T^3+T^1/0+X"):
+        with pytest.raises(ValueError):
+            nov_from_text(bad, memo)
+    return memo
+
+
+@pytest.mark.parametrize("text, message", PARSE_ORDER)
+@pytest.mark.parametrize("memo", [dict, _seen_memo], ids=["fresh", "seen"])
+def test_a_bad_term_is_named_before_a_bad_exponent(text, message, memo):
+    with pytest.raises(ValueError) as info:
+        nov_from_text(text, memo())
+    assert str(info.value) == message
+
+
+def test_a_shared_memo_survives_a_failed_parse():
+    memo = {}
+    bad = "T^1/2+T^{3}+T^x"
+    messages = set()
+    for _ in range(2):
+        with pytest.raises(ValueError) as info:
+            nov_from_text(bad, memo)
+        messages.add(str(info.value))
+    assert messages == {"bad Novikov exponent in 'T^1/2+T^{3}+T^x': a Novikov exponent "
+                        "must be a rational number, got 'x'"}
+    assert (bad,) not in memo
+    # The good terms of the failed text serve a later good text.
+    for text in ("T^{3}+T^1/2", "T^1/2", "T^{3}+T^1/2+T^1/2", "T^1/2+T^{3}+1"):
+        assert nov_from_text(text, memo) == nov_from_text(text)
+    assert nov_from_text("T^{3}+T^1/2+T^1/2", memo) == NovikovElement.monomial(3)
+
+
+def test_a_zero_coefficient_is_no_term():
+    memo = {}
+    assert nov_from_text("T^1", memo) == NovikovElement.monomial(1)
+    assert nov_from_text("0", memo).is_zero
+    assert nov_from_text(" 0 ", memo).is_zero
+    for text in ("T^1+0", "T^1+ 0 "):
+        with pytest.raises(ValueError, match="bad Novikov term '0'"):
+            nov_from_text(text, memo)
+
+
+@pytest.mark.parametrize("text, message", PARSE_ORDER)
+def test_load_category_keeps_the_parse_order(text, message):
+    from fukaya_workbench.ainfinity import load_category
+
+    head = "object M\ngen M M a level=0 ham=0\nmu 1 M M in=a out=a coeff=T^1/2+T^3\n"
+    with pytest.raises(ValueError) as info:
+        load_category(head + "mu 2 M M M in=a,a out=a coeff=%s\n" % text)
+    assert str(info.value) == "line 4: " + message
