@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -27,7 +28,7 @@ from .trees import (
     enumerate_stable_trees,
     sexpr_to_shape,
     shape_to_sexpr,
-    stable_templates,
+    stable_sexprs,
 )
 
 
@@ -81,16 +82,14 @@ def cluster_strata_for_shape(labels, shape):
 def cluster_report_lines(labels):
     """(dim, report line) of every cluster stratum, as
     enumerate_cluster_strata and Stratum.report_line would give them,
-    generated one at a time from stable_templates(d, spans=True) without
+    generated one at a time from stable_sexprs(d, spans=True) without
     building a tree: an interior edge with leaf span (a, b) is
     unilabelled exactly when labels[a - 1] == labels[b]."""
     labels = tuple(labels)
     d = len(labels) - 1
     if d < 2:
         raise ValueError("cluster strata need d >= 2")
-    leaves = tuple(range(1, d + 1))
-    for template, spans in stable_templates(d, spans=True):
-        tree = template % leaves
+    for tree, spans in stable_sexprs(d, spans=True):
         uni = sum([labels[a - 1] == labels[b] for a, b in spans])
         floer = len(spans) - uni
         for k in range(uni + 1):
@@ -309,9 +308,10 @@ def _stacked_items(d: int):
     neither property fits nowhere and is dropped as soon as it is
     built, so the cost follows the faces of the multiplihedron rather
     than every planar shape.  A unary root must be colored, so its
-    child is a leaf or a stable tree, streamed from the stable
-    templates of trees; the other children with fewer than d leaves
-    come from _stacked_subtrees, so no item with d leaves is kept.
+    child is a leaf or a stable tree, streamed from stable_sexprs with
+    its leaf numbers turned back into '%d'; the other children with
+    fewer than d leaves come from _stacked_subtrees, so no item with d
+    leaves is kept.
 
     The records follow _colorings: root colored first, then the product
     of the children's records.  A record is (colored template with v*
@@ -322,8 +322,8 @@ def _stacked_items(d: int):
         for comp in compositions(d, k):
             if k == 1:
                 combos = zip((_LEAF,) if d == 1 else (
-                    (True, len(spans) + 1, template, ())
-                    for template, spans in stable_templates(d, spans=True)))
+                    (True, text.count("(v"), re.sub(r"\d+", "%d", text), ())
+                    for text in stable_sexprs(d)))
             else:
                 combos = itertools.product(
                     *[((_LEAF,) if m == 1 else ()) + _stacked_subtrees(m) for m in comp])

@@ -566,53 +566,71 @@ def enumerate_stable_trees(d: int, max_arity=None):
     return list(_stable_shapes(d, _arity_cap(d, max_arity)))
 
 
-# -- s-expression templates --------------------------------------------
+# -- s-expressions of the stable shapes --------------------------------
+
+
+def _subtree_stream(m: int, max_arity: int, first: int, spans: bool):
+    """The items of _shape_items for the stable subtrees with m leaves,
+    numbered from first; with spans, each item's spans start with the
+    span (first, first + m - 1) of the subtree's own root."""
+    if m == 1:
+        leaf = "(leaf %d)" % first
+        return [(leaf, ())] if spans else [leaf]
+    items = _shape_items(m, max_arity, first, spans)
+    if not spans:
+        return items
+    root = ((first, first + m - 1),)
+    return ((t, root + s) for t, s in items)
 
 
 @lru_cache(maxsize=None)
-def _subtree_items(m: int, max_arity: int, spans: bool):
-    """The items of _shape_items for the stable subtrees with m leaves,
-    kept for reuse; with spans, each item's spans start with the span
-    (1, m) of the subtree's own root."""
-    if m == 1:
-        return (("(leaf %d)", ()),) if spans else ("(leaf %d)",)
-    if spans:
-        return tuple((t, ((1, m),) + s) for t, s in _shape_items(m, max_arity, True))
-    return tuple(_shape_items(m, max_arity, False))
+def _subtree_items(m: int, max_arity: int, first: int, spans: bool):
+    """The items of _subtree_stream, kept for reuse as children."""
+    return tuple(_subtree_stream(m, max_arity, first, spans))
 
 
-def _shape_items(d: int, max_arity: int, spans: bool):
+def _shape_items(d: int, max_arity: int, first: int, spans: bool, streamed=0):
     """One item per shape of _stable_shapes(d, max_arity), in its order:
     root arity, then composition, then the product of the children.
-    An item is the shape's s-expression template, whose i-th '%d' is
-    leaf i; with spans, it is (template, the leaf spans (a, b) of the
-    non-root vertices in preorder)."""
+    An item is the shape's s-expression with leaves numbered first,
+    first + 1, ..; with spans, it is (s-expression, the leaf spans
+    (a, b) of the non-root vertices in preorder).  The children come
+    from _subtree_items, except those with streamed leaves, which are
+    generated anew for each composition and never kept."""
     for k in range(2, max_arity + 1):
         for comp in compositions(d, k):
-            options = [_subtree_items(m, min(m, max_arity), spans) for m in comp]
-            if not spans:
-                for children in itertools.product(*options):
-                    yield "(v %s)" % " ".join(children)
-                continue
-            offset = 0
-            for i, m in enumerate(comp):
-                options[i] = [(t, tuple((a + offset, b + offset) for a, b in s))
-                              for t, s in options[i]]
+            options = []
+            offset = first
+            for m in comp:
+                source = _subtree_stream if m == streamed else _subtree_items
+                options.append(source(m, min(m, max_arity), offset, spans))
                 offset += m
-            for children in itertools.product(*options):
-                yield ("(v %s)" % " ".join([t for t, _ in children]),
-                       tuple(itertools.chain.from_iterable([s for _, s in children])))
+            if streamed in comp:
+                # (1, d - 1) or (d - 1, 1): the other side is one leaf,
+                # so the streamed side is read once; product() would
+                # hold all of it.
+                left, right = options
+                combos = ((a, b) for a in left for b in right)
+            else:
+                combos = itertools.product(*options)
+            if not spans:
+                yield from map("(v %s)".__mod__, map(" ".join, combos))
+                continue
+            for children in combos:
+                texts, child_spans = zip(*children)
+                yield "(v %s)" % " ".join(texts), sum(child_spans, ())
 
 
-def stable_templates(d: int, max_arity=None, spans=False):
+def stable_sexprs(d: int, max_arity=None, spans=False):
     """The shapes of enumerate_stable_trees(d, max_arity), in its order,
-    as s-expression templates generated one at a time:
-    template % tuple(range(1, d + 1)) is shape_to_sexpr(shape).  With
-    spans, each item is (template, spans), where spans lists the leaf
-    span (a, b) of every interior edge in preorder, as
-    LabelledTree.span does.  Every subtree with fewer than d leaves is
-    built once; the arguments are checked before the first item."""
-    return _shape_items(d, _arity_cap(d, max_arity), spans)
+    as their s-expressions shape_to_sexpr(shape), generated one at a
+    time.  With spans, each item is (s-expression, spans), where spans
+    lists the leaf span (a, b) of every interior edge in preorder, as
+    LabelledTree.span does.  Every subtree with at most d - 2 leaves is
+    built once per first leaf and kept; the two root children with
+    d - 1 leaves, in the compositions (1, d - 1) and (d - 1, 1), are
+    streamed.  The arguments are checked before the first item."""
+    return _shape_items(d, _arity_cap(d, max_arity), 1, spans, d - 1)
 
 
 # -- fundamental decomposition -----------------------------------------

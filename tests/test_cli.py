@@ -10,6 +10,8 @@ import pytest
 import fukaya_workbench
 from fukaya_workbench import cli
 from fukaya_workbench.cli import _read_source, main
+from fukaya_workbench.trees import enumerate_stable_trees, shape_to_sexpr
+from test_strata import labels_for, oracle_report
 
 
 def run(capsys, *argv):
@@ -197,6 +199,60 @@ def test_enumeration_bytes_pinned(capsys, argv):
         code, out, _ = run(capsys, *argv, "--format", fmt)
         assert code == 0
         assert hashlib.md5(out.encode()).hexdigest() == digest, fmt
+
+
+# d = 2 and d = 3 are the edges of the streamed root children with d - 1
+# leaves: at d = 2 both are leaves, at d = 3 the one with two leaves
+# has a single shape.  stacked reads the stable trees through its unary
+# root, so its pinned bytes cover the same route.
+@pytest.mark.parametrize("d", range(2, 8))
+def test_enumeration_matches_the_shape_oracle_at_small_d(capsys, d):
+    for fmt in ("text", "machine"):
+        for binary in ((), ("--binary",)):
+            texts = [shape_to_sexpr(s) for s in enumerate_stable_trees(d, 2 if binary else None)]
+            items = texts if fmt == "text" else ["tree.%d=%s" % (i, t) for i, t in enumerate(texts)]
+            trailer = ("count: %d" if fmt == "text" else "count=%d") % len(texts)
+            code, out, _ = run(capsys, "trees", "--d", str(d), *binary, "--format", fmt)
+            assert code == 0
+            assert out.splitlines() == items + [trailer], (fmt, binary)
+        code, out, _ = run(capsys, "strata", "--d", str(d), "--format", fmt)
+        assert code == 0
+        assert out.splitlines() == oracle_report(labels_for(d), fmt), fmt
+    code, out, _ = run(capsys, "stacked", "--d", str(d), "--format", "machine")
+    assert code == 0
+    assert hashlib.md5(out.encode()).hexdigest() == STACKED_MACHINE_MD5[d]
+
+
+def _usage_error(capsys, *argv):
+    """The stderr of argv, which must be a usage error with empty stdout."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    return captured.err
+
+
+@pytest.mark.parametrize("verb", ["trees", "strata", "stacked"])
+def test_leaf_counts_past_the_limit_are_usage_errors(capsys, verb):
+    limit = cli.MAX_D[verb]
+    for d in (limit + 1, 10 ** 20 - 1, 3000):
+        err = _usage_error(capsys, verb, "--d", str(d))
+        assert err.endswith("error: argument --d: at most %d, got %d\n" % (limit, d))
+    if verb != "trees":
+        labels = ",".join("L%d" % i for i in range(limit + 2))
+        err = _usage_error(capsys, verb, "--labels", labels)
+        assert err.endswith("error: argument --labels: at most %d labels, got %d\n"
+                            % (limit + 1, limit + 2))
+
+
+def test_leaf_count_limits_keep_the_documented_runs():
+    """The largest pinned runs (trees --d 11, strata --d 10, stacked
+    --d 9) stay allowed, and README.md states the limits."""
+    assert cli.MAX_D["trees"] >= 11 and cli.MAX_D["strata"] >= 10 and cli.MAX_D["stacked"] >= 9
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    assert ("`--d` is at most %(trees)d for `trees`, %(strata)d for `strata` and %(stacked)d "
+            "for `stacked`" % cli.MAX_D) in readme.replace("\n", " ")
 
 
 def test_closed_stdout_is_one_error_line():

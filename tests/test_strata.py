@@ -89,7 +89,7 @@ def test_cluster_strata_for_shape_matches_enumeration():
     assert via_shapes == enumerate_cluster_strata(labels)
 
 
-# The template route (stable_templates, cluster_report_lines and the CLI
+# The s-expression route (stable_sexprs, cluster_report_lines and the CLI
 # that streams them) against Stratum objects built on LabelledTree.
 
 

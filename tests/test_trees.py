@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 import oracles
 from fukaya_workbench import INF, LabelledTree, MetricTree
-from fukaya_workbench.trees import (classify_tuple, compositions, enumerate_stable_trees,
-                                    fundamental_decomposition, glue_labels, glue_metrics,
-                                    glue_trees, gluing_length, metric_from_text,
-                                    metric_to_text, reduce_tuple, sexpr_to_shape,
-                                    shape_to_sexpr, stable_templates, tree_from_text,
-                                    tree_to_text)
+from fukaya_workbench.trees import (_subtree_items, classify_tuple, compositions,
+                                    enumerate_stable_trees, fundamental_decomposition,
+                                    glue_labels, glue_metrics, glue_trees, gluing_length,
+                                    metric_from_text, metric_to_text, reduce_tuple,
+                                    sexpr_to_shape, shape_to_sexpr, stable_sexprs,
+                                    tree_from_text, tree_to_text)
 
 
 def all_label_tuples(d, alphabet):
@@ -135,32 +135,32 @@ def test_stable_needs_two_leaves():
         enumerate_stable_trees(4, 1)
 
 
-# -- s-expression templates --------------------------------------------
+# -- s-expressions of the stable shapes --------------------------------
 # The oracles are enumerate_stable_trees, shape_to_sexpr and
 # LabelledTree, which walk the shapes node by node and share no code
-# with the templates.
-
-
-def filled(template, d):
-    return template % tuple(range(1, d + 1))
+# with stable_sexprs.
 
 
 @pytest.mark.parametrize("max_arity", [None, 2])
-def test_templates_fill_to_the_sexprs_in_order(max_arity):
+def test_sexprs_are_the_shapes_in_order(max_arity):
     for d in range(2, 10):
-        expected = [shape_to_sexpr(s) for s in enumerate_stable_trees(d, max_arity)]
-        assert [filled(t, d) for t in stable_templates(d, max_arity)] == expected, d
-        with_spans = stable_templates(d, max_arity, spans=True)
-        assert [filled(t, d) for t, _ in with_spans] == expected, d
+        shapes = enumerate_stable_trees(d, max_arity)
+        expected = [shape_to_sexpr(s) for s in shapes]
+        assert list(stable_sexprs(d, max_arity)) == expected, d
+        with_spans = list(stable_sexprs(d, max_arity, spans=True))
+        assert [text for text, _ in with_spans] == expected, d
+        for shape, (_, spans) in zip(shapes, with_spans):
+            t = LabelledTree(shape, ("L",) * (d + 1))
+            assert spans == tuple(t.span[p] for p in t.interior_edges), shape
 
 
-def test_templates_are_generated_lazily_after_checking_arguments():
-    items = stable_templates(8)
+def test_sexprs_are_generated_lazily_after_checking_arguments():
+    items = stable_sexprs(8)
     assert inspect.isgenerator(items)
-    assert filled(next(items), 8) == shape_to_sexpr(enumerate_stable_trees(8)[0])
+    assert next(items) == shape_to_sexpr(enumerate_stable_trees(8)[0])
     for d, max_arity in ((1, None), (4, 1)):
         with pytest.raises(ValueError):
-            stable_templates(d, max_arity)
+            stable_sexprs(d, max_arity)
 
 
 STABLE_SHAPES = [(d, shape) for d in range(2, 8) for shape in enumerate_stable_trees(d)]
@@ -169,15 +169,28 @@ STABLE_SHAPES = [(d, shape) for d in range(2, 8) for shape in enumerate_stable_t
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.sampled_from("ABC"), min_size=8, max_size=8))
 def test_span_counts_match_labelled_tree_edges(letters):
-    items = [item for d in range(2, 8) for item in stable_templates(d, spans=True)]
+    items = [item for d in range(2, 8) for item in stable_sexprs(d, spans=True)]
     assert len(items) == len(STABLE_SHAPES)
-    for (d, shape), (template, spans) in zip(STABLE_SHAPES, items):
+    for (d, shape), (text, spans) in zip(STABLE_SHAPES, items):
         labels = letters[:d + 1]
         t = LabelledTree(shape, labels)
-        assert filled(template, d) == shape_to_sexpr(shape)
+        assert text == shape_to_sexpr(shape)
         uni = sum(labels[a - 1] == labels[b] for a, b in spans)
         assert uni == len(t.uni_interior_edges)
         assert len(spans) - uni == len(t.floer_interior_edges)
+
+
+@pytest.mark.parametrize("spans", [False, True])
+@pytest.mark.parametrize("max_arity", [None, 2])
+def test_children_with_d_minus_1_leaves_are_streamed_not_kept(max_arity, spans):
+    """Only the root has a child with d - 1 leaves, so only subtrees with
+    at most d - 2 leaves are kept: one entry per (size m, first leaf),
+    with first leaf 1..d - m + 1."""
+    d = 8
+    _subtree_items.cache_clear()
+    count = sum(1 for _ in stable_sexprs(d, max_arity, spans))
+    assert count == len(enumerate_stable_trees(d, max_arity))
+    assert _subtree_items.cache_info().currsize == sum(d - m + 1 for m in range(1, d - 1))
 
 
 def test_compositions():
