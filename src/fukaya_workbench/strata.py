@@ -64,21 +64,6 @@ class Stratum(NamedTuple):
 # -- cluster strata ----------------------------------------------------
 
 
-def cluster_strata_for_shape(labels, shape):
-    """Strata carried by one stable shape: broken counts k from 0 up to
-    the number of unilabelled interior edges."""
-    labels = tuple(labels)
-    d = len(labels) - 1
-    t = LabelledTree(shape, labels)
-    floer = len(t.floer_interior_edges)
-    uni = len(t.uni_interior_edges)
-    out = []
-    for k in range(uni + 1):
-        codim = floer + k
-        out.append(Stratum(t, k, codim, (d - 2) - codim))
-    return out
-
-
 def cluster_report_lines(labels):
     """(dim, report line) of every cluster stratum, as
     enumerate_cluster_strata and Stratum.report_line would give them,
@@ -106,7 +91,10 @@ def enumerate_cluster_strata(labels):
         raise ValueError("cluster strata need d >= 2")
     out = []
     for shape in enumerate_stable_trees(d):
-        out.extend(cluster_strata_for_shape(labels, shape))
+        t = LabelledTree(shape, labels)
+        floer = len(t.floer_interior_edges)
+        for k in range(len(t.uni_interior_edges) + 1):
+            out.append(Stratum(t, k, floer + k, d - 2 - floer - k))
     return out
 
 
@@ -196,12 +184,6 @@ def _colored_ancestors(path, colored) -> int:
     return sum(1 for i in range(len(path)) if path[:i] in colored)
 
 
-def _cone_dim(tree: LabelledTree, colored) -> int:
-    """|V| - |colored| = |interior edges| + 1 - |colored|: the cone
-    dimension of a valid coloring and the codimension of its stratum."""
-    return len(tree.vertex_paths) - len(colored)
-
-
 def validate_coloring(ct: ColoredTree) -> ColoringReport:
     """Check the three coloring conditions and build an exact witness
     metric when they hold.
@@ -266,11 +248,12 @@ def coloring_cone_dim(ct: ColoredTree) -> int:
     """Dimension of the metric cone of a valid coloring:
     |interior edges| + 1 - |colored vertices|.  The equidistance
     constraints are independent, one per colored vertex after the
-    first."""
+    first.  It equals |V| - |colored|, the codimension of the
+    stratum."""
     report = validate_coloring(ct)
     if not report.valid:
         raise ValueError("invalid coloring: %s" % report.violation)
-    return _cone_dim(ct.tree, ct.colored)
+    return len(ct.tree.vertex_paths) - len(ct.colored)
 
 
 def generalized_corner_flag(ct: ColoredTree) -> bool:
@@ -300,7 +283,7 @@ def _stacked_items(d: int):
     """The subtrees with d leaves that occur in some colored tree, in
     canonical order (root arity, composition, child choices), as items
     (stable, vertex count, plain template, coloring records); no shape
-    is built, and stacked_shapes reads the shapes off the templates.
+    is built, and enumerate_stacked_strata parses the plain templates.
 
     A subtree may be stable (every vertex has arity >= 2, so it may sit
     above the color line) or colorable (at its root when all children
@@ -313,8 +296,8 @@ def _stacked_items(d: int):
     fewer than d leaves come from _stacked_subtrees, so no item with d
     leaves is kept.
 
-    The records follow _colorings: root colored first, then the product
-    of the children's records.  A record is (colored template with v*
+    The records list the root colored first, then the product of the
+    children's records.  A record is (colored template with v*
     heads, colored paths as suffixes of 'r', below), where below is 0,
     1 or 2 as the vertices strictly below the color line are none, a
     chain, or split over two branches."""
@@ -349,33 +332,6 @@ def _stacked_subtrees(d: int):
     return tuple(_stacked_items(d))
 
 
-def _stable(node) -> bool:
-    return node is None or (len(node) >= 2 and all(_stable(c) for c in node))
-
-
-def _colorings(shape, path=()):
-    """All valid colored sets for the subtree: either color the root of
-    the subtree (legal when nothing below is 2-valent), or leave it
-    uncolored (needs arity >= 2 and a colored set in every child)."""
-    options = []
-    if all(_stable(c) for c in shape):
-        options.append(frozenset((path,)))
-    if len(shape) >= 2 and all(c is not None for c in shape):
-        for combo in itertools.product(
-            *(_colorings(c, path + (k,)) for k, c in enumerate(shape))
-        ):
-            options.append(frozenset().union(*combo))
-    return options
-
-
-def stacked_shapes(d: int):
-    """Shapes admitting at least one coloring, in canonical order."""
-    if d < 1:
-        raise ValueError("stacked strata need d >= 1")
-    leaves = tuple(range(1, d + 1))
-    return [sexpr_to_shape(template % leaves)[0] for _, _, template, _ in _stacked_items(d)]
-
-
 def stacked_report_lines(d: int):
     """(dim, report line) of every stacked stratum with d leaves, as
     enumerate_stacked_strata and Stratum.report_line would give them
@@ -393,28 +349,24 @@ def stacked_report_lines(d: int):
                                               below == 2)
 
 
-def stacked_strata_for_shape(labels, shape):
-    """Colored strata carried by one shape; the codimension is the cone
-    dimension of the coloring."""
+def enumerate_stacked_strata(labels):
+    """Colored trees with d leaves, against top dimension d - 1, read
+    off the coloring records in the order stacked_report_lines prints
+    them: one tree per item, and per record the colored paths from its
+    suffixes ('.0.1' is (0, 1)), codim = |V| - |colored| and a
+    generalized corner when below == 2."""
     labels = tuple(labels)
     d = len(labels) - 1
-    t = LabelledTree(shape, labels)
+    if d < 1:
+        raise ValueError("stacked strata need d >= 1")
+    leaves = tuple(range(1, d + 1))
     out = []
-    for colored in _colorings(shape):
-        codim = _cone_dim(t, colored)
-        ct = ColoredTree(t, colored)
-        out.append(
-            Stratum(t, 0, codim, (d - 1) - codim, colored, generalized_corner_flag(ct))
-        )
-    return out
-
-
-def enumerate_stacked_strata(labels):
-    """Colored trees with d leaves, against top dimension d - 1."""
-    labels = tuple(labels)
-    out = []
-    for shape in stacked_shapes(len(labels) - 1):
-        out.extend(stacked_strata_for_shape(labels, shape))
+    for _, vertices, template, records in _stacked_items(d):
+        t = LabelledTree(sexpr_to_shape(template % leaves)[0], labels)
+        for _, suffixes, below in records:
+            codim = vertices - len(suffixes)
+            colored = frozenset([tuple(map(int, s.split(".")[1:])) for s in suffixes])
+            out.append(Stratum(t, 0, codim, d - 1 - codim, colored, below == 2))
     return out
 
 

@@ -3,7 +3,8 @@
 Each oracle recomputes a quantity along a different route than the
 package: polygon diagonals instead of trees, edge contraction instead
 of arity recursion, two-level composition instead of constraint
-filtering, a filter over every loose shape instead of pruned
+filtering (put in enumeration order by a sort key instead of by
+generation), a filter over every loose shape instead of pruned
 generation, the corank of the equidistance system instead of a vertex
 count, interval bookkeeping instead of profile splicing, a direct
 associator scan instead of insertion sums, relation scans over every
@@ -165,6 +166,35 @@ def stacked_strata_oracle(d: int):
                     shape = _replace_leaves(lower, uppers)
                     out.add((shape, frozenset(spots)))
     return out
+
+
+def _leaf_count(node) -> int:
+    return 1 if node is None else sum(_leaf_count(c) for c in node)
+
+
+def _shape_key(node):
+    """Canonical order of shapes: root arity, then the children's leaf
+    counts, then the children in turn; a leaf comes first."""
+    if node is None:
+        return ()
+    return (len(node), tuple(_leaf_count(c) for c in node), tuple(_shape_key(c) for c in node))
+
+
+def _coloring_key(node, colored, path=()):
+    """Order of the colorings of one shape: the colored root first, then
+    the children's colorings in turn."""
+    if path in colored:
+        return (0,)
+    if node is None:
+        return ()
+    return (1, tuple(_coloring_key(c, colored, path + (k,)) for k, c in enumerate(node)))
+
+
+def stacked_order_key(stratum):
+    """Sort key putting the (shape, colored) pairs of
+    stacked_strata_oracle in enumeration order."""
+    shape, colored = stratum
+    return _shape_key(shape), _coloring_key(shape, colored)
 
 
 def _loose_shapes(d: int, parent_unary: bool):

@@ -1,7 +1,8 @@
-"""The CLI's error boundary: whatever a file argument holds, every verb
-that reads one ends in exit 0, 1 or 2, raises nothing but SystemExit,
+"""The CLI's error boundary: whatever a file argument or a flag value
+holds, every verb ends in exit 0, 1 or 2, raises nothing but SystemExit,
 and prints an 'error:' line whenever it exits 2."""
 
+import argparse
 import contextlib
 import importlib.resources
 import io
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fukaya_workbench.cli import main
+from fukaya_workbench.cli import build_parser, main
 
 CATEGORY = importlib.resources.files("fukaya_workbench").joinpath("data/exterior.cat").read_text()
 
@@ -97,13 +98,16 @@ def run_main(argv):
             code = main(list(argv))
         except SystemExit as e:
             code = e.code
-    return code, err.getvalue()
+    return code, err.getvalue(), out.getvalue()
 
 
-def assert_boundary(code, err):
+def assert_boundary(code, err, out):
     assert code in (0, 1, 2)
     if code == 2:
         assert "error:" in err
+    if err.startswith("usage:"):
+        # an argparse usage error, raised before any work
+        assert (code, out) == (2, "")
 
 
 @pytest.fixture(scope="module")
@@ -132,3 +136,121 @@ def test_file_verbs_keep_their_exit_codes(workdir, verb):
                  st.text(max_size=60)))
 def test_width_expressions_keep_their_exit_codes(expr):
     assert_boundary(*run_main(["width", expr.strip()]))
+
+
+# -- every flag of every verb --------------------------------------------
+
+
+def walk_options(parser, path=(), seen=None):
+    """(verb path, action) for every argument of every subcommand; an
+    argument shared through a parent parser, such as --format, is one
+    action and is walked once."""
+    seen = set() if seen is None else seen
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from walk_options(sub, path + (name,), seen)
+        elif path and not isinstance(action, argparse._HelpAction) and action not in seen:
+            seen.add(action)
+            yield path, action
+
+
+def option_key(action):
+    return action.option_strings[0] if action.option_strings else action.dest
+
+
+OPTIONS = list(walk_options(build_parser()))
+
+# Runs of each verb, each as the arguments it gives by option string or
+# positional name; a value FILE:fmt names a file holding VALID[fmt].  An
+# argument is fed the values below in the first run that gives it, or
+# else in the first run, with every other argument at its default.
+RUNS = {
+    ("reduce",): [{"tuple": "(L0,L1,L0)"}],
+    ("classify",): [{"tuple": "(L0,L1,L0)"}],
+    ("trees",): [{"--d": "3"}],
+    ("strata",): [{"--d": "3"}, {"--labels": "(A,B,A,B)"}],
+    ("stacked",): [{"--d": "3"}, {"--labels": "(A,B,A,B)"}],
+    ("coloring",): [{"file": "FILE:tree"}],
+    ("width",): [{"expr": "(glue (surface 2) 1 (surface 2) 1/2)"}, {"--random": "2"},
+                 {"--stack": "-1/2", "--child-widths": "0,1", "--root-widths": "1,0"}],
+    ("check-ainf",): [{"file": "bundled:exterior"}],
+    ("check-linf",): [{"file": "FILE:linf"}],
+    ("check-ocha",): [{"file": "FILE:ocha"}],
+    ("measure",): [{"file": "bundled:weakly"}],
+    ("unit",): [{"file": "bundled:exterior", "--object": "M", "--unit": "e"}],
+    ("functor",): [{"--source": "bundled:exterior", "--target": "bundled:exterior",
+                    "--map": "FILE:functor"}],
+    ("budget", "vertex"): [{"--d": "3", "--eps": "1/10"}],
+    ("budget", "epsdelta"): [{"--eps": "1/10", "--delta": "3/4"}],
+    ("budget", "window"): [{"--lo": "3/50", "--hi": "2/25", "--eps": "1/10"}],
+    ("budget", "strip"): [{"--lo": "0", "--hi": "1", "--end": "entry", "--cutoffs": "0,0.5,1"}],
+    ("budget", "energy"): [{"--inputs": "1,2", "--output": "3"}],
+    ("budget", "continuation"): [{"--eps1": "1/10", "--delta1": "3/4", "--eps2": "1/10",
+                                  "--delta2": "3/4", "--d": "3"}],
+    ("budget", "thin"): [{"--d": "5"}],
+    ("dim",): [{"--case": "marked_disc", "--l": "3", "--k": "2"}],
+}
+
+HUGE = ["9" * 20, "9" * 4301]
+FLAG_VALUES = ["nan", "inf", "-inf", "-1", "0", "1e400", "1e-400", "", "1/0"] + HUGE
+
+# Options whose value is the amount of work asked for: a huge value is
+# honoured, not refused, so they get a small stand-in for HUGE.  Every
+# other count (--max-d, --max-n, --max-closed, --max-open, the budget
+# and dim --d) is fed HUGE itself and answers at once on these inputs.
+WORK_SIZE = {
+    ("width", "--random"): "builds and checks N random expressions",
+    ("budget", "epsdelta", "--random"): "runs N random trials",
+}
+STAND_IN = "3"
+
+
+@pytest.fixture(scope="module")
+def files(workdir):
+    out = {}
+    for fmt, text in VALID.items():
+        path = workdir / ("valid-%s.txt" % fmt)
+        path.write_text(text)
+        out["FILE:" + fmt] = str(path)
+    return out
+
+
+def flag_argv(path, run, files, action=None, value=None):
+    """argv of the verb at path with the arguments of run, and action fed
+    value (a flag that takes no value is given bare)."""
+    run = dict(run)
+    if action is not None:
+        run.pop(option_key(action), None)
+    argv = list(path)
+    for key, v in run.items():
+        v = files.get(v, v)
+        argv.append("%s=%s" % (key, v) if key.startswith("-") else v)
+    if action is None:
+        return argv
+    if not action.option_strings:
+        return argv + [value]
+    return argv + [action.option_strings[0] if value is None
+                   else "%s=%s" % (action.option_strings[0], value)]
+
+
+def test_every_verb_has_runs_that_work(files, workdir, monkeypatch):
+    monkeypatch.chdir(workdir)
+    assert sorted(RUNS) == sorted({path for path, _ in OPTIONS})
+    for path, runs in RUNS.items():
+        for run in runs:
+            code, err, out = run_main(flag_argv(path, run, files))
+            assert code in (0, 1) and err == "" and out, (path, run, code, err)
+
+
+@pytest.mark.parametrize("path, action", OPTIONS,
+                         ids=[" ".join(path + (option_key(a),)) for path, a in OPTIONS])
+def test_every_flag_value_keeps_the_exit_codes(files, workdir, monkeypatch, path, action):
+    monkeypatch.chdir(workdir)
+    key = option_key(action)
+    run = next((run for run in RUNS[path] if key in run), RUNS[path][0])
+    values = [None] if action.nargs == 0 else FLAG_VALUES
+    if path + (key,) in WORK_SIZE:
+        values = [STAND_IN if v in HUGE else v for v in values]
+    for value in values:
+        assert_boundary(*run_main(flag_argv(path, run, files, action, value)))

@@ -1,6 +1,7 @@
 import math
 import re
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -8,16 +9,14 @@ import oracles
 from fukaya_workbench import LabelledTree
 from fukaya_workbench.cli import main
 from fukaya_workbench.strata import (ColoredTree, Glue, Surface, WidthProfile,
-                                     cluster_report_lines, cluster_strata_for_shape,
-                                     coloring_cone_dim,
+                                     cluster_report_lines, coloring_cone_dim,
                                      enumerate_cluster_strata, enumerate_stacked_strata,
                                      f_vector, facet_term_bijection,
                                      generalized_corner_flag, intrinsic_width,
-                                     _colorings, _stacked_subtrees, stacked_gluing_lengths,
-                                     stacked_report_lines, stacked_shapes,
-                                     stacked_strata_for_shape, validate_coloring,
+                                     _stacked_subtrees, stacked_gluing_lengths,
+                                     stacked_report_lines, validate_coloring,
                                      width_expr_from_text, width_expr_to_text)
-from fukaya_workbench.trees import enumerate_stable_trees, sexpr_to_shape
+from fukaya_workbench.trees import sexpr_to_shape
 
 
 def labels_for(d):
@@ -81,22 +80,12 @@ def test_cluster_errors():
         list(cluster_report_lines(("A", "B")))
 
 
-def test_cluster_strata_for_shape_matches_enumeration():
-    labels = ("L0", "L1", "L0", "L1", "L0")
-    via_shapes = []
-    for shape in enumerate_stable_trees(4):
-        via_shapes.extend(cluster_strata_for_shape(labels, shape))
-    assert via_shapes == enumerate_cluster_strata(labels)
-
-
 # The s-expression route (stable_sexprs, cluster_report_lines and the CLI
 # that streams them) against Stratum objects built on LabelledTree.
 
 
 def oracle_lines(labels):
-    d = len(labels) - 1
-    return [(s.dim, s.report_line())
-            for shape in enumerate_stable_trees(d) for s in cluster_strata_for_shape(labels, shape)]
+    return [(s.dim, s.report_line()) for s in enumerate_cluster_strata(labels)]
 
 
 def oracle_report(labels, fmt):
@@ -221,7 +210,7 @@ def test_cone_dim_requires_valid_coloring():
 
 def test_cone_dim_is_the_equidistance_corank_and_the_stratum_codim():
     for d in range(1, 7):
-        for s in enumerate_stacked_strata(labels_for(d)):
+        for s in stacked_strata(d):
             cone = coloring_cone_dim(ColoredTree(s.tree, s.colored))
             assert cone == oracles.cone_dim_oracle(s.tree.shape, s.colored)
             assert s.codim == cone
@@ -237,7 +226,7 @@ def test_exact_rank_oracle():
 
 def test_witness_lengths_strictly_positive():
     for d in range(1, 6):
-        for s in enumerate_stacked_strata(labels_for(d)):
+        for s in stacked_strata(d):
             rep = validate_coloring(ColoredTree(s.tree, s.colored))
             assert rep.valid
             assert all(v > 0 for v in rep.witness.lengths.values())
@@ -247,17 +236,63 @@ def test_witness_lengths_strictly_positive():
 # -- stacked strata ----------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def stacked_strata(d):
+    """enumerate_stacked_strata with distinct labels, built once per d."""
+    return tuple(enumerate_stacked_strata(labels_for(d)))
+
+
+# Up to this d the ordered oracle also pins codim and the corner flag.
+CONE_D = 6
+
+
+def stacked_rows(d, rows):
+    """The fields of (shape, colored, dim, codim, corner) rows that
+    stacked_oracle(d) pins."""
+    return [row if d <= CONE_D else row[:3] for row in rows]
+
+
+@lru_cache(maxsize=None)
+def stacked_oracle(d):
+    """The composition oracle's stacked strata in enumeration order, as
+    (shape, colored, dim by valency count) and, up to CONE_D, codim as
+    the corank of the equidistance system and the corner flag of the
+    ColoredTree; the strata do not depend on the labels."""
+    rows = []
+    for shape, colored in sorted(oracles.stacked_strata_oracle(d), key=oracles.stacked_order_key):
+        row = (shape, colored, oracles.stacked_dim_oracle(shape, colored))
+        if d <= CONE_D:
+            ct = ColoredTree(LabelledTree(shape, labels_for(d)), colored)
+            row += (oracles.cone_dim_oracle(shape, colored), generalized_corner_flag(ct))
+        rows.append(row)
+    return rows
+
+
+@lru_cache(maxsize=None)
+def stacked_lines(d):
+    """stacked_report_lines(d), and each line parsed back into a
+    (shape, colored, dim, codim, corner) row."""
+    pairs = list(stacked_report_lines(d))
+    rows = []
+    for _, line in pairs:
+        dim, codim, tree, corner = re.fullmatch(
+            r"dim=(\d+) codim=(\d+) tree=(.*) broken=0 colored=\S*( corner=generalized)?",
+            line).groups()
+        rows.append(sexpr_to_shape(tree) + (int(dim), int(codim), corner is not None))
+    return pairs, rows
+
+
 def test_stacked_f_vectors():
     expected = {1: [1], 2: [2, 1], 3: [6, 6, 1], 4: [21, 32, 13, 1],
                 5: [80, 165, 110, 25, 1], 6: [322, 841, 788, 313, 46, 1],
                7: [1348, 4272, 5183, 2984, 809, 84, 1]}
     for d, fv in expected.items():
-        assert f_vector(enumerate_stacked_strata(labels_for(d))) == fv
+        assert f_vector(stacked_strata(d)) == fv
 
 
 def test_stacked_match_composition_oracle():
     for d in range(1, 6):
-        strata = enumerate_stacked_strata(labels_for(d))
+        strata = stacked_strata(d)
         got = {(s.tree.shape, s.colored) for s in strata}
         assert got == oracles.stacked_strata_oracle(d)
         for s in strata:
@@ -266,27 +301,23 @@ def test_stacked_match_composition_oracle():
 
 
 def test_stacked_shapes_match_loose_filter():
-    # pruned generation keeps exactly the colorable loose shapes, in order
+    # the shapes carrying strata are exactly the colorable loose shapes, in order
     for d in range(1, 7):
-        shapes = stacked_shapes(d)
+        shapes = list(dict.fromkeys(s.tree.shape for s in stacked_strata(d)))
         assert shapes == [s for s in oracles.loose_shapes_oracle(d)
                           if oracles.has_coloring_oracle(s)]
-        assert all(_colorings(s) for s in shapes)
 
 
 def test_stacked_corner_flags():
     for d in (2, 3):
-        assert not any(s.generalized_corner
-                       for s in enumerate_stacked_strata(labels_for(d)))
-    flagged = [s for s in enumerate_stacked_strata(labels_for(4))
-               if s.generalized_corner]
+        assert not any(s.generalized_corner for s in stacked_strata(d))
+    flagged = [s for s in stacked_strata(4) if s.generalized_corner]
     assert len(flagged) == 1
     s = flagged[0]
     assert s.tree.shape == (((None,), (None,)), ((None,), (None,)))
     assert s.colored == frozenset({(0, 0), (0, 1), (1, 0), (1, 1)})
     assert s.dim == 0
-    assert len([s for s in enumerate_stacked_strata(labels_for(5))
-                if s.generalized_corner]) == 19
+    assert len([s for s in stacked_strata(5) if s.generalized_corner]) == 19
     assert len([line for _, line in stacked_report_lines(5)
                 if line.endswith(" corner=generalized")]) == 19
 
@@ -298,17 +329,15 @@ STACKED_LABEL_CASES = [labels_for(d) for d in range(1, 8)] + [
 @pytest.mark.parametrize("labels", STACKED_LABEL_CASES, ids=",".join)
 def test_stacked_report_lines_match_strata(labels):
     d = len(labels) - 1
-    pairs = list(stacked_report_lines(d))
-    assert pairs == [(s.dim, s.report_line()) for s in enumerate_stacked_strata(labels)]
-    if d > 6:
-        return
-    fields = [re.fullmatch(r"dim=(\d+) codim=(\d+) tree=(.*) broken=0 colored=\S*"
-                           r"( corner=generalized)?", line).groups() for _, line in pairs]
-    parsed = [sexpr_to_shape(tree) for _, _, tree, _ in fields]
-    assert set(parsed) == oracles.stacked_strata_oracle(d)
-    for (dim, _), (dim_text, codim, _, _), (shape, colored) in zip(pairs, fields, parsed):
-        assert dim == int(dim_text) == oracles.stacked_dim_oracle(shape, colored)
-        assert int(codim) == oracles.cone_dim_oracle(shape, colored)
+    pairs, rows = stacked_lines(d)
+    assert [dim for dim, _ in pairs] == [row[2] for row in rows]
+    assert stacked_rows(d, rows) == stacked_oracle(d)
+    strata = stacked_strata(d) if labels == labels_for(d) else enumerate_stacked_strata(labels)
+    assert stacked_rows(d, [(s.tree.shape, s.colored, s.dim, s.codim, s.generalized_corner)
+                            for s in strata]) == stacked_oracle(d)
+    assert all(s.tree.labels == labels and s.broken_count == 0 and s.dim + s.codim == d - 1
+               for s in strata)
+    assert [(s.dim, s.report_line()) for s in strata] == pairs
 
 
 def test_stacked_report_lines_keep_no_subtree_with_d_leaves():
@@ -324,20 +353,15 @@ def test_stacked_report_lines_keep_no_subtree_with_d_leaves():
     assert _stacked_subtrees.cache_info().currsize == d - 1
 
 
-def test_stacked_shapes_validation():
-    with pytest.raises(ValueError):
-        stacked_shapes(0)
-    # per-shape strata agree with the full enumeration
-    labels = labels_for(3)
-    via = []
-    for shape in stacked_shapes(3):
-        via.extend(stacked_strata_for_shape(labels, shape))
-    assert via == enumerate_stacked_strata(labels)
+def test_stacked_strata_need_one_leaf():
+    for labels in ((), ("A",)):
+        with pytest.raises(ValueError, match="^stacked strata need d >= 1$"):
+            enumerate_stacked_strata(labels)
 
 
 def test_stacked_colorings_valid():
     for d in range(1, 6):
-        for s in enumerate_stacked_strata(labels_for(d)):
+        for s in stacked_strata(d):
             assert validate_coloring(ColoredTree(s.tree, s.colored)).valid
 
 
