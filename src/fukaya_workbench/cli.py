@@ -52,6 +52,7 @@ from .strata import (
 )
 from .trees import (
     classify_tuple,
+    labels_from_text,
     reduce_tuple,
     stable_sexprs,
     tree_from_text,
@@ -82,7 +83,14 @@ class Out:
 
     def items(self, key, lines):
         """item(key.i, line) for each line, i = 0, 1, .., written in
-        blocks of _BLOCK lines as they come; returns how many there were."""
+        blocks of _BLOCK lines as they come; returns how many there were.
+
+        A machine block is one % over a template of one "key.%d=%s"
+        line per item, so a % in a line is a value, never a conversion;
+        a text block is one join."""
+        if self.fmt == "machine":
+            unit = key.replace("%", "%%") + ".%d=%s\n"
+            template = unit * _BLOCK
         it = iter(lines)
         count = 0
         while True:
@@ -91,8 +99,13 @@ class Out:
                 return count
             n = len(block)
             if self.fmt == "machine":
-                block = map((key + ".%d=%s").__mod__, zip(itertools.count(count), block))
-            sys.stdout.write("\n".join(block) + "\n")
+                values = [None] * (2 * n)
+                values[::2] = range(count, count + n)
+                values[1::2] = block
+                text = (template if n == _BLOCK else unit * n) % tuple(values)
+            else:
+                text = "\n".join(block) + "\n"
+            sys.stdout.write(text)
             count += n
 
     def seq(self, key, values):
@@ -122,10 +135,7 @@ def _read_source(path: str) -> str:
 
 
 def _parse_labels(text: str):
-    s = text.strip()
-    if s.startswith("(") and s.endswith(")"):
-        s = s[1:-1]
-    labels = tuple(x.strip() for x in s.split(",") if x.strip())
+    labels = labels_from_text(text)
     if len(labels) < 2:
         raise ValueError("need at least two labels, got %r" % text)
     return labels

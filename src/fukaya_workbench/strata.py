@@ -67,15 +67,29 @@ class Stratum(NamedTuple):
 def cluster_report_lines(labels):
     """(dim, report line) of every cluster stratum, as
     enumerate_cluster_strata and Stratum.report_line would give them,
-    generated one at a time from stable_sexprs(d, spans=True) without
-    building a tree: an interior edge with leaf span (a, b) is
-    unilabelled exactly when labels[a - 1] == labels[b]."""
+    generated one at a time from stable_sexprs(d) without building a
+    tree: an interior edge with leaf span (a, b) is unilabelled exactly
+    when labels[a - 1] == labels[b]."""
     labels = tuple(labels)
     d = len(labels) - 1
     if d < 2:
         raise ValueError("cluster strata need d >= 2")
+    # The leaf spans (a, b) at which an interior edge is unilabelled;
+    # (1, d) is the root's own span, never an interior edge's.
+    same = frozenset((a, b) for a in range(1, d) for b in range(a + 1, d + 1)
+                     if labels[a - 1] == labels[b] and (a, b) != (1, d))
+    if not same:
+        # Every interior edge is a Floer edge; there is one per vertex
+        # below the root.
+        for tree in stable_sexprs(d):
+            codim = tree.count("(v") - 1
+            yield d - 2 - codim, stratum_line(d - 2 - codim, codim, tree, 0)
+        return
     for tree, spans in stable_sexprs(d, spans=True):
-        uni = sum([labels[a - 1] == labels[b] for a, b in spans])
+        # A vertex of arity >= 2 never shares its leaf span with a
+        # child, so a stable tree's spans are distinct and the
+        # intersection counts each unilabelled edge once.
+        uni = len(same.intersection(spans))
         floer = len(spans) - uni
         for k in range(uni + 1):
             codim = floer + k

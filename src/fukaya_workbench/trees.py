@@ -255,6 +255,37 @@ def _significant_lines(text):
             yield number, line
 
 
+def _balanced(label: str) -> bool:
+    depth = 0
+    for ch in label:
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth < 0:
+                return False
+    return depth == 0
+
+
+def labels_from_text(text: str) -> tuple:
+    """The labels of 'L0,L1,..' or '(L0,L1,..)', each stripped of
+    whitespace.  An empty label, as in '(A,,B)' or '(A,B,)', and a
+    parenthesis without its partner, as in '(A,B', are errors that quote
+    the text; a blank text or '()' has no labels."""
+    s = text.strip()
+    if s.startswith("(") and s.endswith(")"):
+        s = s[1:-1]
+    if not s.strip():
+        return ()
+    labels = tuple(x.strip() for x in s.split(","))
+    if "" in labels:
+        raise ValueError("empty label in %r" % text)
+    for label in labels:
+        if not _balanced(label):
+            raise ValueError("unbalanced parenthesis in label %r of %r" % (label, text))
+    return labels
+
+
 def tree_from_text(text: str):
     """Parse the labelled-tree format; returns (tree, colored paths).
 
@@ -265,7 +296,7 @@ def tree_from_text(text: str):
     colored = frozenset()
     for _, line in _significant_lines(text):
         if line.startswith("labels:"):
-            labels = tuple(x.strip() for x in line[len("labels:"):].split(",") if x.strip())
+            labels = labels_from_text(line[len("labels:"):].strip())
         elif line.startswith("len "):
             continue
         else:

@@ -285,6 +285,73 @@ def test_labels_and_d_together_are_a_usage_error(capsys, verb):
     assert err == "error: give either --labels or --d, not both\n"
 
 
+ITEM_LINES = ["plain", "100%", "%s", "%%", "%d", "a %(x)s b", "%"]
+
+
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+@pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 513])
+@pytest.mark.parametrize("key", ["stratum", "odd%key"])
+def test_out_items_match_the_per_line_rendering(capsys, fmt, n, key):
+    lines = [ITEM_LINES[i % len(ITEM_LINES)] + " %d" % i for i in range(n)]
+    assert cli.Out(fmt).items(key, iter(lines)) == n
+    if fmt == "machine":
+        expected = "".join("%s.%d=%s\n" % (key, i, line) for i, line in enumerate(lines))
+    else:
+        expected = "".join(line + "\n" for line in lines)
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+def test_out_items_write_each_block_before_reading_the_next(monkeypatch, fmt):
+    """Each write follows the block it holds: 256, 512, then 513 lines read."""
+    read = []
+    writes = []
+
+    def lines():
+        for i in range(513):
+            read.append(i)
+            yield "line %d" % i
+
+    class Stdout:
+        def write(self, text):
+            writes.append((len(read), text.count("\n")))
+
+    monkeypatch.setattr(sys, "stdout", Stdout())
+    assert cli.Out(fmt).items("tree", lines()) == 513
+    assert writes == [(256, 256), (512, 256), (513, 1)]
+
+
+LABEL_ERRORS = [("(A,,B,A)", "empty label in '(A,,B,A)'"),
+                ("(A,B,)", "empty label in '(A,B,)'"),
+                ("(A,B", "unbalanced parenthesis in label '(A' of '(A,B'"),
+                ("A,B)", "unbalanced parenthesis in label 'B)' of 'A,B)'")]
+
+
+@pytest.mark.parametrize("verb", ["reduce", "classify"])
+@pytest.mark.parametrize("text, message", LABEL_ERRORS)
+def test_bad_label_tuples_are_errors(capsys, verb, text, message):
+    assert run(capsys, verb, text) == (2, "", "error: %s\n" % message)
+
+
+@pytest.mark.parametrize("verb", ["strata", "stacked"])
+@pytest.mark.parametrize("text, message", LABEL_ERRORS)
+def test_bad_labels_options_are_usage_errors(capsys, verb, text, message):
+    err = _usage_error(capsys, verb, "--labels", text)
+    assert err.endswith("error: argument --labels: %s\n" % message)
+
+
+def test_labels_keep_their_whitespace_rule(capsys):
+    code, out, _ = run(capsys, "reduce", " ( L0 , L1,L0 ) ", "--format", "machine")
+    assert code == 0
+    assert out.startswith("input=(L0,L1,L0)\n")
+
+
+def test_coloring_rejects_an_empty_label(tmp_path, capsys):
+    f = tmp_path / "empty.tree"
+    f.write_text("labels: A,,B,C\n(v (leaf 1) (leaf 2))\n")
+    assert run(capsys, "coloring", str(f)) == (2, "", "error: empty label in 'A,,B,C'\n")
+
+
 def test_coloring_valid_file(tmp_path, capsys):
     f = tmp_path / "ok.tree"
     f.write_text("labels: L0,L1,L2,L3,L4,L5,L6\n"

@@ -46,7 +46,7 @@ TOKENS = st.sampled_from([
     "", "=", "==", "in=", "out=", "coeff=", "closed=", "level=1/0", "ham=x", "in=a,b", "in=,",
     "T^0", "T^1/0", "T^x", "T^{1/2}", "1", "0", "-1", "2", "1/0", "x", "a", "M", "zz",
     "object", "gen", "mu", "l", "F", "obj", "basis", "closed", "open", "labels:", "len",
-    "(", ")", "(v", "(v*", "(leaf", "leaf", "#",
+    "(", ")", "(v", "(v*", "(leaf", "leaf", "#", "A,,B",
 ]) | st.text(max_size=6)
 
 
@@ -193,7 +193,7 @@ RUNS = {
 }
 
 HUGE = ["9" * 20, "9" * 4301]
-FLAG_VALUES = ["nan", "inf", "-inf", "-1", "0", "1e400", "1e-400", "", "1/0"] + HUGE
+FLAG_VALUES = ["nan", "inf", "-inf", "-1", "0", "1e400", "1e-400", "", "1/0", "(A,,B)"] + HUGE
 
 # Options whose value is the amount of work asked for: a huge value is
 # honoured, not refused, so they get a small stand-in for HUGE.  Every

@@ -1,4 +1,5 @@
 import math
+import random
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -16,7 +17,7 @@ from fukaya_workbench.strata import (ColoredTree, Glue, Surface, WidthProfile,
                                      _stacked_subtrees, stacked_gluing_lengths,
                                      stacked_report_lines, validate_coloring,
                                      width_expr_from_text, width_expr_to_text)
-from fukaya_workbench.trees import sexpr_to_shape
+from fukaya_workbench.trees import sexpr_to_shape, stable_sexprs
 
 
 def labels_for(d):
@@ -113,6 +114,48 @@ LABEL_CASES = [labels_for(d) for d in range(2, 8)] + [
 @pytest.mark.parametrize("labels", LABEL_CASES, ids=",".join)
 def test_cluster_report_lines_match_strata(labels):
     assert list(cluster_report_lines(labels)) == oracle_lines(labels)
+
+
+@pytest.mark.parametrize("d", range(2, 8))
+@pytest.mark.parametrize("alphabet", ["AB", "ABC"])
+def test_cluster_report_lines_match_strata_on_random_labels(alphabet, d):
+    rng = random.Random("%s-%d" % (alphabet, d))
+    for _ in range(4):
+        labels = tuple(rng.choice(alphabet) for _ in range(d + 1))
+        assert list(cluster_report_lines(labels)) == oracle_lines(labels), labels
+
+
+# Repeats only at the last region (the span (a, d)), only at the root's
+# own span (1, d), only between neighbours, and nowhere.
+EQUAL_LABEL_EDGES = [("A", "B", "C", "B"), ("A", "B", "C", "D", "B"), ("A", "B", "A"),
+                     ("A", "B", "C", "D", "A"), ("A", "A", "B", "B", "C", "C"),
+                     ("A", "B", "B", "B", "C", "A"), ("A", "B", "C", "D", "E", "F")]
+
+
+@pytest.mark.parametrize("labels", EQUAL_LABEL_EDGES, ids=",".join)
+def test_cluster_report_lines_at_the_edges_of_the_equal_label_set(labels):
+    assert list(cluster_report_lines(labels)) == oracle_lines(labels)
+
+
+@pytest.mark.parametrize("argv, spans", [
+    (["strata", "--d", "6"], False),
+    (["strata", "--labels", "(A,A,B,B,C,C)"], False),
+    (["strata", "--labels", "(A,B,C,D,A)"], False),
+    (["strata", "--labels", "(A,B,A,B)"], True),
+    (["strata", "--labels", "(A,B,C,B)"], True),
+])
+def test_spans_are_asked_for_only_when_an_edge_can_be_unilabelled(
+        capsys, monkeypatch, argv, spans):
+    asked = []
+
+    def recording(d, max_arity=None, spans=False):
+        asked.append(spans)
+        return stable_sexprs(d, max_arity, spans)
+
+    monkeypatch.setattr("fukaya_workbench.strata.stable_sexprs", recording)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert asked == [spans]
 
 
 @pytest.mark.parametrize("fmt", ["text", "machine"])

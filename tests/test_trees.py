@@ -12,7 +12,7 @@ from fukaya_workbench import INF, LabelledTree, MetricTree
 from fukaya_workbench.trees import (_subtree_items, classify_tuple, compositions,
                                     enumerate_stable_trees, fundamental_decomposition,
                                     glue_labels, glue_metrics, glue_trees, gluing_length,
-                                    metric_from_text, metric_to_text, reduce_tuple,
+                                    labels_from_text, metric_from_text, metric_to_text, reduce_tuple,
                                     sexpr_to_shape, shape_to_sexpr, stable_sexprs,
                                     tree_from_text, tree_to_text)
 
@@ -272,6 +272,35 @@ def test_tree_text_comments_skipped():
     assert t.labels == ("A", "B", "C")
     with pytest.raises(ValueError):
         tree_from_text("(v (leaf 1) (leaf 2))")
+
+
+@pytest.mark.parametrize("text, labels", [
+    ("A,B,C", ("A", "B", "C")), ("(A,B,C)", ("A", "B", "C")),
+    ("  ( A , B,C ) ", ("A", "B", "C")), ("A(1),B", ("A(1)", "B")), ("", ()), ("()", ()),
+])
+def test_labels_from_text(text, labels):
+    assert labels_from_text(text) == labels
+
+
+@pytest.mark.parametrize("text, message", [
+    ("(A,,B)", "empty label in '(A,,B)'"), ("(A,B,)", "empty label in '(A,B,)'"),
+    (",A", "empty label in ',A'"), ("(A, ,B)", "empty label in '(A, ,B)'"),
+    ("(A,B", "unbalanced parenthesis in label '(A' of '(A,B'"),
+    ("A,B)", "unbalanced parenthesis in label 'B)' of 'A,B)'"),
+    ("((A,B))", "unbalanced parenthesis in label '(A' of '((A,B))'"),
+    ("A,)B(", "unbalanced parenthesis in label ')B(' of 'A,)B('"),
+])
+def test_labels_from_text_rejects_empty_and_unbalanced_labels(text, message):
+    with pytest.raises(ValueError) as exc:
+        labels_from_text(text)
+    assert str(exc.value) == message
+
+
+def test_tree_text_reads_labels_as_the_cli_does():
+    with pytest.raises(ValueError, match="empty label in 'A,,B,C'"):
+        tree_from_text("labels: A,,B,C\n(v (leaf 1) (leaf 2))\n")
+    t, _ = tree_from_text("labels: (A, B ,C)\n(v (leaf 1) (leaf 2))\n")
+    assert t.labels == ("A", "B", "C")
 
 
 def test_metric_text_round_trip():
