@@ -353,19 +353,32 @@ def measure_discrepancies(cat: FilteredAInfCategory, units=None) -> DiscrepancyR
     """Worst action gap per arity: max over table entries of
     action(output) - sum of input levels.  The certificate eps clamps
     the gap at zero; the category is filtered when every raw gap is
-    <= 0 and every declared unit has level <= 0."""
+    <= 0 and every declared unit has level <= 0.  units maps each
+    object to its unit, a generator of hom(obj, obj)."""
     raw = _worst_gaps(cat.mu, cat.gens, cat.gens)
     eps = {d: max(Fraction(0), v) for d, v in raw.items()}
     unit_levels = {}
     if units:
         for obj, name in units.items():
-            if name not in cat.gens:
-                raise ValueError("unknown unit generator %r" % name)
-            unit_levels[obj] = cat.gens[name].level
+            unit_levels[obj] = _unit_generator(cat, obj, name).level
     filtered = all(v <= 0 for v in raw.values()) and all(
         v <= 0 for v in unit_levels.values()
     )
     return DiscrepancyReport(raw, eps, unit_levels, filtered)
+
+
+def _unit_generator(cat: FilteredAInfCategory, obj: str, name: str) -> Generator:
+    """The generator name as the unit of obj: a known generator of
+    hom(obj, obj), obj a known object."""
+    if name not in cat.gens:
+        raise ValueError("unknown unit generator %r" % name)
+    if obj not in cat.objects:
+        raise ValueError("unknown object %r" % obj)
+    e = cat.gens[name]
+    if (e.source, e.target) != (obj, obj):
+        raise ValueError("unit must lie in hom(%s,%s), got hom(%s,%s)"
+                         % (obj, obj, e.source, e.target))
+    return e
 
 
 # -- strict units ------------------------------------------------------
@@ -392,11 +405,7 @@ def check_strict_unit(cat: FilteredAInfCategory, obj: str, unit: str) -> UnitRep
     """A strict unit e satisfies mu2(e, x) = x = mu2(x, e) and kills
     every operation of arity >= 3 containing it.  Violations carry the
     arity and the 1-based slot of the unit."""
-    if unit not in cat.gens:
-        raise ValueError("unknown generator %r" % unit)
-    e = cat.gens[unit]
-    if (e.source, e.target) != (obj, obj):
-        raise ValueError("unit must lie in hom(%s,%s), got hom(%s,%s)" % (obj, obj, e.source, e.target))
+    _unit_generator(cat, obj, unit)
     one = NovikovElement.one()
     violations = []
     for name in sorted(cat.gens):
@@ -1039,6 +1048,8 @@ def load_functor(text: str, source: FilteredAInfCategory, target: FilteredAInfCa
 
     def obj_line(number, pos, fields):
         _check_object_pair(source, target, pos[0], pos[1])
+        if pos[0] in object_map:
+            raise ValueError("object %r is already mapped to %r" % (pos[0], object_map[pos[0]]))
         object_map[pos[0]] = pos[1]
 
     _read_lines(text, {"obj": _LineKind(2, obj_line, {}),

@@ -141,6 +141,31 @@ def _parse_labels(text: str):
     return labels
 
 
+# -- flag types ----------------------------------------------------------
+
+
+def _flag(convert):
+    """The argparse type that reads a flag's text with convert: a
+    ValueError it raises is a usage error naming the flag, with its
+    message."""
+
+    def parse(text):
+        try:
+            return convert(text)
+        except ValueError as e:
+            raise argparse.ArgumentTypeError(str(e)) from None
+
+    return parse
+
+
+def _integer(text) -> int:
+    """int(text), with argparse's own message for a text that is none."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError("invalid int value: %r" % text) from None
+
+
 # The largest --d of each enumeration verb.  There the three peak at
 # 97, 44 and 121 MB on CPython 3.11; one leaf more multiplies that by
 # four to five.
@@ -151,41 +176,70 @@ def _d_type(verb):
     """The argparse type of --d: an integer of at most MAX_D[verb]."""
 
     def leaf_count(text):
-        try:
-            d = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
+        d = _integer(text)
         if d > MAX_D[verb]:
-            raise argparse.ArgumentTypeError("at most %d, got %d" % (MAX_D[verb], d))
+            raise ValueError("at most %d, got %d" % (MAX_D[verb], d))
         return d
 
-    return leaf_count
+    return _flag(leaf_count)
 
 
 def _labels_type(verb):
     """The argparse type of --labels: at most MAX_D[verb] + 1 labels."""
 
     def labels(text):
-        try:
-            parsed = _parse_labels(text)
-        except ValueError as e:
-            raise argparse.ArgumentTypeError(str(e)) from None
+        parsed = _parse_labels(text)
         if len(parsed) > MAX_D[verb] + 1:
-            raise argparse.ArgumentTypeError("at most %d labels, got %d"
-                                             % (MAX_D[verb] + 1, len(parsed)))
+            raise ValueError("at most %d labels, got %d" % (MAX_D[verb] + 1, len(parsed)))
         return parsed
 
-    return labels
+    return _flag(labels)
 
 
-def _labels_from_args(args):
-    if args.labels and args.d is not None:
-        raise ValueError("give either --labels or --d, not both")
-    if args.labels:
-        return args.labels
-    if args.d is not None:
-        return tuple("L%d" % i for i in range(args.d + 1))
-    raise ValueError("give either --labels or --d")
+def _trial_count(text) -> int:
+    """--random N: N below 1 would check nothing and pass."""
+    n = _integer(text)
+    if n < 1:
+        raise ValueError("--random must be at least 1, got %d; the self-check would "
+                         "check nothing" % n)
+    return n
+
+
+def _rational(what):
+    """The argparse type of an exact rational; what names it in a message."""
+    return _flag(lambda text: _frac(text, what))
+
+
+def _comma_list(entry):
+    """The argparse type of a comma list: entry(x) for each entry x."""
+    return _flag(lambda text: [entry(x) for x in text.split(",")])
+
+
+def _widths(what):
+    """A comma list of rational widths; '' is no widths."""
+    widths = _comma_list(lambda x: _frac(x, what))
+    return lambda text: widths(text) if text else []
+
+
+def _cutoff(text) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError("a --cutoffs entry must be a number, got %r" % text) from None
+
+
+def _morse_indices(text) -> tuple:
+    """--morse: comma-separated integers; blank entries are skipped, so
+    '' is no indices."""
+    return tuple(_int(x, "a --morse entry") for x in text.split(",") if x.strip())
+
+
+def _unit_pair(text) -> tuple:
+    """--unit OBJECT:GEN as (OBJECT, GEN)."""
+    obj, colon, gen = text.partition(":")
+    if not colon:
+        raise ValueError("unit must be OBJECT:GEN, got %r" % text)
+    return obj, gen
 
 
 def _tally(dims, pairs):
@@ -239,11 +293,13 @@ def _report_strata(out, pairs):
 
 
 def cmd_strata(args, out):
-    return _report_strata(out, cluster_report_lines(_labels_from_args(args)))
+    labels = args.labels or tuple("L%d" % i for i in range(args.d + 1))
+    return _report_strata(out, cluster_report_lines(labels))
 
 
 def cmd_stacked(args, out):
-    return _report_strata(out, stacked_report_lines(len(_labels_from_args(args)) - 1))
+    d = args.d if args.labels is None else len(args.labels) - 1
+    return _report_strata(out, stacked_report_lines(d))
 
 
 def cmd_coloring(args, out):
@@ -286,16 +342,6 @@ def _random_width_expr(rng, depth):
     return Glue(outer, n, inner, length)
 
 
-def _check_random(args):
-    """Reject --random N below 1, which would check nothing and pass, and
-    a WORKBENCH_SEED that is no integer, before anything is printed."""
-    if args.random is not None and args.random < 1:
-        raise ValueError("--random must be at least 1, got %d; the self-check would "
-                         "check nothing" % args.random)
-    if args.random is not None:
-        _seed()
-
-
 def _self_check(out, n, trial):
     """Run trial(rng) n times on one WORKBENCH_SEED generator; exit 1 if
     any trial fails."""
@@ -324,27 +370,16 @@ def _epsdelta_trial(rng) -> bool:
 
 
 def cmd_width(args, out):
-    _check_random(args)
-    modes = [name for name, value in (("a width expression", args.expr), ("--random", args.random),
-                                      ("--stack", args.stack)) if value is not None]
-    if len(modes) > 1:
-        raise ValueError("%s cannot be combined" % " and ".join(modes))
     if args.stack is None and (args.child_widths is not None or args.root_widths is not None):
         raise ValueError("--child-widths and --root-widths need --stack")
     if args.stack is not None:
-        rho = _frac(args.stack, "--stack")
-        child = ([_frac(x, "a child width") for x in args.child_widths.split(",")]
-                 if args.child_widths else [])
-        root = ([_frac(x, "a root width") for x in args.root_widths.split(",")]
-                if args.root_widths else [])
-        lengths = stacked_gluing_lengths(rho, child, root)
-        out.kv("scale", _fmt_float(_stacking_scale(rho)))
+        lengths = stacked_gluing_lengths(args.stack, args.child_widths or [],
+                                         args.root_widths or [])
+        out.kv("scale", _fmt_float(_stacking_scale(args.stack)))
         out.seq("lengths", [_fmt_float(v) for v in lengths])
         return 0
     if args.random is not None:
         return _self_check(out, args.random, _width_trial)
-    if not args.expr:
-        raise ValueError("give a width expression, --random N, or --stack RHO")
     prof = intrinsic_width(width_expr_from_text(args.expr))
     out.kv("widths", prof.to_text())
     out.kv("d", prof.d)
@@ -381,6 +416,11 @@ def cmd_check_linf(args, out):
 
 
 def cmd_check_ocha(args, out):
+    if args.specializations:
+        for flag, bound in (("--max-closed", args.max_closed), ("--max-open", args.max_open)):
+            if bound < 1:
+                raise ValueError("--specializations needs %s of at least 1, got %d; "
+                                 "that sector would compare nothing" % (flag, bound))
     s = load_ocha(_read_source(args.file))
     hit = find_ocha_violation(s, args.max_closed, args.max_open)
     code = _report_scan(out, "ocha", hit, ("witness_closed", "witness_open"),
@@ -393,19 +433,14 @@ def cmd_check_ocha(args, out):
     return 0 if rep.open_sector_matches and rep.closed_sector_consistent else 1
 
 
-def _parse_units(values):
-    units = {}
-    for v in values or ():
-        if ":" not in v:
-            raise ValueError("unit must be OBJECT:GEN, got %r" % v)
-        obj, _, gen = v.partition(":")
-        units[obj] = gen
-    return units
-
-
 def cmd_measure(args, out):
+    units = {}
+    for obj, gen in args.unit or ():
+        if obj in units:
+            raise ValueError("--unit names object %r twice" % obj)
+        units[obj] = gen
     cat = load_category(_read_source(args.file))
-    rep = measure_discrepancies(cat, _parse_units(args.unit))
+    rep = measure_discrepancies(cat, units)
     for d in sorted(rep.raw):
         out.kv("raw.%d" % d, rep.raw[d])
     for d in sorted(rep.eps):
@@ -449,18 +484,6 @@ def cmd_functor(args, out):
     return _report_scan(out, "equation", hit, max_d=args.max_d)
 
 
-def _each(convert, texts, rule):
-    """[convert(x) for x in texts]; a text that convert rejects is a
-    ValueError stating the rule and the text."""
-    out = []
-    for x in texts:
-        try:
-            out.append(convert(x))
-        except ValueError:
-            raise ValueError("%s, got %r" % (rule, x)) from None
-    return out
-
-
 def cmd_budget_vertex(args, out):
     from .budget import vertex_curvature_budget
     out.kv("budget", vertex_curvature_budget(args.d, args.eps, args.case, args.convention))
@@ -469,7 +492,8 @@ def cmd_budget_vertex(args, out):
 
 def cmd_budget_epsdelta(args, out):
     from .budget import eps_delta_budget
-    _check_random(args)
+    if args.random is not None:
+        _seed()  # a bad WORKBENCH_SEED is an error before anything is printed
     rep = eps_delta_budget(args.eps, args.delta)
     out.kv("worst_case", rep.worst_case)
     out.kv("interior_cap", rep.interior_cap)
@@ -480,9 +504,7 @@ def cmd_budget_epsdelta(args, out):
 
 def cmd_budget_window(args, out):
     from .budget import validate_floer_window
-    delta = _frac(args.delta, "--delta") if args.delta is not None else None
-    rep = validate_floer_window(_frac(args.lo, "--lo"), _frac(args.hi, "--hi"),
-                                _frac(args.eps, "--eps"), delta)
+    rep = validate_floer_window(args.lo, args.hi, args.eps, args.delta)
     out.kv("window", "(%s, %s)" % (rep.lower, rep.upper))
     out.kv("ok", "yes" if rep.ok else "no")
     if not rep.ok:
@@ -493,8 +515,7 @@ def cmd_budget_window(args, out):
 
 def cmd_budget_strip(args, out):
     from .budget import strip_end_bound
-    cutoffs = _each(float, args.cutoffs.split(","), "a --cutoffs entry must be a number")
-    rep = strip_end_bound(_frac(args.lo, "--lo"), _frac(args.hi, "--hi"), args.end, cutoffs)
+    rep = strip_end_bound(args.lo, args.hi, args.end, args.cutoffs)
     out.kv("bound", _fmt_float(rep.bound))
     out.kv("closed_form", _fmt_float(rep.closed_form))
     out.kv("quadrature_error", _fmt_float(rep.quadrature_error))
@@ -503,9 +524,7 @@ def cmd_budget_strip(args, out):
 
 def cmd_budget_energy(args, out):
     from .budget import energy_action_check
-    inputs = [ActionValue.from_text(x) for x in args.inputs.split(",")]
-    output = ActionValue.from_text(args.output)
-    rep = energy_action_check(inputs, output, _frac(args.curvature, "--curvature"))
+    rep = energy_action_check(args.inputs, args.output, args.curvature)
     out.kv("bound", rep.bound.to_text())
     out.kv("output", rep.output.to_text())
     out.kv("ok", "yes" if rep.ok else "no")
@@ -530,21 +549,8 @@ def cmd_budget_thin(args, out):
 
 def cmd_dim(args, out):
     from .budget import IndexInput, virtual_dimension
-    morse = None
-    if args.morse is not None:
-        morse = tuple(_each(int, [x for x in args.morse.split(",") if x.strip() != ""],
-                            "a --morse entry must be an integer"))
-    inp = IndexInput(
-        case=args.case,
-        d=args.d,
-        n=args.n,
-        d_R=args.d_R,
-        maslov=args.mu,
-        morse_indices=morse,
-        out_index=args.out_index,
-        l=args.l,
-        k=args.k,
-    )
+    inp = IndexInput(case=args.case, d=args.d, n=args.n, d_R=args.d_R, maslov=args.mu,
+                     morse_indices=args.morse, out_index=args.out_index, l=args.l, k=args.k)
     out.kv("dim", virtual_dimension(inp))
     return 0
 
@@ -563,138 +569,129 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="verb", required=True)
 
-    s = sub.add_parser("reduce", parents=[fmt], help="reduce a label tuple")
+    def verb(parent, name, func, help=None):
+        """The subcommand name of parent, run by func."""
+        s = parent.add_parser(name, parents=[fmt], help=help)
+        s.set_defaults(func=func)
+        return s
+
+    s = verb(sub, "reduce", cmd_reduce, "reduce a label tuple")
     s.add_argument("tuple", help="label tuple like '(L0,L0,L2,L3,L2,L1,L0)'")
-    s.set_defaults(func=cmd_reduce)
 
-    s = sub.add_parser("classify", parents=[fmt], help="classify a label tuple")
+    s = verb(sub, "classify", cmd_classify, "classify a label tuple")
     s.add_argument("tuple")
-    s.set_defaults(func=cmd_classify)
 
-    s = sub.add_parser("trees", parents=[fmt], help="enumerate stable shapes")
+    s = verb(sub, "trees", cmd_trees, "enumerate stable shapes")
     s.add_argument("--d", type=_d_type("trees"), required=True)
     s.add_argument("--binary", action="store_true", help="only binary shapes")
-    s.set_defaults(func=cmd_trees)
 
-    s = sub.add_parser("strata", parents=[fmt], help="cluster strata report")
-    s.add_argument("--labels", type=_labels_type("strata"))
-    s.add_argument("--d", type=_d_type("strata"), help="shorthand for distinct labels L0..Ld")
-    s.set_defaults(func=cmd_strata)
+    for name, func, help in (("strata", cmd_strata, "cluster strata report"),
+                             ("stacked", cmd_stacked, "stacked strata report")):
+        s = verb(sub, name, func, help)
+        labels = s.add_mutually_exclusive_group(required=True)
+        labels.add_argument("--labels", type=_labels_type(name))
+        labels.add_argument("--d", type=_d_type(name), help="shorthand for distinct labels L0..Ld")
 
-    s = sub.add_parser("stacked", parents=[fmt], help="stacked strata report")
-    s.add_argument("--labels", type=_labels_type("stacked"))
-    s.add_argument("--d", type=_d_type("stacked"))
-    s.set_defaults(func=cmd_stacked)
-
-    s = sub.add_parser("coloring", parents=[fmt], help="validate a colored tree file")
+    s = verb(sub, "coloring", cmd_coloring, "validate a colored tree file")
     s.add_argument("file")
-    s.set_defaults(func=cmd_coloring)
 
-    s = sub.add_parser("width", parents=[fmt], help="intrinsic widths and gluing lengths")
-    s.add_argument("expr", nargs="?", help="expression like '(glue (surface 2) 1 (surface 2) 3/10)'")
-    s.add_argument("--random", type=int, metavar="N", help="self-check N random expressions")
-    s.add_argument("--stack", metavar="RHO", help="stacking parameter in (-1,0)")
-    s.add_argument("--child-widths", help="comma list of widths at the colored vertices")
-    s.add_argument("--root-widths", help="comma list of root surface widths")
-    s.set_defaults(func=cmd_width)
+    s = verb(sub, "width", cmd_width, "intrinsic widths and gluing lengths")
+    mode = s.add_mutually_exclusive_group(required=True)
+    mode.add_argument("expr", nargs="?",
+                      help="expression like '(glue (surface 2) 1 (surface 2) 3/10)'")
+    mode.add_argument("--random", type=_flag(_trial_count), metavar="N",
+                      help="self-check N random expressions")
+    mode.add_argument("--stack", type=_rational("--stack"), metavar="RHO",
+                      help="stacking parameter in (-1,0)")
+    s.add_argument("--child-widths", type=_widths("a child width"),
+                   help="comma list of widths at the colored vertices")
+    s.add_argument("--root-widths", type=_widths("a root width"),
+                   help="comma list of root surface widths")
 
-    s = sub.add_parser("check-ainf", parents=[fmt], help="scan a category for relation violations")
+    s = verb(sub, "check-ainf", cmd_check_ainf, "scan a category for relation violations")
     s.add_argument("file", help="category file, or bundled:exterior")
     s.add_argument("--max-d", type=int, default=4)
-    s.set_defaults(func=cmd_check_ainf)
 
-    s = sub.add_parser("check-linf", parents=[fmt], help="scan bracket tables")
+    s = verb(sub, "check-linf", cmd_check_linf, "scan bracket tables")
     s.add_argument("file")
     s.add_argument("--max-n", type=int, default=3)
-    s.set_defaults(func=cmd_check_linf)
 
-    s = sub.add_parser("check-ocha", parents=[fmt], help="scan open-closed tables")
+    s = verb(sub, "check-ocha", cmd_check_ocha, "scan open-closed tables")
     s.add_argument("file")
     s.add_argument("--max-closed", type=int, default=2)
     s.add_argument("--max-open", type=int, default=3)
     s.add_argument("--specializations", action="store_true",
                    help="also cross-check the degenerate sectors")
-    s.set_defaults(func=cmd_check_ocha)
 
-    s = sub.add_parser("measure", parents=[fmt], help="action discrepancy report")
+    s = verb(sub, "measure", cmd_measure, "action discrepancy report")
     s.add_argument("file")
-    s.add_argument("--unit", action="append", metavar="OBJECT:GEN")
-    s.set_defaults(func=cmd_measure)
+    s.add_argument("--unit", action="append", type=_flag(_unit_pair), metavar="OBJECT:GEN")
 
-    s = sub.add_parser("unit", parents=[fmt], help="strict unit check")
+    s = verb(sub, "unit", cmd_unit, "strict unit check")
     s.add_argument("file")
     s.add_argument("--object", required=True)
     s.add_argument("--unit", required=True)
-    s.set_defaults(func=cmd_unit)
 
-    s = sub.add_parser("functor", parents=[fmt], help="functor shift and equation check")
+    s = verb(sub, "functor", cmd_functor, "functor shift and equation check")
     s.add_argument("--source", required=True)
     s.add_argument("--target", required=True)
     s.add_argument("--map", required=True)
     s.add_argument("--max-d", type=int, default=3)
     s.add_argument("--no-check", action="store_true", help="skip the equation scan")
-    s.set_defaults(func=cmd_functor)
 
     s = sub.add_parser("budget", help="curvature and energy budgets")
     which = s.add_subparsers(dest="which", required=True)
 
-    w = which.add_parser("vertex", parents=[fmt])
+    w = verb(which, "vertex", cmd_budget_vertex)
     w.add_argument("--d", type=int, required=True)
-    w.add_argument("--eps", required=True)
+    w.add_argument("--eps", type=_rational("eps"), required=True)
     w.add_argument("--case", choices=("open", "closed"), default="open")
     w.add_argument("--convention", choices=("main", "draft"), default="main")
-    w.set_defaults(func=cmd_budget_vertex)
 
-    w = which.add_parser("epsdelta", parents=[fmt])
-    w.add_argument("--eps", required=True)
-    w.add_argument("--delta", required=True)
-    w.add_argument("--random", type=int, metavar="N")
-    w.set_defaults(func=cmd_budget_epsdelta)
+    w = verb(which, "epsdelta", cmd_budget_epsdelta)
+    w.add_argument("--eps", type=_rational("eps"), required=True)
+    w.add_argument("--delta", type=_rational("delta"), required=True)
+    w.add_argument("--random", type=_flag(_trial_count), metavar="N")
 
-    w = which.add_parser("window", parents=[fmt])
-    w.add_argument("--lo", required=True)
-    w.add_argument("--hi", required=True)
-    w.add_argument("--eps", required=True)
-    w.add_argument("--delta")
-    w.set_defaults(func=cmd_budget_window)
+    w = verb(which, "window", cmd_budget_window)
+    w.add_argument("--lo", type=_rational("--lo"), required=True)
+    w.add_argument("--hi", type=_rational("--hi"), required=True)
+    w.add_argument("--eps", type=_rational("--eps"), required=True)
+    w.add_argument("--delta", type=_rational("--delta"))
 
-    w = which.add_parser("strip", parents=[fmt])
-    w.add_argument("--lo", required=True)
-    w.add_argument("--hi", required=True)
+    w = verb(which, "strip", cmd_budget_strip)
+    w.add_argument("--lo", type=_rational("--lo"), required=True)
+    w.add_argument("--hi", type=_rational("--hi"), required=True)
     w.add_argument("--end", choices=("entry", "exit"), required=True)
-    w.add_argument("--cutoffs", required=True, help="comma list of monotone samples")
-    w.set_defaults(func=cmd_budget_strip)
+    w.add_argument("--cutoffs", type=_comma_list(_cutoff), required=True,
+                   help="comma list of monotone samples")
 
-    w = which.add_parser("energy", parents=[fmt])
-    w.add_argument("--inputs", required=True, help="comma list of actions, -inf allowed")
-    w.add_argument("--output", required=True)
-    w.add_argument("--curvature", default="0")
-    w.set_defaults(func=cmd_budget_energy)
+    w = verb(which, "energy", cmd_budget_energy)
+    w.add_argument("--inputs", type=_comma_list(ActionValue.from_text), required=True,
+                   help="comma list of actions, -inf allowed")
+    w.add_argument("--output", type=_flag(ActionValue.from_text), required=True)
+    w.add_argument("--curvature", type=_rational("--curvature"), default=Fraction(0))
 
-    w = which.add_parser("continuation", parents=[fmt])
-    w.add_argument("--eps1", required=True)
-    w.add_argument("--delta1", required=True)
-    w.add_argument("--eps2", required=True)
-    w.add_argument("--delta2", required=True)
+    w = verb(which, "continuation", cmd_budget_continuation)
+    for name in ("eps1", "delta1", "eps2", "delta2"):
+        w.add_argument("--" + name, type=_rational(name), required=True)
     w.add_argument("--d", type=int, required=True)
-    w.set_defaults(func=cmd_budget_continuation)
 
-    w = which.add_parser("thin", parents=[fmt])
+    w = verb(which, "thin", cmd_budget_thin)
     w.add_argument("--d", type=int, required=True)
     w.add_argument("--case", choices=("open", "closed"), default="open")
-    w.set_defaults(func=cmd_budget_thin)
 
-    s = sub.add_parser("dim", parents=[fmt], help="virtual dimension formulas")
+    s = verb(sub, "dim", cmd_dim, "virtual dimension formulas")
     s.add_argument("--case", required=True)
     s.add_argument("--d", type=int)
     s.add_argument("--n", type=int)
     s.add_argument("--d-R", dest="d_R", type=int)
     s.add_argument("--mu", type=int, help="Maslov index")
-    s.add_argument("--morse", help="comma list of input indices; '' for none")
+    s.add_argument("--morse", type=_flag(_morse_indices),
+                   help="comma list of input indices; '' for none")
     s.add_argument("--out-index", dest="out_index", type=int)
     s.add_argument("--l", type=int)
     s.add_argument("--k", type=int)
-    s.set_defaults(func=cmd_dim)
 
     return p
 

@@ -289,16 +289,20 @@ def labels_from_text(text: str) -> tuple:
 def tree_from_text(text: str):
     """Parse the labelled-tree format; returns (tree, colored paths).
 
-    Lines: 'labels: L0,L1,...' then the s-expression; '#' comments and
-    blank lines are skipped."""
+    Lines: 'labels: L0,L1,...' then the s-expression, each once; '#'
+    comments and blank lines are skipped."""
     labels = None
     shape = None
     colored = frozenset()
-    for _, line in _significant_lines(text):
+    for number, line in _significant_lines(text):
         if line.startswith("labels:"):
+            if labels is not None:
+                raise ValueError("line %d: a second 'labels:' line" % number)
             labels = labels_from_text(line[len("labels:"):].strip())
         elif line.startswith("len "):
             continue
+        elif shape is not None:
+            raise ValueError("line %d: a second s-expression" % number)
         else:
             shape, colored = sexpr_to_shape(line)
     if labels is None or shape is None:
@@ -395,7 +399,7 @@ def metric_from_text(text: str):
     tree, colored = tree_from_text(text)
     interior = tree.interior_edges
     lengths = {}
-    for _, line in _significant_lines(text):
+    for number, line in _significant_lines(text):
         if not line.startswith("len "):
             continue
         body = line[len("len "):]
@@ -409,6 +413,8 @@ def metric_from_text(text: str):
         k = int(name[1:])
         if not 1 <= k <= len(interior):
             raise ValueError("edge %s out of range (tree has %d interior edges)" % (name, len(interior)))
+        if interior[k - 1] in lengths:
+            raise ValueError("line %d: a second length of %s" % (number, name))
         lengths[interior[k - 1]] = INF if val == "inf" else _frac(val, "length of %s" % name)
     return MetricTree(tree, lengths), colored
 

@@ -192,6 +192,30 @@ def test_positive_unit_level_blocks_filtration():
         measure_discrepancies(cat, units={"M": "nope"})
 
 
+@pytest.mark.parametrize("units, message", [
+    ({"M": "nope"}, "unknown unit generator 'nope'"),
+    ({"Q": "nope"}, "unknown unit generator 'nope'"),
+    ({"Q": "e"}, "unknown object 'Q'"),
+    ({"": "e"}, "unknown object ''"),
+    ({"M": "e", "Q": "a"}, "unknown object 'Q'"),
+])
+def test_units_must_be_endomorphisms_of_known_objects(units, message):
+    """measure and the strict unit check hold a unit to one rule."""
+    with pytest.raises(ValueError) as exc:
+        measure_discrepancies(exterior(), units)
+    assert str(exc.value) == message
+    if len(units) == 1:
+        [(obj, unit)] = units.items()
+        with pytest.raises(ValueError) as exc:
+            check_strict_unit(exterior(), obj, unit)
+        assert str(exc.value) == message
+    cat = load_category(bundled("weakly.cat"))
+    for check in (lambda: measure_discrepancies(cat, {"A": "f"}),
+                  lambda: check_strict_unit(cat, "A", "f")):
+        with pytest.raises(ValueError, match=r"^unit must lie in hom\(A,A\), got hom\(A,B\)$"):
+            check()
+
+
 LEVELS = st.fractions(min_value=-4, max_value=4, max_denominator=12)
 # Another grid, so that the level denominators of a source and a target
 # category mostly have different lcms.
@@ -681,6 +705,16 @@ def test_loaders_name_the_line_in_every_format():
         load_functor("obj M Q\n", cat, cat)
     with pytest.raises(ValueError, match="object map misses 'M'"):
         load_functor("F 1 M M in=a out=a coeff=T^0\n", cat, cat)
+
+
+def test_functor_maps_each_object_once():
+    two = load_category("object M\nobject N\n")
+    with pytest.raises(ValueError) as exc:
+        load_functor("obj M N\nobj N N\nobj M M\n", two, two)
+    assert str(exc.value) == "line 3: object 'M' is already mapped to 'N'"
+    with pytest.raises(ValueError, match="^line 2: object 'M' is already mapped to 'M'$"):
+        load_functor("obj M M\nobj M M\n", two, two)
+    assert load_functor("obj M N\nobj N N\n", two, two).object_map == {"M": "N", "N": "N"}
 
 
 @pytest.mark.parametrize("verb, text, message", [

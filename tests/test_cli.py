@@ -279,10 +279,10 @@ def test_d_zero_reports_range_error(capsys):
 
 @pytest.mark.parametrize("verb", ["strata", "stacked"])
 def test_labels_and_d_together_are_a_usage_error(capsys, verb):
-    code, out, err = run(capsys, verb, "--labels", "(L0,L1,L2)", "--d", "5")
-    assert code == 2
-    assert out == ""
-    assert err == "error: give either --labels or --d, not both\n"
+    err = _usage_error(capsys, verb, "--labels", "(L0,L1,L2)", "--d", "5")
+    assert err.endswith("error: argument --d: not allowed with argument --labels\n")
+    err = _usage_error(capsys, verb)
+    assert err.endswith("error: one of the arguments --labels --d is required\n")
 
 
 ITEM_LINES = ["plain", "100%", "%s", "%%", "%d", "a %(x)s b", "%"]
@@ -408,30 +408,39 @@ def test_width_stack(capsys):
                        "--child-widths", "0,1/2", "--root-widths", "0,1/4")
     assert code == 0
     assert out == "scale: 54.5981500331\nlengths: [54.5981500331,53.8481500331]\n"
+    code, out, _ = run(capsys, "width", "--stack=-0.25", "--child-widths", "", "--root-widths=")
+    assert (code, out) == (0, "scale: 54.5981500331\nlengths: []\n")
 
 
 def test_width_usage_error(capsys):
-    code, _, err = run(capsys, "width")
-    assert code == 2
-    assert "error:" in err
+    err = _usage_error(capsys, "width")
+    assert err.endswith("error: one of the arguments expr --random --stack is required\n")
 
 
+# width takes exactly one mode: given two, argparse names the second it
+# meets and the first; given none, it lists the three.
 WIDTH_MIXES = [
-    (("(surface 2)", "--stack=-0.5"), "a width expression and --stack cannot be combined"),
-    (("(surface 2)", "--random", "3"), "a width expression and --random cannot be combined"),
-    (("--stack=-0.5", "--random", "3"), "--random and --stack cannot be combined"),
+    (("(surface 2)", "--stack=-0.5"), "argument --stack: not allowed with argument expr"),
+    (("(surface 2)", "--random", "3"), "argument --random: not allowed with argument expr"),
+    (("--stack=-0.5", "--random", "3"), "argument --random: not allowed with argument --stack"),
     (("(surface 2)", "--random", "3", "--stack=-0.5"),
-     "a width expression and --random and --stack cannot be combined"),
-    (("--random", "3", "--child-widths", "1"), "--child-widths and --root-widths need --stack"),
-    (("(surface 2)", "--root-widths", "0"), "--child-widths and --root-widths need --stack"),
-    (("--child-widths", ""), "--child-widths and --root-widths need --stack"),
+     "argument --random: not allowed with argument expr"),
+    (("--child-widths", ""), "one of the arguments expr --random --stack is required"),
 ]
 
 
 @pytest.mark.parametrize("argv, message", WIDTH_MIXES,
                          ids=[" ".join(argv) for argv, _ in WIDTH_MIXES])
 def test_width_runs_one_mode(capsys, argv, message):
-    assert run(capsys, "width", *argv) == (2, "", "error: %s\n" % message)
+    err = _usage_error(capsys, "width", *argv)
+    assert err.endswith("error: %s\n" % message)
+
+
+@pytest.mark.parametrize("argv", [("--random", "3", "--child-widths", "1"),
+                                  ("(surface 2)", "--root-widths", "0")], ids=" ".join)
+def test_width_lists_need_stack(capsys, argv):
+    message = "error: --child-widths and --root-widths need --stack\n"
+    assert run(capsys, "width", *argv) == (2, "", message)
 
 
 # Scan verbs: exact stdout in both formats, on passing and failing inputs.
@@ -539,6 +548,60 @@ def test_scans_that_check_nothing_are_rejected(tmp_path, capsys):
     assert "equation" not in out
 
 
+OCHA_SECTORS = ("closed c\nopen o\nl 2 in=c,c out=c coeff=T^1\n"
+                "mu 0 2 in=o,o out=o coeff=T^0\nmu 1 1 closed=c in=o out=o coeff=T^1\n")
+
+
+def test_specializations_need_both_sectors(tmp_path, capsys):
+    """A sector with bound 0 would compare no tuple and pass."""
+    f = tmp_path / "s.ocha"
+    f.write_text(OCHA_SECTORS)
+    for bounds, flag in ((("--max-open", "0", "--max-closed", "2"), "--max-open"),
+                         (("--max-open", "2", "--max-closed", "0"), "--max-closed"),
+                         (("--max-open=-1", "--max-closed", "2"), "--max-open")):
+        code, out, err = run(capsys, "check-ocha", str(f), *bounds, "--specializations")
+        assert (code, out) == (2, ""), bounds
+        assert err.startswith("error: --specializations needs %s of at least 1, got " % flag)
+        assert err.count("\n") == 1
+    # the scans themselves still run with either bound at 0
+    code, out, _ = run(capsys, "check-ocha", str(f), "--max-open", "0", "--max-closed", "2")
+    assert (code, out) == (0, "ocha: pass\nmax_closed: 2\nmax_open: 0\n")
+
+
+@pytest.mark.parametrize("units, message", [
+    (("Q:e",), "unknown object 'Q'"),
+    ((":e",), "unknown object ''"),
+    (("M:zz",), "unknown unit generator 'zz'"),
+    (("M:e", "M:a"), "--unit names object 'M' twice"),
+    (("M:e", "M:e"), "--unit names object 'M' twice"),
+])
+def test_measure_units_name_each_known_object_once(capsys, units, message):
+    argv = ["measure", "bundled:exterior"]
+    for unit in units:
+        argv += ["--unit", unit]
+    assert run(capsys, *argv) == (2, "", "error: %s\n" % message)
+    code, out, _ = run(capsys, "measure", "bundled:exterior", "--unit", "M:e")
+    assert code == 0 and "unit.M: 0\n" in out
+
+
+def test_functor_rejects_an_object_mapped_twice(tmp_path, capsys):
+    (tmp_path / "two.cat").write_text("object M\nobject N\n")
+    (tmp_path / "twice.fun").write_text("obj M N\nobj N N\nobj M M\n")
+    cat = str(tmp_path / "two.cat")
+    code, out, err = run(capsys, "functor", "--source", cat, "--target", cat,
+                         "--map", str(tmp_path / "twice.fun"))
+    assert (code, out) == (2, "")
+    assert err == "error: line 3: object 'M' is already mapped to 'N'\n"
+
+
+def test_coloring_rejects_a_second_labels_line_and_tree(tmp_path, capsys):
+    f = tmp_path / "twice.tree"
+    f.write_text("labels: A,B,C\nlabels: X,Y,Z\n(v (leaf 1) (leaf 2))\n(v* (leaf 1) (leaf 2))\n")
+    assert run(capsys, "coloring", str(f)) == (2, "", "error: line 2: a second 'labels:' line\n")
+    f.write_text("labels: X,Y,Z\n(v (leaf 1) (leaf 2))\n(v* (leaf 1) (leaf 2))\n")
+    assert run(capsys, "coloring", str(f)) == (2, "", "error: line 3: a second s-expression\n")
+
+
 def test_functor_loads_a_category_once_when_source_and_target_texts_agree(
         tmp_path, monkeypatch, capsys):
     exterior = _read_source("bundled:exterior")
@@ -630,9 +693,8 @@ def test_random_self_checks_that_check_nothing_are_rejected(capsys):
     for argv in (("width", "--random", "0"), ("width", "--random=-3"),
                  ("width", "--stack=-0.25", "--random", "0"),
                  epsdelta + ("--random", "0"), epsdelta + ("--random=-2",)):
-        code, out, err = run(capsys, *argv)
-        assert (code, out) == (2, ""), argv
-        assert err.startswith("error: --random must be at least 1, got "), argv
+        err = _usage_error(capsys, *argv)
+        assert "error: argument --random: --random must be at least 1, got " in err, argv
 
 
 def test_budget_strip_overflow_names_the_value(capsys):
@@ -654,20 +716,32 @@ def test_budget_window_failure_exit(capsys):
 def test_non_numeric_values_name_the_bad_value(capsys):
     for argv, message in (
         (("budget", "window", "--lo", "x", "--hi", "1", "--eps", "1"),
-         "--lo must be a rational number, got 'x'"),
+         "argument --lo: --lo must be a rational number, got 'x'"),
         (("budget", "vertex", "--d", "3", "--eps", "x"),
-         "eps must be a rational number, got 'x'"),
-        (("width", "(glue (surface 2) 1 (surface 2) x)"),
-         "a neck length must be a rational number, got 'x'"),
+         "argument --eps: eps must be a rational number, got 'x'"),
         (("budget", "strip", "--lo", "0", "--hi", "1", "--end", "entry", "--cutoffs", "0,x"),
-         "a --cutoffs entry must be a number, got 'x'"),
+         "argument --cutoffs: a --cutoffs entry must be a number, got 'x'"),
         (("dim", "--case", "open", "--d", "3", "--n", "2", "--d-R", "3", "--mu", "0",
           "--morse", "1,x"),
-         "a --morse entry must be an integer, got 'x'"),
+         "argument --morse: a --morse entry must be an integer, got 'x'"),
     ):
-        code, out, err = run(capsys, *argv)
-        assert (code, out) == (2, ""), argv
-        assert err == "error: %s\n" % message
+        err = _usage_error(capsys, *argv)
+        assert err.endswith("error: %s\n" % message), argv
+    # a width expression is read by the library, not by argparse
+    code, out, err = run(capsys, "width", "(glue (surface 2) 1 (surface 2) x)")
+    assert (code, out) == (2, "")
+    assert err == "error: a neck length must be a rational number, got 'x'\n"
+
+
+def test_values_out_of_range_are_library_errors(capsys):
+    for argv, message in (
+        (("budget", "vertex", "--d", "3", "--eps", "0"), "eps must be positive, got 0"),
+        (("budget", "window", "--lo", "0", "--hi", "1", "--eps", "-1"),
+         "eps must be positive, got -1"),
+        (("budget", "epsdelta", "--eps", "1", "--delta", "1/2"),
+         "delta must lie strictly between 1/2 and 1, got 1/2"),
+    ):
+        assert run(capsys, *argv) == (2, "", "error: %s\n" % message), argv
 
 
 def test_budget_strip(capsys):

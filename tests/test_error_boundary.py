@@ -254,3 +254,47 @@ def test_every_flag_value_keeps_the_exit_codes(files, workdir, monkeypatch, path
         values = [STAND_IN if v in HUGE else v for v in values]
     for value in values:
         assert_boundary(*run_main(flag_argv(path, run, files, action, value)))
+
+
+# -- flag text is read by argparse alone ---------------------------------
+
+TYPED = [(path, a) for path, a in OPTIONS if a.type is not None]
+
+# Options whose value is a name that the verb looks up (an object, a
+# generator, a file, a dimension case), so argparse has no text to check.
+NAMES = {("unit", "--object"), ("unit", "--unit"), ("functor", "--source"),
+         ("functor", "--target"), ("functor", "--map"), ("dim", "--case")}
+
+# '' is a value of these lists: no widths, no indices.
+EMPTY_IS_NO_ENTRIES = {("width", "--child-widths"), ("width", "--root-widths"),
+                       ("dim", "--morse")}
+
+
+def test_every_flag_with_text_to_read_is_typed():
+    untyped = {path + (option_key(a),) for path, a in OPTIONS
+               if a.option_strings and a.nargs != 0 and a.type is None and a.choices is None}
+    assert untyped == NAMES
+    assert {path + (option_key(a),) for path, a in TYPED} >= {
+        ("width", "--random"), ("width", "--stack"), ("width", "--child-widths"),
+        ("width", "--root-widths"), ("measure", "--unit"), ("dim", "--morse"),
+        ("budget", "epsdelta", "--random"), ("budget", "strip", "--cutoffs"),
+        ("budget", "energy", "--inputs"), ("budget", "energy", "--output"),
+        ("budget", "energy", "--curvature"), ("budget", "window", "--lo"),
+        ("budget", "continuation", "--delta2")} | EMPTY_IS_NO_ENTRIES
+
+
+@pytest.mark.parametrize("path, action", TYPED,
+                         ids=[" ".join(path + (option_key(a),)) for path, a in TYPED])
+def test_flag_text_errors_are_usage_errors_naming_the_flag(files, workdir, monkeypatch,
+                                                           path, action):
+    monkeypatch.chdir(workdir)
+    key = option_key(action)
+    run = next((run for run in RUNS[path] if key in run), RUNS[path][0])
+    for value in ("", "1/0", "x"):
+        code, err, out = run_main(flag_argv(path, run, files, action, value))
+        if value == "" and path + (key,) in EMPTY_IS_NO_ENTRIES:
+            # read as no entries; the verb may still refuse the run
+            assert not err.startswith("usage:"), err
+            continue
+        assert (code, out) == (2, ""), value
+        assert err.startswith("usage:") and "error: argument %s: " % key in err, value

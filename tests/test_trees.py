@@ -303,6 +303,27 @@ def test_tree_text_reads_labels_as_the_cli_does():
     assert t.labels == ("A", "B", "C")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("labels: A,B,C\nlabels: X,Y,Z\n(v (leaf 1) (leaf 2))\n(v* (leaf 1) (leaf 2))\n",
+     "line 2: a second 'labels:' line"),
+    ("labels: A,B,C\n(v (leaf 1) (leaf 2))\n# note\n(v* (leaf 1) (leaf 2))\n",
+     "line 4: a second s-expression"),
+    ("(v (leaf 1) (leaf 2))\nlabels: A,B,C\n\nlabels: A,B,C\n", "line 4: a second 'labels:' line"),
+])
+def test_tree_text_rejects_a_repeated_line(text, message):
+    with pytest.raises(ValueError) as exc:
+        tree_from_text(text)
+    assert str(exc.value) == message
+
+
+def test_metric_text_rejects_a_repeated_length():
+    text = "labels: L0,L1,L2,L3\n(v (v (leaf 1) (leaf 2)) (leaf 3))\nlen e1 = 1\n"
+    assert metric_from_text(text)[0].lengths == {(0,): 1}
+    for again in ("len e1 = 2\n", "len e1 = 1\n", "len e01 = inf\n"):
+        with pytest.raises(ValueError, match="^line 4: a second length of e0?1$"):
+            metric_from_text(text + again)
+
+
 def test_metric_text_round_trip():
     t = LabelledTree(((None, None), (None, None)), ("A", "B", "A", "B", "A"))
     m = MetricTree(t, {(0,): Fraction(1, 3), (1,): INF})
