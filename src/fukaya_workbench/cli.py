@@ -34,7 +34,7 @@ from .ainfinity import (
 )
 # budget is imported by the verbs that use it (cmd_budget_*, cmd_dim):
 # its dataclasses load dataclasses and inspect, which no other verb needs.
-from .novikov import ActionValue, _frac, _int
+from .novikov import ActionValue, _frac, _int, _preview
 from .strata import (
     ColoredTree,
     Glue,
@@ -158,12 +158,9 @@ def _flag(convert):
     return parse
 
 
-def _integer(text) -> int:
-    """int(text), with argparse's own message for a text that is none."""
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError("invalid int value: %r" % text) from None
+def _int_flag(what):
+    """The argparse type of an integer; what names it in a message."""
+    return _flag(lambda text: _int(text, what))
 
 
 # The largest --d of each enumeration verb.  There the three peak at
@@ -176,7 +173,7 @@ def _d_type(verb):
     """The argparse type of --d: an integer of at most MAX_D[verb]."""
 
     def leaf_count(text):
-        d = _integer(text)
+        d = _int(text, "--d")
         if d > MAX_D[verb]:
             raise ValueError("at most %d, got %d" % (MAX_D[verb], d))
         return d
@@ -198,7 +195,7 @@ def _labels_type(verb):
 
 def _trial_count(text) -> int:
     """--random N: N below 1 would check nothing and pass."""
-    n = _integer(text)
+    n = _int(text, "--random")
     if n < 1:
         raise ValueError("--random must be at least 1, got %d; the self-check would "
                          "check nothing" % n)
@@ -225,7 +222,7 @@ def _cutoff(text) -> float:
     try:
         return float(text)
     except ValueError:
-        raise ValueError("a --cutoffs entry must be a number, got %r" % text) from None
+        raise ValueError("a --cutoffs entry must be a number, got %s" % _preview(text)) from None
 
 
 def _morse_indices(text) -> tuple:
@@ -253,9 +250,8 @@ def _tally(dims, pairs):
 
 
 def cmd_reduce(args, out):
-    labels = _parse_labels(args.tuple)
-    rt = reduce_tuple(labels)
-    out.kv("input", "(%s)" % ",".join(labels))
+    rt = reduce_tuple(args.tuple)
+    out.kv("input", "(%s)" % ",".join(args.tuple))
     out.kv("reduced", rt.to_text())
     out.kv("d_R", rt.d_R)
     if out.fmt == "machine":
@@ -269,9 +265,8 @@ def cmd_reduce(args, out):
 
 
 def cmd_classify(args, out):
-    labels = _parse_labels(args.tuple)
-    out.kv("input", "(%s)" % ",".join(labels))
-    out.kv("class", classify_tuple(labels))
+    out.kv("input", "(%s)" % ",".join(args.tuple))
+    out.kv("class", classify_tuple(args.tuple))
     return 0
 
 
@@ -576,10 +571,11 @@ def build_parser() -> argparse.ArgumentParser:
         return s
 
     s = verb(sub, "reduce", cmd_reduce, "reduce a label tuple")
-    s.add_argument("tuple", help="label tuple like '(L0,L0,L2,L3,L2,L1,L0)'")
+    s.add_argument("tuple", type=_flag(_parse_labels),
+                   help="label tuple like '(L0,L0,L2,L3,L2,L1,L0)'")
 
     s = verb(sub, "classify", cmd_classify, "classify a label tuple")
-    s.add_argument("tuple")
+    s.add_argument("tuple", type=_flag(_parse_labels))
 
     s = verb(sub, "trees", cmd_trees, "enumerate stable shapes")
     s.add_argument("--d", type=_d_type("trees"), required=True)
@@ -610,16 +606,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = verb(sub, "check-ainf", cmd_check_ainf, "scan a category for relation violations")
     s.add_argument("file", help="category file, or bundled:exterior")
-    s.add_argument("--max-d", type=int, default=4)
+    s.add_argument("--max-d", type=_int_flag("--max-d"), default=4)
 
     s = verb(sub, "check-linf", cmd_check_linf, "scan bracket tables")
     s.add_argument("file")
-    s.add_argument("--max-n", type=int, default=3)
+    s.add_argument("--max-n", type=_int_flag("--max-n"), default=3)
 
     s = verb(sub, "check-ocha", cmd_check_ocha, "scan open-closed tables")
     s.add_argument("file")
-    s.add_argument("--max-closed", type=int, default=2)
-    s.add_argument("--max-open", type=int, default=3)
+    s.add_argument("--max-closed", type=_int_flag("--max-closed"), default=2)
+    s.add_argument("--max-open", type=_int_flag("--max-open"), default=3)
     s.add_argument("--specializations", action="store_true",
                    help="also cross-check the degenerate sectors")
 
@@ -636,14 +632,14 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--source", required=True)
     s.add_argument("--target", required=True)
     s.add_argument("--map", required=True)
-    s.add_argument("--max-d", type=int, default=3)
+    s.add_argument("--max-d", type=_int_flag("--max-d"), default=3)
     s.add_argument("--no-check", action="store_true", help="skip the equation scan")
 
     s = sub.add_parser("budget", help="curvature and energy budgets")
     which = s.add_subparsers(dest="which", required=True)
 
     w = verb(which, "vertex", cmd_budget_vertex)
-    w.add_argument("--d", type=int, required=True)
+    w.add_argument("--d", type=_int_flag("--d"), required=True)
     w.add_argument("--eps", type=_rational("eps"), required=True)
     w.add_argument("--case", choices=("open", "closed"), default="open")
     w.add_argument("--convention", choices=("main", "draft"), default="main")
@@ -675,23 +671,23 @@ def build_parser() -> argparse.ArgumentParser:
     w = verb(which, "continuation", cmd_budget_continuation)
     for name in ("eps1", "delta1", "eps2", "delta2"):
         w.add_argument("--" + name, type=_rational(name), required=True)
-    w.add_argument("--d", type=int, required=True)
+    w.add_argument("--d", type=_int_flag("--d"), required=True)
 
     w = verb(which, "thin", cmd_budget_thin)
-    w.add_argument("--d", type=int, required=True)
+    w.add_argument("--d", type=_int_flag("--d"), required=True)
     w.add_argument("--case", choices=("open", "closed"), default="open")
 
     s = verb(sub, "dim", cmd_dim, "virtual dimension formulas")
     s.add_argument("--case", required=True)
-    s.add_argument("--d", type=int)
-    s.add_argument("--n", type=int)
-    s.add_argument("--d-R", dest="d_R", type=int)
-    s.add_argument("--mu", type=int, help="Maslov index")
+    s.add_argument("--d", type=_int_flag("--d"))
+    s.add_argument("--n", type=_int_flag("--n"))
+    s.add_argument("--d-R", dest="d_R", type=_int_flag("--d-R"))
+    s.add_argument("--mu", type=_int_flag("--mu"), help="Maslov index")
     s.add_argument("--morse", type=_flag(_morse_indices),
                    help="comma list of input indices; '' for none")
-    s.add_argument("--out-index", dest="out_index", type=int)
-    s.add_argument("--l", type=int)
-    s.add_argument("--k", type=int)
+    s.add_argument("--out-index", dest="out_index", type=_int_flag("--out-index"))
+    s.add_argument("--l", type=_int_flag("--l"))
+    s.add_argument("--k", type=_int_flag("--k"))
 
     return p
 

@@ -63,11 +63,16 @@ def _frac_memo(text: str, memo: dict) -> Fraction:
 
 
 def _int(text, what) -> int:
-    """A token that must be an integer; what names it in the error."""
+    """A token that must be an integer; what names it in the error, which
+    shows the text through _preview.  A text with more digits than the
+    int-to-text limit allows is refused as too long."""
     try:
         return int(text)
     except ValueError:
-        raise ValueError("%s must be an integer, got %r" % (what, text)) from None
+        limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+        if sum(c.isdigit() for c in text) > limit:
+            raise ValueError("%s has more than %d digits: %s" % (what, limit, _preview(text))) from None
+        raise ValueError("%s must be an integer, got %s" % (what, _preview(text))) from None
 
 
 def _value_text(x) -> str:

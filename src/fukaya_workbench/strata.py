@@ -16,7 +16,6 @@ import math
 import re
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple
 
 from .novikov import _frac, _int, _value_text
@@ -306,44 +305,50 @@ def _stacked_items(d: int):
     built, so the cost follows the faces of the multiplihedron rather
     than every planar shape.  A unary root must be colored, so its
     child is a leaf or a stable tree, streamed from stable_sexprs with
-    its leaf numbers turned back into '%d'; the other children with
-    fewer than d leaves come from _stacked_subtrees, so no item with d
-    leaves is kept.
+    its leaf numbers turned back into '%d'; the other children have
+    fewer than d leaves, and their items are built once per leaf count
+    and kept for the call, so no item with d leaves is kept.
 
     The records list the root colored first, then the product of the
     children's records.  A record is (colored template with v*
     heads, colored paths as suffixes of 'r', below), where below is 0,
     1 or 2 as the vertices strictly below the color line are none, a
     chain, or split over two branches."""
-    for k in range(1, d + 1):
-        for comp in compositions(d, k):
-            if k == 1:
-                combos = zip((_LEAF,) if d == 1 else (
-                    (True, text.count("(v"), re.sub(r"\d+", "%d", text), ())
-                    for text in stable_sexprs(d)))
-            else:
-                combos = itertools.product(
-                    *[((_LEAF,) if m == 1 else ()) + _stacked_subtrees(m) for m in comp])
-            for children in combos:
-                all_stable = all([c[0] for c in children])
-                product = k >= 2 and all([c[1] for c in children])
-                if not (all_stable or product):
-                    continue
-                heads = " ".join([c[2] for c in children])
-                records = [("(v* %s)" % heads, ("",), 0)] if all_stable else []
-                for combo in itertools.product(*[c[3] for c in children]) if product else ():
-                    records.append(("(v %s)" % " ".join([r[0] for r in combo]),
-                                    tuple([".%d%s" % (i, s) for i, r in enumerate(combo)
-                                           for s in r[1]]),
-                                    1 if sum([r[2] for r in combo]) <= 1 else 2))
-                yield (k >= 2 and all_stable, 1 + sum([c[1] for c in children]),
-                       "(v %s)" % heads, tuple(records))
+    if d < 1:
+        raise ValueError("stacked strata need d >= 1")
+    memo = {}
 
+    def kept(m):
+        if m not in memo:
+            memo[m] = tuple(items(m))
+        return memo[m]
 
-@lru_cache(maxsize=None)
-def _stacked_subtrees(d: int):
-    """The items of _stacked_items(d), kept for reuse as children."""
-    return tuple(_stacked_items(d))
+    def items(n):
+        for k in range(1, n + 1):
+            for comp in compositions(n, k):
+                if k == 1:
+                    combos = zip((_LEAF,) if n == 1 else (
+                        (True, text.count("(v"), re.sub(r"\d+", "%d", text), ())
+                        for text in stable_sexprs(n)))
+                else:
+                    combos = itertools.product(
+                        *[((_LEAF,) if m == 1 else ()) + kept(m) for m in comp])
+                for children in combos:
+                    all_stable = all([c[0] for c in children])
+                    product = k >= 2 and all([c[1] for c in children])
+                    if not (all_stable or product):
+                        continue
+                    heads = " ".join([c[2] for c in children])
+                    records = [("(v* %s)" % heads, ("",), 0)] if all_stable else []
+                    for combo in itertools.product(*[c[3] for c in children]) if product else ():
+                        records.append(("(v %s)" % " ".join([r[0] for r in combo]),
+                                        tuple([".%d%s" % (i, s) for i, r in enumerate(combo)
+                                               for s in r[1]]),
+                                        1 if sum([r[2] for r in combo]) <= 1 else 2))
+                    yield (k >= 2 and all_stable, 1 + sum([c[1] for c in children]),
+                           "(v %s)" % heads, tuple(records))
+
+    return items(d)
 
 
 def stacked_report_lines(d: int):
@@ -352,8 +357,6 @@ def stacked_report_lines(d: int):
     for any d + 1 labels, generated one at a time from the coloring
     records: codim = |V| - |colored|, and the corner is generalized
     exactly when the vertices below the color line split."""
-    if d < 1:
-        raise ValueError("stacked strata need d >= 1")
     leaves = tuple(range(1, d + 1))
     for _, vertices, _, records in _stacked_items(d):
         for template, suffixes, below in records:
@@ -371,8 +374,6 @@ def enumerate_stacked_strata(labels):
     generalized corner when below == 2."""
     labels = tuple(labels)
     d = len(labels) - 1
-    if d < 1:
-        raise ValueError("stacked strata need d >= 1")
     leaves = tuple(range(1, d + 1))
     out = []
     for _, vertices, template, records in _stacked_items(d):
@@ -418,34 +419,54 @@ class WidthProfile(NamedTuple):
         return "(%s)" % ",".join(str(x) for x in self.widths)
 
 
+# The most inputs of a width expression, and so widths in its profile.
+MAX_WIDTH_INPUTS = 100_000
+
+
+def _input_count(expr) -> int:
+    """The number of inputs of a width expression, with no profile built."""
+    if isinstance(expr, Glue):
+        return _input_count(expr.outer) + _input_count(expr.inner) - 1
+    if not isinstance(expr, Surface):
+        raise ValueError("not a width expression: %r" % (expr,))
+    if expr.d < 2:
+        raise ValueError("a surface needs at least 2 inputs, got %s" % _value_text(expr.d))
+    return expr.d
+
+
 def intrinsic_width(expr) -> WidthProfile:
     """Width profile of a glued surface: gluing with neck length rho
     into slot n splices the inner profile into the outer one at slot n,
     shifting every inner width by rho plus the accumulated width of the
     slot itself.  The slot term is what lets inputs recall the lengths
     of earlier gluings; without it the profile would depend on the
-    order in which the same surface is assembled."""
+    order in which the same surface is assembled.  An expression with
+    more than MAX_WIDTH_INPUTS inputs is refused before any profile."""
+    inputs = _input_count(expr)
+    if inputs > MAX_WIDTH_INPUTS:
+        raise ValueError("a width expression has at most %d inputs, got %s"
+                         % (MAX_WIDTH_INPUTS, _value_text(inputs)))
+    return _profile(expr)
+
+
+def _profile(expr) -> WidthProfile:
     if isinstance(expr, Surface):
-        if expr.d < 2:
-            raise ValueError("a surface needs at least 2 inputs, got %d" % expr.d)
         return WidthProfile((Fraction(0),) * expr.d)
-    if isinstance(expr, Glue):
-        outer = intrinsic_width(expr.outer)
-        inner = intrinsic_width(expr.inner)
-        if not 1 <= expr.n <= outer.d:
-            raise ValueError("glue slot %d out of range 1..%d" % (expr.n, outer.d))
-        rho = _frac(expr.length, "a neck length")
-        if rho < 0:
-            raise ValueError("neck length must be nonnegative, got %s" % rho)
-        n = expr.n
-        carried = outer.widths[n - 1] + rho
-        widths = (
-            outer.widths[: n - 1]
-            + tuple(x + carried for x in inner.widths)
-            + outer.widths[n:]
-        )
-        return WidthProfile(widths)
-    raise ValueError("not a width expression: %r" % (expr,))
+    outer = _profile(expr.outer)
+    inner = _profile(expr.inner)
+    if not 1 <= expr.n <= outer.d:
+        raise ValueError("glue slot %s out of range 1..%d" % (_value_text(expr.n), outer.d))
+    rho = _frac(expr.length, "a neck length")
+    if rho < 0:
+        raise ValueError("neck length must be nonnegative, got %s" % rho)
+    n = expr.n
+    carried = outer.widths[n - 1] + rho
+    widths = (
+        outer.widths[: n - 1]
+        + tuple(x + carried for x in inner.widths)
+        + outer.widths[n:]
+    )
+    return WidthProfile(widths)
 
 
 def width_expr_to_text(expr) -> str:

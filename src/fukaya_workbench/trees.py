@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple
 
 from .novikov import _frac, _value_text
@@ -576,18 +575,6 @@ def glue_metrics(m1: MetricTree, leaf: int, m2: MetricTree, rho=None, length=Non
 # -- enumeration -------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _stable_shapes(d: int, max_arity: int):
-    # Callers keep max_arity <= d, so uncapped calls share one cache entry per d.
-    if d == 1:
-        return (None,)
-    out = []
-    for k in range(2, max_arity + 1):
-        for comp in compositions(d, k):
-            out.extend(itertools.product(*(_stable_shapes(m, min(m, max_arity)) for m in comp)))
-    return tuple(out)
-
-
 def _arity_cap(d: int, max_arity) -> int:
     if d < 2:
         raise ValueError("stable trees need d >= 2")
@@ -599,63 +586,23 @@ def _arity_cap(d: int, max_arity) -> int:
 def enumerate_stable_trees(d: int, max_arity=None):
     """All planar rooted shapes with d leaves and every vertex of arity
     at least 2, and at most max_arity when given, in a fixed canonical
-    order (root arity ascending)."""
-    return list(_stable_shapes(d, _arity_cap(d, max_arity)))
+    order (root arity ascending).  The shapes with fewer leaves are kept
+    for the call, by leaf count, and freed when it returns."""
+    cap = _arity_cap(d, max_arity)
+    memo = {1: (None,)}
+
+    def shapes(m):
+        if m not in memo:
+            memo[m] = []
+            for k in range(2, min(m, cap) + 1):
+                for comp in compositions(m, k):
+                    memo[m].extend(itertools.product(*map(shapes, comp)))
+        return memo[m]
+
+    return shapes(d)
 
 
 # -- s-expressions of the stable shapes --------------------------------
-
-
-def _subtree_stream(m: int, max_arity: int, first: int, spans: bool):
-    """The items of _shape_items for the stable subtrees with m leaves,
-    numbered from first; with spans, each item's spans start with the
-    span (first, first + m - 1) of the subtree's own root."""
-    if m == 1:
-        leaf = "(leaf %d)" % first
-        return [(leaf, ())] if spans else [leaf]
-    items = _shape_items(m, max_arity, first, spans)
-    if not spans:
-        return items
-    root = ((first, first + m - 1),)
-    return ((t, root + s) for t, s in items)
-
-
-@lru_cache(maxsize=None)
-def _subtree_items(m: int, max_arity: int, first: int, spans: bool):
-    """The items of _subtree_stream, kept for reuse as children."""
-    return tuple(_subtree_stream(m, max_arity, first, spans))
-
-
-def _shape_items(d: int, max_arity: int, first: int, spans: bool, streamed=0):
-    """One item per shape of _stable_shapes(d, max_arity), in its order:
-    root arity, then composition, then the product of the children.
-    An item is the shape's s-expression with leaves numbered first,
-    first + 1, ..; with spans, it is (s-expression, the leaf spans
-    (a, b) of the non-root vertices in preorder).  The children come
-    from _subtree_items, except those with streamed leaves, which are
-    generated anew for each composition and never kept."""
-    for k in range(2, max_arity + 1):
-        for comp in compositions(d, k):
-            options = []
-            offset = first
-            for m in comp:
-                source = _subtree_stream if m == streamed else _subtree_items
-                options.append(source(m, min(m, max_arity), offset, spans))
-                offset += m
-            if streamed in comp:
-                # (1, d - 1) or (d - 1, 1): the other side is one leaf,
-                # so the streamed side is read once; product() would
-                # hold all of it.
-                left, right = options
-                combos = ((a, b) for a in left for b in right)
-            else:
-                combos = itertools.product(*options)
-            if not spans:
-                yield from map("(v %s)".__mod__, map(" ".join, combos))
-                continue
-            for children in combos:
-                texts, child_spans = zip(*children)
-                yield "(v %s)" % " ".join(texts), sum(child_spans, ())
 
 
 def stable_sexprs(d: int, max_arity=None, spans=False):
@@ -664,10 +611,54 @@ def stable_sexprs(d: int, max_arity=None, spans=False):
     time.  With spans, each item is (s-expression, spans), where spans
     lists the leaf span (a, b) of every interior edge in preorder, as
     LabelledTree.span does.  Every subtree with at most d - 2 leaves is
-    built once per first leaf and kept; the two root children with
-    d - 1 leaves, in the compositions (1, d - 1) and (d - 1, 1), are
-    streamed.  The arguments are checked before the first item."""
-    return _shape_items(d, _arity_cap(d, max_arity), 1, spans, d - 1)
+    built once per first leaf and kept for the call; the two root
+    children with d - 1 leaves, in the compositions (1, d - 1) and
+    (d - 1, 1), are streamed.  The arguments are checked before the
+    first item."""
+    cap = _arity_cap(d, max_arity)
+    memo = {}
+
+    def subtree(m, first):
+        """The items of shapes(m, first) for a child; with spans, each
+        starts with the span (first, first + m - 1) of the child's root."""
+        if m == 1:
+            leaf = "(leaf %d)" % first
+            return [(leaf, ())] if spans else [leaf]
+        items = shapes(m, first)
+        if not spans:
+            return items
+        root = ((first, first + m - 1),)
+        return ((t, root + s) for t, s in items)
+
+    def kept(m, first):
+        if (m, first) not in memo:
+            memo[m, first] = tuple(subtree(m, first))
+        return memo[m, first]
+
+    def shapes(m, first):
+        """One item per shape with m leaves numbered from first, in
+        order of root arity, composition and children; with spans, an
+        item is (s-expression, spans of the non-root vertices)."""
+        for k in range(2, min(m, cap) + 1):
+            for comp in compositions(m, k):
+                options = [(subtree if c == d - 1 else kept)(c, offset)
+                           for c, offset in zip(comp, itertools.accumulate(comp, initial=first))]
+                if d - 1 in comp:
+                    # (1, d - 1) or (d - 1, 1) under the root: the other
+                    # side is one leaf, so the streamed side is read
+                    # once; product() would hold all of it.
+                    left, right = options
+                    combos = ((a, b) for a in left for b in right)
+                else:
+                    combos = itertools.product(*options)
+                if not spans:
+                    yield from map("(v %s)".__mod__, map(" ".join, combos))
+                    continue
+                for children in combos:
+                    texts, child_spans = zip(*children)
+                    yield "(v %s)" % " ".join(texts), sum(child_spans, ())
+
+    return shapes(d, 1)
 
 
 # -- fundamental decomposition -----------------------------------------

@@ -330,7 +330,8 @@ LABEL_ERRORS = [("(A,,B,A)", "empty label in '(A,,B,A)'"),
 @pytest.mark.parametrize("verb", ["reduce", "classify"])
 @pytest.mark.parametrize("text, message", LABEL_ERRORS)
 def test_bad_label_tuples_are_errors(capsys, verb, text, message):
-    assert run(capsys, verb, text) == (2, "", "error: %s\n" % message)
+    err = _usage_error(capsys, verb, text)
+    assert err.endswith("error: argument tuple: %s\n" % message)
 
 
 @pytest.mark.parametrize("verb", ["strata", "stacked"])

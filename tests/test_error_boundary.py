@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fukaya_workbench.cli import build_parser, main
+from fukaya_workbench.strata import MAX_WIDTH_INPUTS
 
 CATEGORY = importlib.resources.files("fukaya_workbench").joinpath("data/exterior.cat").read_text()
 
@@ -131,11 +132,42 @@ def test_file_verbs_keep_their_exit_codes(workdir, verb):
     check()
 
 
+# Surfaces whose profile would not fit in memory, by their arity: refused
+# before the profile is built.
+WIDE_SURFACES = {"(surface 99999999999999999999)": "99999999999999999999",
+                 "(surface 1000000000)": "1000000000"}
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(mutated("(glue (glue (surface 2) 1 (surface 2) 1/2) 3 (surface 3) 1/4)"),
-                 st.text(max_size=60)))
+                 st.text(max_size=60), st.sampled_from(sorted(WIDE_SURFACES))))
 def test_width_expressions_keep_their_exit_codes(expr):
     assert_boundary(*run_main(["width", expr.strip()]))
+
+
+@pytest.mark.parametrize("expr", sorted(WIDE_SURFACES))
+def test_surfaces_past_the_input_bound_are_refused(expr):
+    assert run_main(["width", expr]) == (
+        2, "error: a width expression has at most %d inputs, got %s\n"
+        % (MAX_WIDTH_INPUTS, WIDE_SURFACES[expr]), "")
+
+
+def assert_short_error(code, err, out):
+    """Exit 2 with empty stdout, and a last stderr line that shows a long
+    value cut short rather than whole."""
+    last = err.splitlines()[-1]
+    assert (code, out) == (2, "") and "error: " in last and len(last) < 200, err
+
+
+def test_huge_integer_tokens_are_shown_cut_short(workdir):
+    path = workdir / "huge-arity.cat"
+    path.write_text(CATEGORY.replace("mu 2 M M M in=a,b", "mu %s M M M in=a,b" % HUGE[1], 1))
+    cut = "has more than 4300 digits: '%s'...\n" % HUGE[1][:40]
+    for argv, what in ((["check-ainf", str(path)], "line 6: mu arity"),
+                       (["width", "(surface %s)" % HUGE[1]], "surface arity")):
+        code, err, out = run_main(argv)
+        assert_short_error(code, err, out)
+        assert err == "error: %s %s" % (what, cut)
 
 
 # -- every flag of every verb --------------------------------------------
@@ -192,13 +224,14 @@ RUNS = {
     ("dim",): [{"--case": "marked_disc", "--l": "3", "--k": "2"}],
 }
 
+# A 20-digit integer, and one past the 4,300 digits that int() reads.
 HUGE = ["9" * 20, "9" * 4301]
 FLAG_VALUES = ["nan", "inf", "-inf", "-1", "0", "1e400", "1e-400", "", "1/0", "(A,,B)"] + HUGE
 
-# Options whose value is the amount of work asked for: a huge value is
-# honoured, not refused, so they get a small stand-in for HUGE.  Every
+# Options whose value is the amount of work asked for: a 20-digit value
+# is honoured, not refused, so they get a small stand-in for it.  Every
 # other count (--max-d, --max-n, --max-closed, --max-open, the budget
-# and dim --d) is fed HUGE itself and answers at once on these inputs.
+# and dim --d) is fed it and answers at once on these inputs.
 WORK_SIZE = {
     ("width", "--random"): "builds and checks N random expressions",
     ("budget", "epsdelta", "--random"): "runs N random trials",
@@ -251,14 +284,37 @@ def test_every_flag_value_keeps_the_exit_codes(files, workdir, monkeypatch, path
     run = next((run for run in RUNS[path] if key in run), RUNS[path][0])
     values = [None] if action.nargs == 0 else FLAG_VALUES
     if path + (key,) in WORK_SIZE:
-        values = [STAND_IN if v in HUGE else v for v in values]
+        values = [STAND_IN if v == HUGE[0] else v for v in values]
     for value in values:
-        assert_boundary(*run_main(flag_argv(path, run, files, action, value)))
+        result = run_main(flag_argv(path, run, files, action, value))
+        assert_boundary(*result)
+        if value == HUGE[1] and path + (key,) in INTEGERS:
+            assert_short_error(*result)
 
 
 # -- flag text is read by argparse alone ---------------------------------
 
 TYPED = [(path, a) for path, a in OPTIONS if a.type is not None]
+
+
+def reads_integers(action):
+    """Whether the argument's text is an integer or a comma list of them."""
+    try:
+        value = action.type("1")
+    except argparse.ArgumentTypeError:
+        return False
+    return type(value) is int or value == (1,)
+
+
+INTEGERS = {path + (option_key(a),) for path, a in TYPED if reads_integers(a)}
+
+
+def test_integer_flags_are_found():
+    assert INTEGERS >= {("trees", "--d"), ("strata", "--d"), ("stacked", "--d"),
+                        ("width", "--random"), ("check-ainf", "--max-d"),
+                        ("check-ocha", "--max-open"), ("functor", "--max-d"),
+                        ("budget", "thin", "--d"), ("dim", "--mu"), ("dim", "--morse")}
+
 
 # Options whose value is a name that the verb looks up (an object, a
 # generator, a file, a dimension case), so argparse has no text to check.

@@ -1,12 +1,18 @@
+import gc
+import importlib
 import math
+import pkgutil
 import random
 import re
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 
 import oracles
+import fukaya_workbench
 from fukaya_workbench import LabelledTree
 from fukaya_workbench.cli import main
 from fukaya_workbench.strata import (ColoredTree, Glue, Surface, WidthProfile,
@@ -14,10 +20,10 @@ from fukaya_workbench.strata import (ColoredTree, Glue, Surface, WidthProfile,
                                      enumerate_cluster_strata, enumerate_stacked_strata,
                                      f_vector, facet_term_bijection,
                                      generalized_corner_flag, intrinsic_width,
-                                     _stacked_subtrees, stacked_gluing_lengths,
+                                     stacked_gluing_lengths,
                                      stacked_report_lines, validate_coloring,
                                      width_expr_from_text, width_expr_to_text)
-from fukaya_workbench.trees import sexpr_to_shape, stable_sexprs
+from fukaya_workbench.trees import enumerate_stable_trees, sexpr_to_shape, stable_sexprs
 
 
 def labels_for(d):
@@ -383,17 +389,57 @@ def test_stacked_report_lines_match_strata(labels):
     assert [(s.dim, s.report_line()) for s in strata] == pairs
 
 
-def test_stacked_report_lines_keep_no_subtree_with_d_leaves():
+def test_stacked_report_lines_keep_no_subtree_with_d_leaves(monkeypatch):
+    """Each level m = 1..d is built by one pass over the compositions of
+    m per root arity: the levels below d once each and kept, the level d
+    once and streamed, so its first line comes from the unary roots
+    before any other composition is read."""
     d = 6
-    _stacked_subtrees.cache_clear()
-    for _ in stacked_report_lines(d):
-        pass
-    # Every entry has fewer than d leaves: asking for them again misses nothing.
-    misses = _stacked_subtrees.cache_info().misses
-    for m in range(1, d):
-        _stacked_subtrees(m)
-    assert _stacked_subtrees.cache_info().misses == misses
-    assert _stacked_subtrees.cache_info().currsize == d - 1
+    expected = len(stacked_strata(d))
+    calls = Counter()
+    original = fukaya_workbench.strata.compositions
+
+    def counting(n, k):
+        calls[n, k] += 1
+        return original(n, k)
+
+    monkeypatch.setattr(fukaya_workbench.strata, "compositions", counting)
+    lines = stacked_report_lines(d)
+    next(lines)
+    assert dict(calls) == {(d, 1): 1}
+    assert 1 + sum(1 for _ in lines) == expected
+    assert dict(calls) == {(m, k): 1 for m in range(1, d + 1) for k in range(1, m + 1)}
+
+
+# -- memos live for one call -------------------------------------------
+
+
+def test_no_module_holds_a_cache():
+    for info in pkgutil.iter_modules(fukaya_workbench.__path__, "fukaya_workbench."):
+        module = importlib.import_module(info.name)
+        assert [name for name, value in vars(module).items() if hasattr(value, "cache_info")] == []
+
+
+def test_enumerations_free_what_they_build():
+    """After the calls return, less than 64 KB of what they allocated
+    stays; a memo kept across calls would hold hundreds of KB."""
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for items in (stable_sexprs(8, spans=True), enumerate_stable_trees(7),
+                      stacked_report_lines(6)):
+            for _ in items:
+                pass
+        del items
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert kept < 64 * 1024
 
 
 def test_stacked_strata_need_one_leaf():

@@ -1,6 +1,8 @@
 import inspect
 import itertools
 import math
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from fukaya_workbench import INF, LabelledTree, MetricTree
-from fukaya_workbench.trees import (_subtree_items, classify_tuple, compositions,
+from fukaya_workbench import INF, LabelledTree, MetricTree, trees
+from fukaya_workbench.trees import (classify_tuple, compositions,
                                     enumerate_stable_trees, fundamental_decomposition,
                                     glue_labels, glue_metrics, glue_trees, gluing_length,
                                     labels_from_text, metric_from_text, metric_to_text, reduce_tuple,
@@ -180,17 +182,50 @@ def test_span_counts_match_labelled_tree_edges(letters):
         assert len(spans) - uni == len(t.floer_interior_edges)
 
 
+def count_compositions(monkeypatch):
+    """Count the calls of trees.compositions by (n, k) from now on.  The
+    calls that compositions makes of itself go through the same module
+    global and are left out, so each count is the number of passes over
+    the compositions of n into k parts."""
+    calls = Counter()
+    original = trees.compositions
+
+    def counting(n, k):
+        if sys._getframe(1).f_code is not original.__code__:
+            calls[n, k] += 1
+        return original(n, k)
+
+    monkeypatch.setattr(trees, "compositions", counting)
+    return calls
+
+
 @pytest.mark.parametrize("spans", [False, True])
 @pytest.mark.parametrize("max_arity", [None, 2])
-def test_children_with_d_minus_1_leaves_are_streamed_not_kept(max_arity, spans):
-    """Only the root has a child with d - 1 leaves, so only subtrees with
-    at most d - 2 leaves are kept: one entry per (size m, first leaf),
-    with first leaf 1..d - m + 1."""
+def test_children_with_d_minus_1_leaves_are_streamed_not_kept(monkeypatch, max_arity, spans):
+    """A subtree with m leaves is built by one pass over the compositions
+    of m per root arity.  Only the root has a child with d - 1 leaves, so
+    a subtree with at most d - 2 leaves is built once per first leaf
+    1..d - m + 1 and kept, one with d - 1 leaves once in each of
+    (1, d - 1) and (d - 1, 1), and the root once.  The first item comes
+    while the child with d - 1 leaves is at its first child, so it has
+    built one subtree with d - 2 leaves, not both."""
     d = 8
-    _subtree_items.cache_clear()
-    count = sum(1 for _ in stable_sexprs(d, max_arity, spans))
-    assert count == len(enumerate_stable_trees(d, max_arity))
-    assert _subtree_items.cache_info().currsize == sum(d - m + 1 for m in range(1, d - 1))
+    expected = len(enumerate_stable_trees(d, max_arity))
+    calls = count_compositions(monkeypatch)
+    items = stable_sexprs(d, max_arity, spans)
+    next(items)
+    assert (calls[d - 1, 2], calls[d - 2, 2]) == (1, 1)
+    assert 1 + sum(1 for _ in items) == expected
+    builds = {m: d - m + 1 for m in range(2, d - 1)}
+    builds.update({d - 1: 2, d: 1})
+    cap = max_arity or d
+    assert dict(calls) == {(m, k): n for m, n in builds.items() for k in range(2, min(m, cap) + 1)}
+
+
+def test_stable_shapes_are_built_once_per_leaf_count(monkeypatch):
+    calls = count_compositions(monkeypatch)
+    assert len(enumerate_stable_trees(8)) == oracles.SCHROEDER[8]
+    assert dict(calls) == {(m, k): 1 for m in range(2, 9) for k in range(2, m + 1)}
 
 
 def test_compositions():
