@@ -22,19 +22,18 @@ from .novikov import (
     _frac,
     _frac_memo,
     _int,
+    _preview,
     nov_add,
     nov_from_text,
     nov_mul,
     nov_to_text,
 )
-from .trees import _significant_lines, compositions
+from .trees import compositions
 
 
-def _set_entry(table, key, out, names, what, hom=None):
-    """Store the nonzero terms of out (output name -> Novikov element or
-    its text) under key, or remove the entry when none is left.  Each
-    output must be one of names (what names them in errors); with hom =
-    (src, tgt, noun) it must also be a generator of hom(src, tgt)."""
+def _elements(out):
+    """out (output name -> Novikov element or its text) with every
+    coefficient a Novikov element."""
     clean = {}
     for g, c in out.items():
         if not isinstance(c, NovikovElement):
@@ -42,31 +41,45 @@ def _set_entry(table, key, out, names, what, hom=None):
                 c = nov_from_text(c)
             if not isinstance(c, NovikovElement):
                 raise ValueError("coefficient of %s must be a Novikov element" % g)
-        if c.exps:
-            clean[g] = c
-    for g in clean:
+        clean[g] = c
+    return clean
+
+
+def _set_entry(table, key, out, names, what, hom=None):
+    """Store the nonzero terms of out (output name -> Novikov element, a
+    dict that the caller gives up) under key, or remove the entry when
+    none is left.  Each output must be one of names (what names them in
+    errors); with hom = (src, tgt, noun) it must also be a generator of
+    hom(src, tgt)."""
+    zeros = False
+    for g, c in out.items():
+        if not c.exps:
+            zeros = True
+            continue
         if g not in names:
-            raise ValueError("unknown %s %r" % (what, g))
+            raise ValueError("unknown %s %s" % (what, _preview(g)))
         if hom:
             gen = names[g]
-            if (gen.source, gen.target) != hom[:2]:
+            if gen.source != hom[0] or gen.target != hom[1]:
                 raise ValueError("%s %s lies in hom(%s,%s), expected hom(%s,%s)"
                                  % (hom[2], g, gen.source, gen.target, *hom[:2]))
-    if clean:
-        table[key] = clean
+    if zeros:
+        out = {g: c for g, c in out.items() if c.exps}
+    if out:
+        table[key] = out
     else:
         table.pop(key, None)
 
 
 def _lookup(table, names, unknown):
     """[table[g] for g in names]; the first of names that table lacks
-    is reported by the message unknown % g."""
+    is reported by the message unknown % _preview(g)."""
     try:
         return [table[g] for g in names]
     except KeyError:
         for g in names:
             if g not in table:
-                raise ValueError(unknown % (g,)) from None
+                raise ValueError(unknown % _preview(g)) from None
         raise
 
 
@@ -103,12 +116,12 @@ class FilteredAInfCategory:
 
     def add_object(self, name: str):
         if name in self.objects:
-            raise ValueError("duplicate object %r" % name)
+            raise ValueError("duplicate object %s" % _preview(name))
         self.objects.append(name)
 
     def add_gen(self, name, source, target, level=0, ham=0):
         if name in self.gens:
-            raise ValueError("duplicate generator %r" % name)
+            raise ValueError("duplicate generator %s" % _preview(name))
         if source not in self.objects or target not in self.objects:
             raise ValueError("generator %s needs known objects, got %s -> %s" % (name, source, target))
         self.gens[name] = Generator(name, source, target,
@@ -118,7 +131,7 @@ class FilteredAInfCategory:
         """The generators of names, which must be known and composable."""
         if not names:
             raise ValueError("operations need at least one input")
-        chain = _lookup(self.gens, names, "unknown generator %r")
+        chain = _lookup(self.gens, names, "unknown generator %s")
         for a, b in zip(chain, chain[1:]):
             if a.target != b.source:
                 raise ValueError(
@@ -131,9 +144,15 @@ class FilteredAInfCategory:
         """Define mu on a basis tuple; out maps generator names to
         Novikov coefficients (text accepted).  Zero entries are dropped."""
         inputs = tuple(inputs)
-        chain = self._check_chain(inputs)
-        _set_entry(self.mu, inputs, out, self.gens, "output generator",
-                   (chain[0].source, chain[-1].target, "output"))
+        self._check_chain(inputs)
+        self._put_mu(inputs, _elements(out))
+
+    def _put_mu(self, inputs, out):
+        """set_mu for a tuple of inputs that compose and a dict of Novikov
+        elements, which the entry keeps."""
+        gens = self.gens
+        _set_entry(self.mu, inputs, out, gens, "output generator",
+                   (gens[inputs[0]].source, gens[inputs[-1]].target, "output"))
 
     def mu_entry(self, inputs) -> dict:
         return self.mu.get(tuple(inputs), {})
@@ -371,9 +390,9 @@ def _unit_generator(cat: FilteredAInfCategory, obj: str, name: str) -> Generator
     """The generator name as the unit of obj: a known generator of
     hom(obj, obj), obj a known object."""
     if name not in cat.gens:
-        raise ValueError("unknown unit generator %r" % name)
+        raise ValueError("unknown unit generator %s" % _preview(name))
     if obj not in cat.objects:
-        raise ValueError("unknown object %r" % obj)
+        raise ValueError("unknown object %s" % _preview(obj))
     e = cat.gens[name]
     if (e.source, e.target) != (obj, obj):
         raise ValueError("unit must lie in hom(%s,%s), got hom(%s,%s)"
@@ -437,7 +456,7 @@ class LInfinityAlgebra:
 
     def add_basis(self, name: str):
         if name in self.basis:
-            raise ValueError("duplicate basis element %r" % name)
+            raise ValueError("duplicate basis element %s" % _preview(name))
         self.basis.append(name)
 
     def set_l(self, inputs, out):
@@ -446,8 +465,8 @@ class LInfinityAlgebra:
             raise ValueError("brackets need at least one input")
         for g in key:
             if g not in self.basis:
-                raise ValueError("unknown basis element %r" % g)
-        _set_entry(self.l, key, out, self.basis, "output basis element")
+                raise ValueError("unknown basis element %s" % _preview(g))
+        _set_entry(self.l, key, _elements(out), self.basis, "output basis element")
 
     def l_entry(self, inputs) -> dict:
         return self.l.get(tuple(sorted(inputs)), {})
@@ -503,7 +522,7 @@ class OCHAStructure(LInfinityAlgebra):
 
     def add_open(self, name: str):
         if name in self.open_basis:
-            raise ValueError("duplicate open basis element %r" % name)
+            raise ValueError("duplicate open basis element %s" % _preview(name))
         self.open_basis.append(name)
 
     def set_mu(self, closed, opens, out):
@@ -513,11 +532,11 @@ class OCHAStructure(LInfinityAlgebra):
             raise ValueError("mu_{0,0} is identically zero and cannot be set")
         for g in closed:
             if g not in self.closed_basis:
-                raise ValueError("unknown closed basis element %r" % g)
+                raise ValueError("unknown closed basis element %s" % _preview(g))
         for g in opens:
             if g not in self.open_basis:
-                raise ValueError("unknown open basis element %r" % g)
-        _set_entry(self.mu, (closed, opens), out, self.open_basis, "open output")
+                raise ValueError("unknown open basis element %s" % _preview(g))
+        _set_entry(self.mu, (closed, opens), _elements(out), self.open_basis, "open output")
 
     def mu_entry(self, closed, opens) -> dict:
         return self.mu.get((tuple(sorted(closed)), tuple(opens)), {})
@@ -652,9 +671,9 @@ def ocha_specialization_report(s: OCHAStructure, max_open=4, max_closed=4) -> Sp
 
 def _check_object_pair(source, target, x, y):
     if x not in source.objects:
-        raise ValueError("unknown source object %r" % x)
+        raise ValueError("unknown source object %s" % _preview(x))
     if y not in target.objects:
-        raise ValueError("unknown target object %r" % y)
+        raise ValueError("unknown target object %s" % _preview(y))
 
 
 class AInfFunctor:
@@ -666,7 +685,7 @@ class AInfFunctor:
             _check_object_pair(source, target, x, y)
         for x in source.objects:
             if x not in object_map:
-                raise ValueError("object map misses %r" % x)
+                raise ValueError("object map misses %s" % _preview(x))
         self.source = source
         self.target = target
         self.object_map = object_map
@@ -674,11 +693,16 @@ class AInfFunctor:
 
     def set_component(self, inputs, out):
         inputs = tuple(inputs)
-        chain = self.source._check_chain(inputs)
-        src = self.object_map[chain[0].source]
-        tgt = self.object_map[chain[-1].target]
+        self.source._check_chain(inputs)
+        self._put_component(inputs, _elements(out))
+
+    def _put_component(self, inputs, out):
+        """set_component for a tuple of inputs that compose and a dict of
+        Novikov elements, which the entry keeps."""
+        gens, fmap = self.source.gens, self.object_map
         _set_entry(self.table, inputs, out, self.target.gens, "target generator",
-                   (src, tgt, "component output"))
+                   (fmap[gens[inputs[0]].source], fmap[gens[inputs[-1]].target],
+                    "component output"))
 
 
 def functor_defect(F: AInfFunctor, inputs) -> dict:
@@ -795,37 +819,45 @@ class _LineKind(NamedTuple):
 
 
 def _read_lines(text, kinds):
-    """Run kinds[head].handler(number, positional, fields) on every line
-    that is neither blank nor a comment, in file order.  Unknown heads,
+    """Run kinds[head].handler(number, tokens, fields) on every line that
+    is neither blank nor a comment, in file order; tokens is the split
+    line, its head first and then its positional tokens.  Unknown heads,
     unknown, missing and repeated fields are rejected; every ValueError
-    names the line it came from."""
-    for number, line in _significant_lines(text):
+    names the line it came from.  Each line is split once; split() drops
+    the whitespace around it, so the line is stripped only to be quoted."""
+    for number, line in enumerate(text.splitlines(), start=1):
+        tokens = line.split()
+        if not tokens or tokens[0][0] == "#":
+            continue
         try:
-            head, *tokens = line.split()
+            head = tokens[0]
             kind = kinds.get(head)
             if kind is None:
-                raise ValueError("unknown line %r" % line)
-            arity = kind.arity(tokens) if callable(kind.arity) else kind.arity
-            if len(tokens) < arity:
+                raise ValueError("unknown line %r" % line.strip())
+            arity, handler, accepted = kind
+            if type(arity) is not int:
+                arity = arity(tokens)
+            if len(tokens) <= arity:
                 raise ValueError("%s line %r is too short: it needs %d token(s) before its fields"
-                                 % (head, line, arity))
+                                 % (head, line.strip(), arity))
             fields = {}
-            for token in tokens[arity:]:
+            for token in tokens[arity + 1:]:
                 key, eq, value = token.partition("=")
                 if not eq:
-                    raise ValueError("expected key=value, got %r" % token)
-                if key not in kind.fields:
-                    raise ValueError("unknown field %r" % key)
+                    raise ValueError("expected key=value, got %s" % _preview(token))
+                if key not in accepted:
+                    raise ValueError("unknown field %s" % _preview(key))
                 if key in fields:
-                    raise ValueError("repeated field %r" % key)
+                    raise ValueError("repeated field %s" % _preview(key))
                 fields[key] = value
-            if len(fields) < len(kind.fields):
-                for key, default in kind.fields.items():
+            if len(fields) < len(accepted):
+                for key, default in accepted.items():
                     if key not in fields:
                         if default is None:
-                            raise ValueError("%s line %r has no %s= field" % (head, line, key))
+                            raise ValueError("%s line %r has no %s= field"
+                                             % (head, line.strip(), key))
                         fields[key] = default
-            kind.handler(number, tokens[:arity], fields)
+            handler(number, tokens, fields)
         except ValueError as e:
             raise ValueError("line %d: %s" % (number, e)) from None
 
@@ -835,28 +867,37 @@ _ENTRY_FIELDS = {"in": None, "out": None, "coeff": None}
 
 class _Entries:
     """Table entries read line by line, one out= and coeff= term per
-    line.  Terms with the same inputs and output add over Z2; store()
-    hands each inputs' outputs to a setter in order of first appearance,
-    and an entry the setter rejects is reported at its first line.  memo
+    line.  Terms with the same inputs and output add over Z2.  memo
     holds the texts parsed so far (see nov_from_text), so a load parses
-    each distinct coefficient, term and exponent text once."""
+    each distinct coefficient, term and exponent text once, and a
+    coefficient text seen before costs one lookup."""
 
     def __init__(self):
         self.outs = {}
         self.first_line = {}
+        # The inputs whose lines did not make every check of the setter.
+        self.unchecked = set()
         self.memo = {}
 
     def kind(self, arity, inputs_of, accepted=_ENTRY_FIELDS):
-        """Lines that add a term; inputs_of(positional, fields) parses
-        and checks their inputs."""
+        """Lines that add a term; inputs_of(tokens, fields) parses and
+        checks their inputs and returns (inputs, checked), checked when
+        it made every check of the inputs that the setter makes."""
+        outs_of, first_line, unchecked, memo = self.outs, self.first_line, self.unchecked, self.memo
 
-        def handler(number, pos, fields):
-            inputs = inputs_of(pos, fields)
-            out, coeff = fields["out"], nov_from_text(fields["coeff"], self.memo)
-            outs = self.outs.get(inputs)
+        def handler(number, tokens, fields):
+            inputs, checked = inputs_of(tokens, fields)
+            text = fields["coeff"]
+            coeff = memo.get((text,))
+            if coeff is None:
+                coeff = nov_from_text(text, memo)
+            outs = outs_of.get(inputs)
             if outs is None:
-                outs = self.outs[inputs] = {}
-                self.first_line[inputs] = number
+                outs = outs_of[inputs] = {}
+                first_line[inputs] = number
+                if not checked:
+                    unchecked.add(inputs)
+            out = fields["out"]
             outs[out] = nov_add(outs[out], coeff) if out in outs else coeff
 
         return _LineKind(arity, handler, accepted)
@@ -870,12 +911,22 @@ class _Entries:
         except ValueError:
             return text
 
-    def store(self, setter):
-        for inputs, outs in self.outs.items():
+    def store(self, setter, checked_setter=None):
+        """Hand each inputs' outputs, in order of first appearance, to
+        setter(inputs, outs), which makes every check, or to
+        checked_setter, which checks only the outputs, when their lines
+        made the checks of the inputs.  An entry that either rejects is
+        reported at its first line, after every fault that a line has on
+        its own."""
+        unchecked = self.unchecked
+        for (inputs, outs), number in zip(self.outs.items(), self.first_line.values()):
             try:
-                setter(inputs, outs)
+                if unchecked and inputs in unchecked:
+                    setter(inputs, outs)
+                else:
+                    checked_setter(inputs, outs)
             except ValueError as e:
-                raise ValueError("line %d: %s" % (self.first_line[inputs], e)) from None
+                raise ValueError("line %d: %s" % (number, e)) from None
 
 
 def _entry_lines(table, prefix, size=len):
@@ -894,7 +945,8 @@ def _text(lines) -> str:
 
 
 def _split_names(text):
-    return tuple(filter(None, text.split(",")))
+    names = text.split(",")
+    return tuple(filter(None, names) if "" in names else names)
 
 
 def _chain(gens, inputs):
@@ -902,42 +954,59 @@ def _chain(gens, inputs):
     return tuple(gens[g].source for g in inputs) + (gens[inputs[-1]].target,)
 
 
-def _chain_arity(head, tokens):
-    """A chain line has d >= 1 and then d + 1 objects before its fields;
-    a field the line lacks among those objects means a short path."""
-    if not tokens:
-        raise ValueError("missing arity")
-    d = _int(tokens[0], "%s arity" % head)
-    if d < 1:
-        raise ValueError("arity must be at least 1, got %d" % d)
-    if len(tokens) < d + 5:  # fewer than the three fields after the objects
-        objects = tokens[1:d + 2]
-        missing = _ENTRY_FIELDS.keys() - {t.partition("=")[0] for t in tokens[d + 2:]}
-        for i, token in enumerate(objects):
-            if "=" in token and token.partition("=")[0] in missing:
-                raise ValueError("object path %r is too short for arity %d: it needs %d objects"
-                                 % (" ".join(objects[:i]), d, d + 1))
-    return d + 2
-
-
 def _chain_kind(head, entries, gens):
     """'HEAD d X0 .. Xd in=g1,..,gd out=g coeff=..' lines (mu in
     categories, F in functor maps): the inputs come from gens, and the
-    objects must be the chain they run through."""
+    objects must be the chain they run through.  One walk over the
+    (gi, Xi-1, Xi) looks each input up once, checks the path and finds
+    whether the inputs compose, so that a composing chain is stored
+    without the setter's second walk."""
+    what = "%s arity" % head
 
-    def inputs_of(pos, fields):
+    def arity(tokens):
+        """d >= 1 and then d + 1 objects before the fields; a field the
+        line lacks among those objects means a short path."""
+        if len(tokens) < 2:
+            raise ValueError("missing arity")
+        d = _int(tokens[1], what)
+        if d < 1:
+            raise ValueError("arity must be at least 1, got %d" % d)
+        if len(tokens) < d + 6:  # fewer than the three fields after the objects
+            objects = tokens[2:d + 3]
+            missing = _ENTRY_FIELDS.keys() - {t.partition("=")[0] for t in tokens[d + 3:]}
+            for i, token in enumerate(objects):
+                if "=" in token and token.partition("=")[0] in missing:
+                    raise ValueError("object path %s is too short for arity %d: it needs %d objects"
+                                     % (_preview(" ".join(objects[:i])), d, d + 1))
+        return d + 2
+
+    def inputs_of(tokens, fields):
         inputs = _split_names(fields["in"])
-        if len(inputs) != len(pos) - 2:
-            raise ValueError("arity %s with %d inputs" % (pos[0], len(inputs)))
-        chain = _lookup(gens, inputs, "unknown generator %r")
-        path = [g.source for g in chain]
-        path.append(chain[-1].target)
-        if pos[1:] != path:
-            raise ValueError("object path %s does not match inputs %s"
-                             % (" ".join(pos[1:]), ",".join(inputs)))
-        return inputs
+        if len(inputs) != int(tokens[1]):
+            raise ValueError("arity %s with %d inputs" % (tokens[1], len(inputs)))
+        # tokens is HEAD d X0 .. Xd.  Input i must start at X(i-1); with
+        # the path right, it composes with the next one iff it ends at Xi.
+        composes = True
+        i = 2
+        try:
+            for g in inputs:
+                gen = gens[g]
+                if gen.source != tokens[i]:
+                    break
+                i += 1
+                if gen.target != tokens[i]:
+                    composes = False
+            else:
+                if gen.target == tokens[i]:
+                    return inputs, composes
+        except KeyError:
+            pass
+        # The first unknown input wins over a path that differs.
+        _lookup(gens, inputs, "unknown generator %s")
+        raise ValueError("object path %s does not match inputs %s"
+                         % (" ".join(tokens[2:len(inputs) + 3]), ",".join(inputs)))
 
-    return entries.kind(partial(_chain_arity, head), inputs_of)
+    return entries.kind(arity, inputs_of)
 
 
 def _chain_lines(head, table, gens):
@@ -945,12 +1014,12 @@ def _chain_lines(head, table, gens):
                         % (head, len(k), " ".join(_chain(gens, k)), ",".join(k)))
 
 
-def _bracket_inputs(pos, fields):
+def _bracket_inputs(tokens, fields):
     """'l n in=x,.. out=x coeff=..'; brackets store their inputs sorted."""
     inputs = _split_names(fields["in"])
-    if len(inputs) != _int(pos[0], "l arity"):
-        raise ValueError("l %s with %d inputs" % (pos[0], len(inputs)))
-    return tuple(sorted(inputs))
+    if len(inputs) != _int(tokens[1], "l arity"):
+        raise ValueError("l %s with %d inputs" % (tokens[1], len(inputs)))
+    return tuple(sorted(inputs)), False
 
 
 def _bracket_lines(alg):
@@ -959,7 +1028,7 @@ def _bracket_lines(alg):
 
 def _name_kind(add):
     """A 'HEAD NAME' declaration line."""
-    return _LineKind(1, lambda number, pos, fields: add(pos[0]), {})
+    return _LineKind(1, lambda number, tokens, fields: add(tokens[1]), {})
 
 
 def load_category(text: str) -> FilteredAInfCategory:
@@ -970,12 +1039,12 @@ def load_category(text: str) -> FilteredAInfCategory:
     mu = _Entries()
     _read_lines(text, {
         "object": _name_kind(cat.add_object),
-        "gen": _LineKind(3, lambda n, pos, f: cat.add_gen(pos[2], pos[0], pos[1],
-                                                          mu.exact(f["level"]), mu.exact(f["ham"])),
+        "gen": _LineKind(3, lambda n, t, f: cat.add_gen(t[3], t[1], t[2],
+                                                        mu.exact(f["level"]), mu.exact(f["ham"])),
                          {"level": None, "ham": None}),
         "mu": _chain_kind("mu", mu, cat.gens),
     })
-    mu.store(cat.set_mu)
+    mu.store(cat.set_mu, cat._put_mu)
     return cat
 
 
@@ -1000,16 +1069,16 @@ def dump_linf(alg: LInfinityAlgebra) -> str:
     return _text(["basis %s" % b for b in alg.basis] + _bracket_lines(alg))
 
 
-def _open_closed_inputs(pos, fields):
+def _open_closed_inputs(tokens, fields):
     """'mu k d closed=c1,.. in=o1,.. out=o coeff=..'; closed inputs are
     stored sorted."""
     closed = _split_names(fields["closed"])
     opens = _split_names(fields["in"])
-    k, d = _int(pos[0], "mu closed arity"), _int(pos[1], "mu open arity")
+    k, d = _int(tokens[1], "mu closed arity"), _int(tokens[2], "mu open arity")
     if (len(closed), len(opens)) != (k, d):
         raise ValueError("mu %s %s with %d closed and %d open inputs"
-                         % (pos[0], pos[1], len(closed), len(opens)))
-    return tuple(sorted(closed)), opens
+                         % (tokens[1], tokens[2], len(closed), len(opens)))
+    return (tuple(sorted(closed)), opens), False
 
 
 def load_ocha(text: str) -> OCHAStructure:
@@ -1046,16 +1115,18 @@ def load_functor(text: str, source: FilteredAInfCategory, target: FilteredAInfCa
     object_map = {}
     components = _Entries()
 
-    def obj_line(number, pos, fields):
-        _check_object_pair(source, target, pos[0], pos[1])
-        if pos[0] in object_map:
-            raise ValueError("object %r is already mapped to %r" % (pos[0], object_map[pos[0]]))
-        object_map[pos[0]] = pos[1]
+    def obj_line(number, tokens, fields):
+        x, y = tokens[1], tokens[2]
+        _check_object_pair(source, target, x, y)
+        if x in object_map:
+            raise ValueError("object %s is already mapped to %s"
+                             % (_preview(x), _preview(object_map[x])))
+        object_map[x] = y
 
     _read_lines(text, {"obj": _LineKind(2, obj_line, {}),
                        "F": _chain_kind("F", components, source.gens)})
     F = AInfFunctor(source, target, object_map)
-    components.store(F.set_component)
+    components.store(F.set_component, F._put_component)
     return F
 
 

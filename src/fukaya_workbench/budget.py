@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .novikov import ActionValue, _frac, _value_text, action_sum
+from .novikov import ActionValue, _frac, _preview, _value_text, action_sum
 
 
 def _num(x, what) -> float:
@@ -267,7 +267,7 @@ def virtual_dimension(inp: IndexInput) -> int:
     sphere_cluster: 2d - 4
     marked_disc:    l + 2k - 2"""
     if inp.case not in _DIMENSIONS:
-        raise ValueError("unknown case %r; known: %s" % (inp.case, ", ".join(DIM_CASES)))
+        raise ValueError("unknown case %s; known: %s" % (_preview(inp.case), ", ".join(DIM_CASES)))
     fields, formula = _DIMENSIONS[inp.case]
     for f in fields:
         if getattr(inp, f) is None:

@@ -128,7 +128,7 @@ def _read_source(path: str) -> str:
         name = path[len("bundled:"):]
         ref = resources.files("fukaya_workbench").joinpath("data", name + ".cat")
         if not ref.is_file():
-            raise ValueError("no bundled fixture named %r" % name)
+            raise ValueError("no bundled fixture named %s" % _preview(name))
         return ref.read_text()
     with open(path) as fh:
         return fh.read()
@@ -137,7 +137,7 @@ def _read_source(path: str) -> str:
 def _parse_labels(text: str):
     labels = labels_from_text(text)
     if len(labels) < 2:
-        raise ValueError("need at least two labels, got %r" % text)
+        raise ValueError("need at least two labels, got %s" % _preview(text))
     return labels
 
 
@@ -156,6 +156,19 @@ def _flag(convert):
             raise argparse.ArgumentTypeError(str(e)) from None
 
     return parse
+
+
+def _one_of(*names) -> dict:
+    """The add_argument keywords of a flag whose value is one of names:
+    the choices, and a type that shows any other value cut short."""
+
+    def choose(text):
+        if text not in names:
+            raise ValueError("invalid choice: %s (choose from %s)"
+                             % (_preview(text), ", ".join(map(repr, names))))
+        return text
+
+    return {"choices": names, "type": _flag(choose)}
 
 
 def _int_flag(what):
@@ -235,7 +248,7 @@ def _unit_pair(text) -> tuple:
     """--unit OBJECT:GEN as (OBJECT, GEN)."""
     obj, colon, gen = text.partition(":")
     if not colon:
-        raise ValueError("unit must be OBJECT:GEN, got %r" % text)
+        raise ValueError("unit must be OBJECT:GEN, got %s" % _preview(text))
     return obj, gen
 
 
@@ -432,7 +445,7 @@ def cmd_measure(args, out):
     units = {}
     for obj, gen in args.unit or ():
         if obj in units:
-            raise ValueError("--unit names object %r twice" % obj)
+            raise ValueError("--unit names object %s twice" % _preview(obj))
         units[obj] = gen
     cat = load_category(_read_source(args.file))
     rep = measure_discrepancies(cat, units)
@@ -555,7 +568,7 @@ def cmd_dim(args, out):
 
 def build_parser() -> argparse.ArgumentParser:
     fmt = argparse.ArgumentParser(add_help=False)
-    fmt.add_argument("--format", choices=("text", "machine"), default="text",
+    fmt.add_argument("--format", **_one_of("text", "machine"), default="text",
                      help="output style (default text)")
 
     p = argparse.ArgumentParser(
@@ -641,8 +654,8 @@ def build_parser() -> argparse.ArgumentParser:
     w = verb(which, "vertex", cmd_budget_vertex)
     w.add_argument("--d", type=_int_flag("--d"), required=True)
     w.add_argument("--eps", type=_rational("eps"), required=True)
-    w.add_argument("--case", choices=("open", "closed"), default="open")
-    w.add_argument("--convention", choices=("main", "draft"), default="main")
+    w.add_argument("--case", **_one_of("open", "closed"), default="open")
+    w.add_argument("--convention", **_one_of("main", "draft"), default="main")
 
     w = verb(which, "epsdelta", cmd_budget_epsdelta)
     w.add_argument("--eps", type=_rational("eps"), required=True)
@@ -658,7 +671,7 @@ def build_parser() -> argparse.ArgumentParser:
     w = verb(which, "strip", cmd_budget_strip)
     w.add_argument("--lo", type=_rational("--lo"), required=True)
     w.add_argument("--hi", type=_rational("--hi"), required=True)
-    w.add_argument("--end", choices=("entry", "exit"), required=True)
+    w.add_argument("--end", **_one_of("entry", "exit"), required=True)
     w.add_argument("--cutoffs", type=_comma_list(_cutoff), required=True,
                    help="comma list of monotone samples")
 
@@ -675,7 +688,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     w = verb(which, "thin", cmd_budget_thin)
     w.add_argument("--d", type=_int_flag("--d"), required=True)
-    w.add_argument("--case", choices=("open", "closed"), default="open")
+    w.add_argument("--case", **_one_of("open", "closed"), default="open")
 
     s = verb(sub, "dim", cmd_dim, "virtual dimension formulas")
     s.add_argument("--case", required=True)
@@ -692,12 +705,19 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _error_text(e) -> str:
+    """The message of e, with the file name of an OSError cut short."""
+    if isinstance(e, OSError) and e.filename is not None and e.filename2 is None:
+        return "[Errno %s] %s: %s" % (e.errno, e.strerror, _preview(e.filename))
+    return str(e)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args, Out(args.format))
     except (ValueError, OSError) as e:
-        print("error: %s" % e, file=sys.stderr)
+        print("error: %s" % _error_text(e), file=sys.stderr)
         return 2
 
 

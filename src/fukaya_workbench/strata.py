@@ -18,7 +18,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
-from .novikov import _frac, _int, _value_text
+from .novikov import _frac, _int, _preview, _value_text
 from .trees import (
     LabelledTree,
     MetricTree,
@@ -496,7 +496,7 @@ def width_expr_from_text(text: str):
             inner = parse()
             node = Glue(outer, n, inner, _frac(tokens.take(), "a neck length"))
         else:
-            raise ValueError("unknown width expression head %r" % head)
+            raise ValueError("unknown width expression head %s" % _preview(head))
         tokens.take(")")
         return node
 

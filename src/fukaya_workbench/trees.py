@@ -21,7 +21,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .novikov import _frac, _value_text
+from .novikov import _frac, _preview, _value_text
 
 INF = float("inf")
 
@@ -189,10 +189,10 @@ class _Tokens:
     def take(self, expected=None):
         tok = self.peek()
         if tok is None:
-            raise ValueError("%s %r ends early" % (self.what, self.text))
+            raise ValueError("%s %s ends early" % (self.what, _preview(self.text)))
         if expected is not None and tok != expected:
-            raise ValueError("expected %r at token %d of %s %r, got %r"
-                             % (expected, self.pos, self.what, self.text, tok))
+            raise ValueError("expected %r at token %d of %s %s, got %s"
+                             % (expected, self.pos, self.what, _preview(self.text), _preview(tok)))
         self.pos += 1
         return tok
 
@@ -201,9 +201,9 @@ class _Tokens:
         try:
             out = parse()
         except RecursionError:
-            raise ValueError("%s %r is nested too deeply" % (self.what, self.text)) from None
+            raise ValueError("%s %s is nested too deeply" % (self.what, _preview(self.text))) from None
         if self.pos != len(self.tokens):
-            raise ValueError("trailing tokens in %s %r" % (self.what, self.text))
+            raise ValueError("trailing tokens in %s %s" % (self.what, _preview(self.text)))
         return out
 
 
@@ -220,11 +220,12 @@ def sexpr_to_shape(text):
             num = tokens.take()
             leaf_seen[0] += 1
             if not num.isdigit() or int(num) != leaf_seen[0]:
-                raise ValueError("leaf numbers must run 1,2,... in planar order, got %r" % num)
+                raise ValueError("leaf numbers must run 1,2,... in planar order, got %s"
+                                 % _preview(num))
             tokens.take(")")
             return None
         if head not in ("v", "v*"):
-            raise ValueError("unknown node head %r" % head)
+            raise ValueError("unknown node head %s" % _preview(head))
         if head == "v*":
             colored.add(path)
         children = []
@@ -232,7 +233,7 @@ def sexpr_to_shape(text):
             children.append(parse(path + (len(children),)))
         tokens.take(")")
         if not children:
-            raise ValueError("vertex with no children in %r" % text)
+            raise ValueError("vertex with no children in %s" % _preview(text))
         return tuple(children)
 
     shape = tokens.parse_all(lambda: parse(()))
@@ -278,10 +279,11 @@ def labels_from_text(text: str) -> tuple:
         return ()
     labels = tuple(x.strip() for x in s.split(","))
     if "" in labels:
-        raise ValueError("empty label in %r" % text)
+        raise ValueError("empty label in %s" % _preview(text))
     for label in labels:
         if not _balanced(label):
-            raise ValueError("unbalanced parenthesis in label %r of %r" % (label, text))
+            raise ValueError("unbalanced parenthesis in label %s of %s"
+                             % (_preview(label), _preview(text)))
     return labels
 
 
@@ -408,7 +410,7 @@ def metric_from_text(text: str):
         name = name.strip()
         val = val.strip()
         if not (name.startswith("e") and name[1:].isdigit()):
-            raise ValueError("bad edge name %r" % name)
+            raise ValueError("bad edge name %s" % _preview(name))
         k = int(name[1:])
         if not 1 <= k <= len(interior):
             raise ValueError("edge %s out of range (tree has %d interior edges)" % (name, len(interior)))

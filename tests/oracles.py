@@ -8,8 +8,10 @@ generation), a filter over every loose shape instead of pruned
 generation, the corank of the equidistance system instead of a vertex
 count, interval bookkeeping instead of profile splicing, a direct
 associator scan instead of insertion sums, relation scans over every
-tuple instead of over the insertion candidates, and action gaps through
-ActionValue bookkeeping instead of direct rational arithmetic.
+tuple instead of over the insertion candidates, action gaps through
+ActionValue bookkeeping instead of direct rational arithmetic, and table
+files through a generic line reader that hands every entry to the public
+setters instead of the one-pass loaders.
 """
 
 import itertools
@@ -500,3 +502,226 @@ def worst_gaps_oracle(table, in_gens, out_gens):
         if d not in raw or gap > raw[d]:
             raw[d] = gap
     return raw
+
+
+# -- the table formats, read by the generic line reader -------------------
+#
+# The library's loaders split, look up and check each entry line once.
+# This is the reader they replaced: every line goes through one generic
+# loop, a chain line's inputs are looked up and their object path checked
+# there, and each entry is handed to the public setter, which makes every
+# check again.  Each load must end as the library's does: the same
+# message, or tables that dump to the same text.
+
+
+class _LineKind:
+    """How many positional tokens follow the head (or a function of those
+    tokens that says so), the handler, and the accepted key=value fields
+    with their defaults (None: required)."""
+
+    def __init__(self, arity, handler, fields):
+        self.arity, self.handler, self.fields = arity, handler, fields
+
+
+def _read_lines_oracle(text, kinds):
+    """Run kinds[head].handler(number, positional, fields) on every line
+    that is neither blank nor a comment, in file order; every ValueError
+    names its line."""
+    from fukaya_workbench.novikov import _preview
+
+    for number, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            head, *tokens = line.split()
+            kind = kinds.get(head)
+            if kind is None:
+                raise ValueError("unknown line %r" % line)
+            arity = kind.arity(tokens) if callable(kind.arity) else kind.arity
+            if len(tokens) < arity:
+                raise ValueError("%s line %r is too short: it needs %d token(s) before its fields"
+                                 % (head, line, arity))
+            fields = {}
+            for token in tokens[arity:]:
+                key, eq, value = token.partition("=")
+                if not eq:
+                    raise ValueError("expected key=value, got %s" % _preview(token))
+                if key not in kind.fields:
+                    raise ValueError("unknown field %s" % _preview(key))
+                if key in fields:
+                    raise ValueError("repeated field %s" % _preview(key))
+                fields[key] = value
+            for key, default in kind.fields.items():
+                if key not in fields:
+                    if default is None:
+                        raise ValueError("%s line %r has no %s= field" % (head, line, key))
+                    fields[key] = default
+            kind.handler(number, tokens[:arity], fields)
+        except ValueError as e:
+            raise ValueError("line %d: %s" % (number, e)) from None
+
+
+_ENTRY_FIELDS = {"in": None, "out": None, "coeff": None}
+
+
+class _EntriesOracle:
+    """Terms read line by line and added over Z2 per (inputs, output);
+    store() hands each inputs' outputs to the public setter in order of
+    first appearance and reports a rejected entry at its first line."""
+
+    def __init__(self):
+        self.outs = {}
+        self.first_line = {}
+
+    def kind(self, arity, inputs_of, accepted=_ENTRY_FIELDS):
+        from fukaya_workbench.novikov import nov_add, nov_from_text
+
+        def handler(number, pos, fields):
+            inputs = inputs_of(pos, fields)
+            out, coeff = fields["out"], nov_from_text(fields["coeff"])
+            outs = self.outs.get(inputs)
+            if outs is None:
+                outs = self.outs[inputs] = {}
+                self.first_line[inputs] = number
+            outs[out] = nov_add(outs[out], coeff) if out in outs else coeff
+
+        return _LineKind(arity, handler, accepted)
+
+    def store(self, setter):
+        for inputs, outs in self.outs.items():
+            try:
+                setter(inputs, outs)
+            except ValueError as e:
+                raise ValueError("line %d: %s" % (self.first_line[inputs], e)) from None
+
+
+def _names(text):
+    return tuple(x for x in text.split(",") if x)
+
+
+def _chain_arity_oracle(head, tokens):
+    from fukaya_workbench.novikov import _int, _preview
+
+    if not tokens:
+        raise ValueError("missing arity")
+    d = _int(tokens[0], "%s arity" % head)
+    if d < 1:
+        raise ValueError("arity must be at least 1, got %d" % d)
+    if len(tokens) < d + 5:  # fewer than the three fields after the objects
+        objects = tokens[1:d + 2]
+        missing = _ENTRY_FIELDS.keys() - {t.partition("=")[0] for t in tokens[d + 2:]}
+        for i, token in enumerate(objects):
+            if "=" in token and token.partition("=")[0] in missing:
+                raise ValueError("object path %s is too short for arity %d: it needs %d objects"
+                                 % (_preview(" ".join(objects[:i])), d, d + 1))
+    return d + 2
+
+
+def _chain_kind_oracle(head, entries, gens):
+    from fukaya_workbench.novikov import _preview
+
+    def inputs_of(pos, fields):
+        inputs = _names(fields["in"])
+        if len(inputs) != len(pos) - 2:
+            raise ValueError("arity %s with %d inputs" % (pos[0], len(inputs)))
+        for g in inputs:
+            if g not in gens:
+                raise ValueError("unknown generator %s" % _preview(g))
+        path = [gens[g].source for g in inputs] + [gens[inputs[-1]].target]
+        if pos[1:] != path:
+            raise ValueError("object path %s does not match inputs %s"
+                             % (" ".join(pos[1:]), ",".join(inputs)))
+        return inputs
+
+    return entries.kind(lambda tokens: _chain_arity_oracle(head, tokens), inputs_of)
+
+
+def _bracket_inputs_oracle(pos, fields):
+    from fukaya_workbench.novikov import _int
+
+    inputs = _names(fields["in"])
+    if len(inputs) != _int(pos[0], "l arity"):
+        raise ValueError("l %s with %d inputs" % (pos[0], len(inputs)))
+    return tuple(sorted(inputs))
+
+
+def _open_closed_inputs_oracle(pos, fields):
+    from fukaya_workbench.novikov import _int
+
+    closed, opens = _names(fields["closed"]), _names(fields["in"])
+    k, d = _int(pos[0], "mu closed arity"), _int(pos[1], "mu open arity")
+    if (len(closed), len(opens)) != (k, d):
+        raise ValueError("mu %s %s with %d closed and %d open inputs"
+                         % (pos[0], pos[1], len(closed), len(opens)))
+    return tuple(sorted(closed)), opens
+
+
+def _name_kind_oracle(add):
+    return _LineKind(1, lambda number, pos, fields: add(pos[0]), {})
+
+
+def load_category_oracle(text):
+    from fukaya_workbench.ainfinity import FilteredAInfCategory
+
+    cat = FilteredAInfCategory()
+    mu = _EntriesOracle()
+    _read_lines_oracle(text, {
+        "object": _name_kind_oracle(cat.add_object),
+        # add_gen coerces the level and ham texts after its own checks.
+        "gen": _LineKind(3, lambda n, pos, f: cat.add_gen(pos[2], pos[0], pos[1],
+                                                          f["level"], f["ham"]),
+                         {"level": None, "ham": None}),
+        "mu": _chain_kind_oracle("mu", mu, cat.gens),
+    })
+    mu.store(cat.set_mu)
+    return cat
+
+
+def load_linf_oracle(text):
+    from fukaya_workbench.ainfinity import LInfinityAlgebra
+
+    alg = LInfinityAlgebra()
+    l = _EntriesOracle()
+    _read_lines_oracle(text, {"basis": _name_kind_oracle(alg.add_basis),
+                              "l": l.kind(1, _bracket_inputs_oracle)})
+    l.store(alg.set_l)
+    return alg
+
+
+def load_ocha_oracle(text):
+    from fukaya_workbench.ainfinity import OCHAStructure
+
+    s = OCHAStructure()
+    l, mu = _EntriesOracle(), _EntriesOracle()
+    _read_lines_oracle(text, {
+        "closed": _name_kind_oracle(s.add_closed),
+        "open": _name_kind_oracle(s.add_open),
+        "l": l.kind(1, _bracket_inputs_oracle),
+        "mu": mu.kind(2, _open_closed_inputs_oracle,
+                      {"closed": "", "in": "", "out": None, "coeff": None}),
+    })
+    l.store(s.set_l)
+    mu.store(lambda key, outs: s.set_mu(key[0], key[1], outs))
+    return s
+
+
+def load_functor_oracle(text, source, target):
+    from fukaya_workbench.ainfinity import AInfFunctor, _check_object_pair
+    from fukaya_workbench.novikov import _preview
+
+    object_map = {}
+    components = _EntriesOracle()
+
+    def obj_line(number, pos, fields):
+        _check_object_pair(source, target, pos[0], pos[1])
+        if pos[0] in object_map:
+            raise ValueError("object %s is already mapped to %s"
+                             % (_preview(pos[0]), _preview(object_map[pos[0]])))
+        object_map[pos[0]] = pos[1]
+
+    _read_lines_oracle(text, {"obj": _LineKind(2, obj_line, {}),
+                              "F": _chain_kind_oracle("F", components, source.gens)})
+    F = AInfFunctor(source, target, object_map)
+    components.store(F.set_component)
+    return F

@@ -645,30 +645,85 @@ def test_scan_with_no_arity_is_rejected():
 HEAD = "object M\ngen M M a level=0 ham=0\n"
 # a lies in hom(M,N) and b in hom(M,M), so (a, b) is not composable.
 TWO = "object M\nobject N\ngen M N a level=0 ham=0\ngen M M b level=0 ham=0\n"
+# (a, b) again: its object path M M M holds, since it lists the inputs'
+# sources and the last target, but a ends at N and b starts at M.
+BROKEN = "2 M M M in=a,b out=b"
+MAPS = "obj M M\nobj N N\n"
+OCHA = "closed c\nopen o\n"
 
 
-@pytest.mark.parametrize("text, message", [
-    (HEAD + "mu 1 M M out=a coeff=T^0\n", "line 3: mu line .* has no in= field"),
-    (HEAD + "mu 1 M M in=a in=a out=a coeff=T^0\n", "line 3: repeated field 'in'"),
-    (HEAD + "mu 1 M M in=a out=a coeff=T^0 level=0\n", "line 3: unknown field 'level'"),
-    (HEAD + "mu 1 M M in=a out=a coeff=T^0 junk\n", "line 3: expected key=value, got 'junk'"),
-    (HEAD + "mu 0 M in= out=a coeff=T^0\n", "line 3: arity must be at least 1"),
-    (HEAD + "mu\n", "line 3: missing arity"),
-    (HEAD + "mu 3 M M\n", "line 3: mu line .* is too short"),
-    (HEAD + "mu 1 M M in=b out=a coeff=T^0\n", "line 3: unknown generator 'b'"),
-    ("# comment\n\n" + HEAD + "gen M M b level=1/0 ham=0\n", "line 5: a level has a zero denominator"),
-    (HEAD + "gen M M b level=1e10000 ham=0\n", "line 3: a level has an exponent beyond 4300"),
-    (HEAD + "mu 1 M M in=a out=zz coeff=T^0\nmu 1 M M in=a out=a coeff=T^0\n",
+def _load_map(text):
+    two = load_category(TWO)
+    return load_functor(text, two, two)
+
+
+# A fault a line has on its own is found as the line is read; a fault of
+# an entry (the terms that share its inputs) is found when the entries
+# are stored after the last line, and is reported at the entry's first
+# line.  So a line fault anywhere wins over an entry fault before it.
+@pytest.mark.parametrize("load, text, message", [
+    (load_category, HEAD + "mu 1 M M out=a coeff=T^0\n", "line 3: mu line .* has no in= field"),
+    (load_category, HEAD + "mu 1 M M in=a in=a out=a coeff=T^0\n", "line 3: repeated field 'in'"),
+    (load_category, HEAD + "mu 1 M M in=a out=a coeff=T^0 level=0\n",
+     "line 3: unknown field 'level'"),
+    (load_category, HEAD + "mu 1 M M in=a out=a coeff=T^0 junk\n",
+     "line 3: expected key=value, got 'junk'"),
+    (load_category, HEAD + "mu 0 M in= out=a coeff=T^0\n", "line 3: arity must be at least 1"),
+    (load_category, HEAD + "mu\n", "line 3: missing arity"),
+    (load_category, HEAD + "mu 3 M M\n", "line 3: mu line .* is too short"),
+    (load_category, HEAD + "mu 1 M M in=b out=a coeff=T^0\n", "line 3: unknown generator 'b'"),
+    (load_category, "# comment\n\n" + HEAD + "gen M M b level=1/0 ham=0\n",
+     "line 5: a level has a zero denominator"),
+    (load_category, HEAD + "gen M M b level=1e10000 ham=0\n",
+     "line 3: a level has an exponent beyond 4300"),
+    (load_category, HEAD + "mu 1 M M in=a out=zz coeff=T^0\nmu 1 M M in=a out=a coeff=T^0\n",
      "line 3: unknown output generator 'zz'"),
-    # A line-time error anywhere wins over a store-time error before it.
-    (TWO + "mu 2 M M M in=a,b out=b coeff=T^0\nmu 1 M M in=b out=b coeff=T^0 junk\n",
+    (load_category, TWO + "mu 2 M M M in=a,b out=b coeff=T^0\nmu 1 M M in=b out=b coeff=T^0 junk\n",
      "line 6: expected key=value, got 'junk'"),
-    (TWO + "mu 1 M N in=a out=b coeff=T^0\n",
+    (load_category, TWO + "mu 1 M N in=a out=b coeff=T^0\n",
      r"line 5: output b lies in hom\(M,M\), expected hom\(M,N\)"),
+    (load_category, TWO + "mu 1 M N in=a out=a coeff=T^0\nmu %s coeff=T^0\nmu %s coeff=T^1\n"
+     % (BROKEN, BROKEN), "^line 6: inputs not composable: a ends at N but b starts at M$"),
+    # F lines, over the category TWO.
+    (_load_map, MAPS + "F 1 M N in=a out=zz coeff=T^0\nF 1 M M in=b out=b coeff=T^0 junk\n",
+     "^line 4: expected key=value, got 'junk'$"),
+    (_load_map, MAPS + "F %s coeff=T^0\nF 1 M N in=a out=a\n" % BROKEN,
+     "^line 4: F line 'F 1 M N in=a out=a' has no coeff= field$"),
+    (_load_map, MAPS + "F 1 M N in=a out=a coeff=T^0\nF %s coeff=T^0\nF %s coeff=T^1\n"
+     % (BROKEN, BROKEN), "^line 4: inputs not composable: a ends at N but b starts at M$"),
+    (_load_map, "F 1 M N in=a out=a coeff=T^0\nF 1 M N in=a out=zz coeff=T^0\n" + MAPS,
+     "^line 1: unknown target generator 'zz'$"),
+    # l lines: names are looked up when the entries are stored.
+    (load_linf, "basis x\nl 1 in=z out=x coeff=T^0\nl 1 in=x out=x coeff=T^0 junk\n",
+     "^line 3: expected key=value, got 'junk'$"),
+    (load_linf, "basis x\nl 1 in=x out=x coeff=T^0\nl 1 in=z out=x coeff=T^0\n"
+     "l 1 in=z out=x coeff=T^1\n", "^line 3: unknown basis element 'z'$"),
+    (load_linf, "l 2 in=x,x out=y coeff=T^0\nbasis x\nl 0 in= out=x coeff=T^0\n",
+     "^line 1: unknown output basis element 'y'$"),
+    # OCHA mu lines; the l entries are stored before them.
+    (load_ocha, OCHA + "mu 1 1 closed=z in=o out=o coeff=T^0\nmu 0 1 in=o out=o coeff=T^0 junk\n",
+     "^line 4: expected key=value, got 'junk'$"),
+    (load_ocha, OCHA + "mu 0 1 in=o out=o coeff=T^0\nmu 0 1 in=z out=o coeff=T^0\n"
+     "mu 0 1 in=z out=o coeff=T^1\n", "^line 4: unknown open basis element 'z'$"),
+    (load_ocha, OCHA + "mu 0 0 out=o coeff=T^0\nl 1 in=y out=c coeff=T^0\n",
+     "^line 4: unknown basis element 'y'$"),
 ])
-def test_load_category_names_the_line(text, message):
+def test_loaders_name_the_line(load, text, message):
     with pytest.raises(ValueError, match=message):
-        load_category(text)
+        load(text)
+
+
+def test_cancelled_terms_name_no_output():
+    """Only a nonzero term has its output checked: terms that cancel over
+    Z2, and a zero coefficient, leave no entry and no fault."""
+    lines = ["mu 1 M M in=a out=zz coeff=T^0", "mu 1 M M in=a out=zz coeff=T^{0}",
+             "mu 1 M M in=a out=a coeff=0"]
+    assert load_category(HEAD + "\n".join(lines) + "\n").mu == {}
+    two = load_category(TWO)
+    F = load_functor(MAPS + "F 1 M N in=a out=b coeff=T^1+T^1\n", two, two)
+    assert F.table == {}
+    assert load_linf("basis x\nl 1 in=x out=y coeff=0\n").l == {}
+    assert load_ocha(OCHA + "mu 0 1 in=o out=p coeff=T^1/2+T^{1/2}\n").mu == {}
 
 
 # Each value has more than 4300 digits, the int-to-text limit, so it could

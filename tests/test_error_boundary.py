@@ -170,6 +170,44 @@ def test_huge_integer_tokens_are_shown_cut_short(workdir):
         assert err == "error: %s %s" % (what, cut)
 
 
+# A text past the 4,300 digits that int() reads, which no flag, path or
+# name takes: an error shows it cut short.
+LONG = "L" * 4301
+
+# Tables whose one fault is a name of LONG's length, by the verb that
+# reads them and where the name sits.
+LONG_NAMES = {
+    "mu input": ("check-ainf", CATEGORY + "mu 1 M M in=%s out=a coeff=T^0\n" % LONG),
+    "mu output": ("check-ainf", CATEGORY + "mu 1 M M in=a out=%s coeff=T^0\n" % LONG),
+    "gen twice": ("check-ainf", CATEGORY + "gen M M %s level=0 ham=0\n" % LONG * 2),
+    "field": ("check-ainf", CATEGORY + "mu 1 M M in=a out=a coeff=T^0 %s=1\n" % LONG),
+    "token": ("check-ainf", CATEGORY + "mu 1 M M in=a out=a coeff=T^0 %s\n" % LONG),
+    "bracket input": ("check-linf", VALID["linf"] + "l 1 in=%s out=x coeff=T^0\n" % LONG),
+    "open input": ("check-ocha", VALID["ocha"] + "mu 0 1 in=%s out=a coeff=T^0\n" % LONG),
+    "closed input": ("check-ocha", VALID["ocha"] + "mu 1 0 closed=%s out=a coeff=T^0\n" % LONG),
+    "object map": ("functor", "obj %s M\n" % LONG),
+    "component output": ("functor", VALID["functor"] + "F 1 M M in=a out=%s coeff=T^0\n" % LONG),
+}
+
+
+@pytest.mark.parametrize("where", sorted(LONG_NAMES))
+def test_long_names_in_tables_are_shown_cut_short(workdir, where):
+    verb, text = LONG_NAMES[where]
+    path = workdir / "long-name.txt"
+    path.write_text(text)
+    argv = VERBS[verb][0]
+    code, err, out = run_main(str(path) if a == "PATH" else a for a in argv)
+    assert_short_error(code, err, out)
+    assert "%s'..." % LONG[:40] in err
+
+
+def test_long_paths_are_shown_cut_short():
+    for path in ("/nonexistent/" + LONG, "bundled:" + LONG):
+        code, err, out = run_main(["check-ainf", path])
+        assert_short_error(code, err, out)
+        assert err.endswith("LLL'...\n"), err
+
+
 # -- every flag of every verb --------------------------------------------
 
 
@@ -226,7 +264,7 @@ RUNS = {
 
 # A 20-digit integer, and one past the 4,300 digits that int() reads.
 HUGE = ["9" * 20, "9" * 4301]
-FLAG_VALUES = ["nan", "inf", "-inf", "-1", "0", "1e400", "1e-400", "", "1/0", "(A,,B)"] + HUGE
+FLAG_VALUES = ["nan", "inf", "-inf", "-1", "0", "1e400", "1e-400", "", "1/0", "(A,,B)"] + HUGE + [LONG]
 
 # Options whose value is the amount of work asked for: a 20-digit value
 # is honoured, not refused, so they get a small stand-in for it.  Every
@@ -288,7 +326,7 @@ def test_every_flag_value_keeps_the_exit_codes(files, workdir, monkeypatch, path
     for value in values:
         result = run_main(flag_argv(path, run, files, action, value))
         assert_boundary(*result)
-        if value == HUGE[1] and path + (key,) in INTEGERS:
+        if value == HUGE[1] and path + (key,) in INTEGERS or value == LONG:
             assert_short_error(*result)
 
 
