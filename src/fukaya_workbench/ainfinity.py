@@ -45,26 +45,35 @@ def _elements(out):
     return clean
 
 
+def _cut(*values):
+    """The values for %s in a message, each text cut after 40 characters."""
+    return tuple(_preview(v, quote=False) for v in values)
+
+
 def _set_entry(table, key, out, names, what, hom=None):
     """Store the nonzero terms of out (output name -> Novikov element, a
     dict that the caller gives up) under key, or remove the entry when
-    none is left.  Each output must be one of names (what names them in
-    errors); with hom = (src, tgt, noun) it must also be a generator of
-    hom(src, tgt)."""
-    zeros = False
+    none is left.  Each output must be a key of names (what names them in
+    errors), which maps it to the structure's own string for it; with
+    hom = (src, tgt, noun), names maps it to a generator, which must lie
+    in hom(src, tgt).  The entry keeps those own strings as its outputs."""
+    rebuild = False
     for g, c in out.items():
         if not c.exps:
-            zeros = True
+            rebuild = True
             continue
-        if g not in names:
+        own = names.get(g)
+        if own is None:
             raise ValueError("unknown %s %s" % (what, _preview(g)))
         if hom:
-            gen = names[g]
-            if gen.source != hom[0] or gen.target != hom[1]:
+            if own.source != hom[0] or own.target != hom[1]:
                 raise ValueError("%s %s lies in hom(%s,%s), expected hom(%s,%s)"
-                                 % (hom[2], g, gen.source, gen.target, *hom[:2]))
-    if zeros:
-        out = {g: c for g, c in out.items() if c.exps}
+                                 % (hom[2], *_cut(g, own.source, own.target, *hom[:2])))
+            own = own.name
+        if own is not g:
+            rebuild = True
+    if rebuild:
+        out = {(names[g].name if hom else names[g]): c for g, c in out.items() if c.exps}
     if out:
         table[key] = out
     else:
@@ -123,7 +132,8 @@ class FilteredAInfCategory:
         if name in self.gens:
             raise ValueError("duplicate generator %s" % _preview(name))
         if source not in self.objects or target not in self.objects:
-            raise ValueError("generator %s needs known objects, got %s -> %s" % (name, source, target))
+            raise ValueError("generator %s needs known objects, got %s -> %s"
+                             % _cut(name, source, target))
         self.gens[name] = Generator(name, source, target,
                                     _frac(level, "a level"), _frac(ham, "a ham term"))
 
@@ -134,22 +144,19 @@ class FilteredAInfCategory:
         chain = _lookup(self.gens, names, "unknown generator %s")
         for a, b in zip(chain, chain[1:]):
             if a.target != b.source:
-                raise ValueError(
-                    "inputs not composable: %s ends at %s but %s starts at %s"
-                    % (a.name, a.target, b.name, b.source)
-                )
+                raise ValueError("inputs not composable: %s ends at %s but %s starts at %s"
+                                 % _cut(a.name, a.target, b.name, b.source))
         return chain
 
     def set_mu(self, inputs, out):
         """Define mu on a basis tuple; out maps generator names to
         Novikov coefficients (text accepted).  Zero entries are dropped."""
-        inputs = tuple(inputs)
-        self._check_chain(inputs)
-        self._put_mu(inputs, _elements(out))
+        chain = self._check_chain(tuple(inputs))
+        self._put_mu(tuple(g.name for g in chain), _elements(out))
 
     def _put_mu(self, inputs, out):
-        """set_mu for a tuple of inputs that compose and a dict of Novikov
-        elements, which the entry keeps."""
+        """set_mu for a tuple of inputs that compose, each the generator's
+        own string, and a dict of Novikov elements, which the entry keeps."""
         gens = self.gens
         _set_entry(self.mu, inputs, out, gens, "output generator",
                    (gens[inputs[0]].source, gens[inputs[-1]].target, "output"))
@@ -251,13 +258,16 @@ def _rank(basis):
     return {b: i for i, b in enumerate(basis)}.__getitem__
 
 
-def _by_output(table):
-    """The keys of table by arity, then by output: {m: {g: [keys]}}."""
+def _by_output(table, top):
+    """The keys of table of arity at most top, by arity, then by output:
+    {m: {g: [keys]}}."""
     index = {}
     for key, out in table.items():
-        by_output = index.setdefault(len(key), {})
-        for g in out:
-            by_output.setdefault(g, []).append(key)
+        m = len(key)
+        if m <= top:
+            by_output = index.setdefault(m, {})
+            for g in out:
+                by_output.setdefault(g, []).append(key)
     return index
 
 
@@ -279,15 +289,19 @@ def _joins(key, fills, rank):
                 yield tuple(sorted(rest + fill, key=rank))
 
 
-def _insertions(inner, outer, insert):
+def _insertions(inner, outer, insert, top):
     """(lengths, build) for the insertions of an inner key of arity m
     into an outer key of arity k: their lengths m + k - 1, and build(n),
     which yields insert(key, fills) for every outer key, where fills
-    holds the inner keys of arity n - k + 1 by output."""
-    inner_by = _by_output(inner)
+    holds the inner keys of arity n - k + 1 by output.  Every key has an
+    input, so only keys of arity at most top reach a length up to top;
+    the others are not indexed."""
+    inner_by = _by_output(inner, top)
     outer_by = {}
     for key in outer:
-        outer_by.setdefault(len(key), []).append(key)
+        k = len(key)
+        if k <= top:
+            outer_by.setdefault(k, []).append(key)
 
     def build(n):
         for k, keys in outer_by.items():
@@ -310,7 +324,7 @@ def _ainf_candidates(cat: FilteredAInfCategory, max_d: int, order=None):
     """The tuples of length <= max_d with a nonzero insertion
     mu(.., mu(..), ..), by length and then by order (default:
     lexicographic in generator names)."""
-    return _candidates(max_d, *_insertions(cat.mu, cat.mu, _splices), order)
+    return _candidates(max_d, *_insertions(cat.mu, cat.mu, _splices, max_d), order)
 
 
 def find_ainf_violation(cat: FilteredAInfCategory, max_d: int):
@@ -437,10 +451,9 @@ def check_strict_unit(cat: FilteredAInfCategory, obj: str, unit: str) -> UnitRep
             found = cat.mu_entry((name, unit))
             if found != {name: one}:
                 violations.append(UnitViolation(2, 2, (name, unit), dict(found), {name: one}))
-    for key in sorted(cat.mu):
-        if len(key) >= 3 and unit in key:
-            slot = key.index(unit) + 1
-            violations.append(UnitViolation(len(key), slot, key, dict(cat.mu[key]), {}))
+    for key in sorted(key for key in cat.mu if len(key) >= 3 and unit in key):
+        slot = key.index(unit) + 1
+        violations.append(UnitViolation(len(key), slot, key, dict(cat.mu[key]), {}))
     return UnitReport(not violations, tuple(violations))
 
 
@@ -448,25 +461,27 @@ def check_strict_unit(cat: FilteredAInfCategory, obj: str, unit: str) -> UnitRep
 
 
 class LInfinityAlgebra:
-    """Symmetric brackets over Z2, tables keyed by sorted input tuples."""
+    """Symmetric brackets over Z2, tables keyed by sorted input tuples.
+    Beside the ordered basis, _basis_names maps each element to its own
+    string, which the tables keep."""
 
     def __init__(self):
         self.basis = []
+        self._basis_names = {}
         self.l = {}
 
     def add_basis(self, name: str):
-        if name in self.basis:
+        if name in self._basis_names:
             raise ValueError("duplicate basis element %s" % _preview(name))
         self.basis.append(name)
+        self._basis_names[name] = name
 
     def set_l(self, inputs, out):
         key = tuple(sorted(inputs))
         if not key:
             raise ValueError("brackets need at least one input")
-        for g in key:
-            if g not in self.basis:
-                raise ValueError("unknown basis element %s" % _preview(g))
-        _set_entry(self.l, key, _elements(out), self.basis, "output basis element")
+        key = tuple(_lookup(self._basis_names, key, "unknown basis element %s"))
+        _set_entry(self.l, key, _elements(out), self._basis_names, "output basis element")
 
     def l_entry(self, inputs) -> dict:
         return self.l.get(tuple(sorted(inputs)), {})
@@ -489,7 +504,7 @@ def _linf_candidates(alg: LInfinityAlgebra, max_n: int):
     l(l(..), ..), each written in basis order, by size and then as
     combinations_with_replacement(alg.basis) yields them."""
     rank = _rank(alg.basis)
-    return _candidates(max_n, *_insertions(alg.l, alg.l, partial(_joins, rank=rank)),
+    return _candidates(max_n, *_insertions(alg.l, alg.l, partial(_joins, rank=rank), max_n),
                        lambda key: tuple(map(rank, key)))
 
 
@@ -512,6 +527,7 @@ class OCHAStructure(LInfinityAlgebra):
     def __init__(self):
         super().__init__()
         self.open_basis = []
+        self._open_names = {}
         self.mu = {}
 
     @property
@@ -521,22 +537,19 @@ class OCHAStructure(LInfinityAlgebra):
     add_closed = LInfinityAlgebra.add_basis
 
     def add_open(self, name: str):
-        if name in self.open_basis:
+        if name in self._open_names:
             raise ValueError("duplicate open basis element %s" % _preview(name))
         self.open_basis.append(name)
+        self._open_names[name] = name
 
     def set_mu(self, closed, opens, out):
         closed = tuple(sorted(closed))
         opens = tuple(opens)
         if not closed and not opens:
             raise ValueError("mu_{0,0} is identically zero and cannot be set")
-        for g in closed:
-            if g not in self.closed_basis:
-                raise ValueError("unknown closed basis element %s" % _preview(g))
-        for g in opens:
-            if g not in self.open_basis:
-                raise ValueError("unknown open basis element %s" % _preview(g))
-        _set_entry(self.mu, (closed, opens), _elements(out), self.open_basis, "open output")
+        closed = tuple(_lookup(self._basis_names, closed, "unknown closed basis element %s"))
+        opens = tuple(_lookup(self._open_names, opens, "unknown open basis element %s"))
+        _set_entry(self.mu, (closed, opens), _elements(out), self._open_names, "open output")
 
     def mu_entry(self, closed, opens) -> dict:
         return self.mu.get((tuple(sorted(closed)), tuple(opens)), {})
@@ -582,7 +595,7 @@ def _ocha_candidates(s: OCHAStructure, max_closed: int, max_open: int):
     an l key that outputs g; an open one is an inner mu key spliced into
     an open slot of an outer mu key, with the closed multisets joined."""
     closed_rank, open_rank = _rank(s.closed_basis), _rank(s.open_basis)
-    brackets = _by_output(s.l)
+    brackets = _by_output(s.l, max_closed)
     parts, opens_by = {}, {}
     for (closed, opens), out in s.mu.items():
         if closed not in opens_by:
@@ -692,13 +705,13 @@ class AInfFunctor:
         self.table = {}
 
     def set_component(self, inputs, out):
-        inputs = tuple(inputs)
-        self.source._check_chain(inputs)
-        self._put_component(inputs, _elements(out))
+        chain = self.source._check_chain(tuple(inputs))
+        self._put_component(tuple(g.name for g in chain), _elements(out))
 
     def _put_component(self, inputs, out):
-        """set_component for a tuple of inputs that compose and a dict of
-        Novikov elements, which the entry keeps."""
+        """set_component for a tuple of inputs that compose, each the
+        generator's own string, and a dict of Novikov elements, which the
+        entry keeps."""
         gens, fmap = self.source.gens, self.object_map
         _set_entry(self.table, inputs, out, self.target.gens, "target generator",
                    (fmap[gens[inputs[0]].source], fmap[gens[inputs[-1]].target],
@@ -738,12 +751,13 @@ def functor_defect(F: AInfFunctor, inputs) -> dict:
     return total
 
 
-def _concatenations(F: AInfFunctor):
+def _concatenations(F: AInfFunctor, top):
     """(lengths, build) for the target half of the functor equation:
     build(n) yields the composable source tuples of length n that split
-    into F keys whose outputs, in order, form a target-mu key."""
+    into F keys of arity at most top whose outputs, in order, form a
+    target-mu key."""
     gens = F.source.gens
-    pieces = _by_output(F.table)
+    pieces = _by_output(F.table, top)
     targets = []
     for names in F.target.mu:
         reach = [{0}]  # reach[i]: the lengths that names[i:] can take
@@ -776,8 +790,8 @@ def _functor_candidates(F: AInfFunctor, max_d: int):
     """The composable source tuples of length <= max_d with a nonzero
     term on either side of the functor equation, by length and then
     lexicographically."""
-    source_lengths, source_build = _insertions(F.source.mu, F.table, _splices)
-    target_lengths, target_build = _concatenations(F)
+    source_lengths, source_build = _insertions(F.source.mu, F.table, _splices, max_d)
+    target_lengths, target_build = _concatenations(F, max_d)
     return _candidates(max_d, source_lengths | target_lengths,
                        lambda n: itertools.chain(source_build(n), target_build(n)))
 
@@ -824,8 +838,15 @@ def _read_lines(text, kinds):
     line, its head first and then its positional tokens.  Unknown heads,
     unknown, missing and repeated fields are rejected; every ValueError
     names the line it came from.  Each line is split once; split() drops
-    the whitespace around it, so the line is stripped only to be quoted."""
-    for number, line in enumerate(text.splitlines(), start=1):
+    the whitespace around it, so the line is stripped only to be quoted.
+    The lines are taken off the end of a reversed list, so that each is
+    freed once it has been read."""
+    lines = text.splitlines()
+    lines.reverse()
+    number = 0
+    while lines:
+        line = lines.pop()
+        number += 1
         tokens = line.split()
         if not tokens or tokens[0][0] == "#":
             continue
@@ -833,13 +854,13 @@ def _read_lines(text, kinds):
             head = tokens[0]
             kind = kinds.get(head)
             if kind is None:
-                raise ValueError("unknown line %r" % line.strip())
+                raise ValueError("unknown line %s" % _preview(line.strip()))
             arity, handler, accepted = kind
             if type(arity) is not int:
                 arity = arity(tokens)
             if len(tokens) <= arity:
-                raise ValueError("%s line %r is too short: it needs %d token(s) before its fields"
-                                 % (head, line.strip(), arity))
+                raise ValueError("%s line %s is too short: it needs %d token(s) before its fields"
+                                 % (head, _preview(line.strip()), arity))
             fields = {}
             for token in tokens[arity + 1:]:
                 key, eq, value = token.partition("=")
@@ -854,8 +875,8 @@ def _read_lines(text, kinds):
                 for key, default in accepted.items():
                     if key not in fields:
                         if default is None:
-                            raise ValueError("%s line %r has no %s= field"
-                                             % (head, line.strip(), key))
+                            raise ValueError("%s line %s has no %s= field"
+                                             % (head, _preview(line.strip()), key))
                         fields[key] = default
             handler(number, tokens, fields)
         except ValueError as e:
@@ -874,16 +895,19 @@ class _Entries:
 
     def __init__(self):
         self.outs = {}
-        self.first_line = {}
+        # The line of each entry of outs, in the same order.
+        self.first_lines = []
         # The inputs whose lines did not make every check of the setter.
         self.unchecked = set()
         self.memo = {}
 
-    def kind(self, arity, inputs_of, accepted=_ENTRY_FIELDS):
+    def kind(self, arity, inputs_of, own, accepted=_ENTRY_FIELDS):
         """Lines that add a term; inputs_of(tokens, fields) parses and
         checks their inputs and returns (inputs, checked), checked when
-        it made every check of the inputs that the setter makes."""
-        outs_of, first_line, unchecked, memo = self.outs, self.first_line, self.unchecked, self.memo
+        it made every check of the inputs that the setter makes.  own(g)
+        is the structure's own string for an output name g that it knows,
+        else g, so that the entries hold one string per known name."""
+        outs_of, first_lines, unchecked, memo = self.outs, self.first_lines, self.unchecked, self.memo
 
         def handler(number, tokens, fields):
             inputs, checked = inputs_of(tokens, fields)
@@ -894,10 +918,10 @@ class _Entries:
             outs = outs_of.get(inputs)
             if outs is None:
                 outs = outs_of[inputs] = {}
-                first_line[inputs] = number
+                first_lines.append(number)
                 if not checked:
                     unchecked.add(inputs)
-            out = fields["out"]
+            out = own(fields["out"])
             outs[out] = nov_add(outs[out], coeff) if out in outs else coeff
 
         return _LineKind(arity, handler, accepted)
@@ -917,9 +941,10 @@ class _Entries:
         checked_setter, which checks only the outputs, when their lines
         made the checks of the inputs.  An entry that either rejects is
         reported at its first line, after every fault that a line has on
-        its own."""
+        its own.  Storing parses no text, so memo is emptied first."""
+        self.memo.clear()
         unchecked = self.unchecked
-        for (inputs, outs), number in zip(self.outs.items(), self.first_line.values()):
+        for (inputs, outs), number in zip(self.outs.items(), self.first_lines):
             try:
                 if unchecked and inputs in unchecked:
                     setter(inputs, outs)
@@ -954,13 +979,14 @@ def _chain(gens, inputs):
     return tuple(gens[g].source for g in inputs) + (gens[inputs[-1]].target,)
 
 
-def _chain_kind(head, entries, gens):
+def _chain_kind(head, entries, gens, out_gens):
     """'HEAD d X0 .. Xd in=g1,..,gd out=g coeff=..' lines (mu in
     categories, F in functor maps): the inputs come from gens, and the
     objects must be the chain they run through.  One walk over the
     (gi, Xi-1, Xi) looks each input up once, checks the path and finds
     whether the inputs compose, so that a composing chain is stored
-    without the setter's second walk."""
+    without the setter's second walk.  The inputs are kept as the
+    generators' own names, and so is an output known in out_gens."""
     what = "%s arity" % head
 
     def arity(tokens):
@@ -988,25 +1014,31 @@ def _chain_kind(head, entries, gens):
         # the path right, it composes with the next one iff it ends at Xi.
         composes = True
         i = 2
+        names = []
         try:
             for g in inputs:
                 gen = gens[g]
                 if gen.source != tokens[i]:
                     break
+                names.append(gen.name)
                 i += 1
                 if gen.target != tokens[i]:
                     composes = False
             else:
                 if gen.target == tokens[i]:
-                    return inputs, composes
+                    return tuple(names), composes
         except KeyError:
             pass
         # The first unknown input wins over a path that differs.
         _lookup(gens, inputs, "unknown generator %s")
         raise ValueError("object path %s does not match inputs %s"
-                         % (" ".join(tokens[2:len(inputs) + 3]), ",".join(inputs)))
+                         % _cut(" ".join(tokens[2:len(inputs) + 3]), ",".join(inputs)))
 
-    return entries.kind(arity, inputs_of)
+    def own(name):
+        gen = out_gens.get(name)
+        return name if gen is None else gen.name
+
+    return entries.kind(arity, inputs_of, own)
 
 
 def _chain_lines(head, table, gens):
@@ -1018,12 +1050,18 @@ def _bracket_inputs(tokens, fields):
     """'l n in=x,.. out=x coeff=..'; brackets store their inputs sorted."""
     inputs = _split_names(fields["in"])
     if len(inputs) != _int(tokens[1], "l arity"):
-        raise ValueError("l %s with %d inputs" % (tokens[1], len(inputs)))
+        raise ValueError("l %s with %d inputs" % (*_cut(tokens[1]), len(inputs)))
     return tuple(sorted(inputs)), False
 
 
 def _bracket_lines(alg):
     return _entry_lines(alg.l, lambda k: "l %d in=%s" % (len(k), ",".join(k)))
+
+
+def _own(names):
+    """own for _Entries.kind from names, which maps each known name to
+    its own string."""
+    return lambda g: names.get(g, g)
 
 
 def _name_kind(add):
@@ -1042,7 +1080,7 @@ def load_category(text: str) -> FilteredAInfCategory:
         "gen": _LineKind(3, lambda n, t, f: cat.add_gen(t[3], t[1], t[2],
                                                         mu.exact(f["level"]), mu.exact(f["ham"])),
                          {"level": None, "ham": None}),
-        "mu": _chain_kind("mu", mu, cat.gens),
+        "mu": _chain_kind("mu", mu, cat.gens, cat.gens),
     })
     mu.store(cat.set_mu, cat._put_mu)
     return cat
@@ -1060,7 +1098,8 @@ def load_linf(text: str) -> LInfinityAlgebra:
     """Line format: 'basis x', 'l n in=x,y out=x coeff=T^..'."""
     alg = LInfinityAlgebra()
     l = _Entries()
-    _read_lines(text, {"basis": _name_kind(alg.add_basis), "l": l.kind(1, _bracket_inputs)})
+    _read_lines(text, {"basis": _name_kind(alg.add_basis),
+                       "l": l.kind(1, _bracket_inputs, _own(alg._basis_names))})
     l.store(alg.set_l)
     return alg
 
@@ -1077,7 +1116,7 @@ def _open_closed_inputs(tokens, fields):
     k, d = _int(tokens[1], "mu closed arity"), _int(tokens[2], "mu open arity")
     if (len(closed), len(opens)) != (k, d):
         raise ValueError("mu %s %s with %d closed and %d open inputs"
-                         % (tokens[1], tokens[2], len(closed), len(opens)))
+                         % (*_cut(tokens[1], tokens[2]), len(closed), len(opens)))
     return (tuple(sorted(closed)), opens), False
 
 
@@ -1090,8 +1129,9 @@ def load_ocha(text: str) -> OCHAStructure:
     _read_lines(text, {
         "closed": _name_kind(s.add_closed),
         "open": _name_kind(s.add_open),
-        "l": l.kind(1, _bracket_inputs),
-        "mu": mu.kind(2, _open_closed_inputs, {"closed": "", "in": "", "out": None, "coeff": None}),
+        "l": l.kind(1, _bracket_inputs, _own(s._basis_names)),
+        "mu": mu.kind(2, _open_closed_inputs, _own(s._open_names),
+                      {"closed": "", "in": "", "out": None, "coeff": None}),
     })
     l.store(s.set_l)
     mu.store(lambda key, outs: s.set_mu(key[0], key[1], outs))
@@ -1124,7 +1164,7 @@ def load_functor(text: str, source: FilteredAInfCategory, target: FilteredAInfCa
         object_map[x] = y
 
     _read_lines(text, {"obj": _LineKind(2, obj_line, {}),
-                       "F": _chain_kind("F", components, source.gens)})
+                       "F": _chain_kind("F", components, source.gens, target.gens)})
     F = AInfFunctor(source, target, object_map)
     components.store(F.set_component, F._put_component)
     return F

@@ -127,7 +127,11 @@ def _read_source(path: str) -> str:
 
         name = path[len("bundled:"):]
         ref = resources.files("fukaya_workbench").joinpath("data", name + ".cat")
-        if not ref.is_file():
+        try:
+            found = ref.is_file()
+        except OSError:  # a name the file system refuses, such as one too long
+            found = False
+        if not found:
             raise ValueError("no bundled fixture named %s" % _preview(name))
         return ref.read_text()
     with open(path) as fh:

@@ -19,9 +19,11 @@ from fractions import Fraction
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
-def _preview(x) -> str:
-    """repr(x), with a text cut after 40 characters."""
-    return repr(x[:40]) + "..." if type(x) is str and len(x) > 40 else repr(x)
+def _preview(x, quote=True) -> str:
+    """repr(x), or str(x) when quote is false, with a text cut after 40
+    characters."""
+    show = repr if quote else str
+    return show(x[:40]) + "..." if type(x) is str and len(x) > 40 else show(x)
 
 
 def _frac(x, what="a Novikov exponent") -> Fraction:

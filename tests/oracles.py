@@ -537,11 +537,11 @@ def _read_lines_oracle(text, kinds):
             head, *tokens = line.split()
             kind = kinds.get(head)
             if kind is None:
-                raise ValueError("unknown line %r" % line)
+                raise ValueError("unknown line %s" % _preview(line))
             arity = kind.arity(tokens) if callable(kind.arity) else kind.arity
             if len(tokens) < arity:
-                raise ValueError("%s line %r is too short: it needs %d token(s) before its fields"
-                                 % (head, line, arity))
+                raise ValueError("%s line %s is too short: it needs %d token(s) before its fields"
+                                 % (head, _preview(line), arity))
             fields = {}
             for token in tokens[arity:]:
                 key, eq, value = token.partition("=")
@@ -555,7 +555,7 @@ def _read_lines_oracle(text, kinds):
             for key, default in kind.fields.items():
                 if key not in fields:
                     if default is None:
-                        raise ValueError("%s line %r has no %s= field" % (head, line, key))
+                        raise ValueError("%s line %s has no %s= field" % (head, _preview(line), key))
                     fields[key] = default
             kind.handler(number, tokens[:arity], fields)
         except ValueError as e:
@@ -631,29 +631,31 @@ def _chain_kind_oracle(head, entries, gens):
         path = [gens[g].source for g in inputs] + [gens[inputs[-1]].target]
         if pos[1:] != path:
             raise ValueError("object path %s does not match inputs %s"
-                             % (" ".join(pos[1:]), ",".join(inputs)))
+                             % (_preview(" ".join(pos[1:]), quote=False),
+                                _preview(",".join(inputs), quote=False)))
         return inputs
 
     return entries.kind(lambda tokens: _chain_arity_oracle(head, tokens), inputs_of)
 
 
 def _bracket_inputs_oracle(pos, fields):
-    from fukaya_workbench.novikov import _int
+    from fukaya_workbench.novikov import _int, _preview
 
     inputs = _names(fields["in"])
     if len(inputs) != _int(pos[0], "l arity"):
-        raise ValueError("l %s with %d inputs" % (pos[0], len(inputs)))
+        raise ValueError("l %s with %d inputs" % (_preview(pos[0], quote=False), len(inputs)))
     return tuple(sorted(inputs))
 
 
 def _open_closed_inputs_oracle(pos, fields):
-    from fukaya_workbench.novikov import _int
+    from fukaya_workbench.novikov import _int, _preview
 
     closed, opens = _names(fields["closed"]), _names(fields["in"])
     k, d = _int(pos[0], "mu closed arity"), _int(pos[1], "mu open arity")
     if (len(closed), len(opens)) != (k, d):
         raise ValueError("mu %s %s with %d closed and %d open inputs"
-                         % (pos[0], pos[1], len(closed), len(opens)))
+                         % (_preview(pos[0], quote=False), _preview(pos[1], quote=False),
+                            len(closed), len(opens)))
     return tuple(sorted(closed)), opens
 
 

@@ -809,3 +809,74 @@ def test_ocha_closed_sector_is_its_linf_algebra():
     assert s.l_entry(("x", "y")) == {"x": ONE}
     assert linf_defect(s, ("x", "y", "y")) == {}
     assert dump_ocha(s) == dump_linf(s).replace("basis", "closed")
+
+
+# Two objects and generators of two-character names, which str does not
+# cache, so that each token of the text is a string object of its own.
+# h2 is declared after the lines that output it, and the f1 entry cancels.
+SHARED_NAMES = """object X
+object Y
+gen X X e0 level=0 ham=0
+gen X Y f1 level=1/2 ham=0
+mu 2 X X Y in=e0,f1 out=f1 coeff=T^0
+mu 2 X X Y in=e0,f1 out=h2 coeff=T^1
+mu 1 X Y in=f1 out=f1 coeff=T^1
+mu 1 X Y in=f1 out=f1 coeff=T^1
+mu 3 X X X Y in=e0,e0,f1 out=h2 coeff=T^1/2
+mu 1 X X in=e0 out=e0 coeff=T^2
+gen X Y h2 level=0 ham=0
+"""
+
+
+def _own_strings(table, in_gens, out_gens):
+    """Whether every name in the keys of table is its generator's own
+    string in in_gens, and every output its own string in out_gens."""
+    return all(g is in_gens[g].name for key in table for g in key) and all(
+        g is out_gens[g].name for out in table.values() for g in out)
+
+
+def test_loads_keep_one_string_per_generator_name():
+    cat = load_category(SHARED_NAMES)
+    assert len(cat.mu) == 3 and _own_strings(cat.mu, cat.gens, cat.gens)
+    target = load_category(SHARED_NAMES)
+    assert target.gens["f1"].name is not cat.gens["f1"].name
+    F = load_functor("obj X X\nobj Y Y\nF 1 X Y in=f1 out=h2 coeff=T^0\n"
+                     "F 2 X X Y in=e0,f1 out=f1 coeff=T^1\nF 1 X X in=e0 out=e0 coeff=T^0\n",
+                     cat, target)
+    assert len(F.table) == 3 and _own_strings(F.table, cat.gens, target.gens)
+    # The setters keep the generators' strings too, not the caller's.
+    fresh = "".join(["e", "0"])
+    cat.set_mu((fresh, fresh), {fresh: ONE})
+    F.set_component((fresh, fresh), {"".join(["e", "0"]): ONE})
+    assert _own_strings(cat.mu, cat.gens, cat.gens)
+    assert _own_strings(F.table, cat.gens, target.gens)
+
+
+def test_basis_lookups_do_not_scan_the_basis():
+    """Declaring, bracketing and mapping n basis elements compares names
+    O(n) times, not once per element of a list, and the tables keep the
+    bases' own strings."""
+    calls = [0]
+
+    class Name(str):
+        __hash__ = str.__hash__
+
+        def __eq__(self, other):
+            calls[0] += 1
+            return str.__eq__(self, other)
+
+    n = 300
+    s = OCHAStructure()
+    for i in range(n):
+        s.add_closed(Name("c%d" % i))
+        s.add_open(Name("o%d" % i))
+    for i in range(n):
+        c, o = Name("c%d" % i), Name("o%d" % i)
+        s.set_l([c, Name("c%d" % (n - 1 - i))], {Name(c): ONE})
+        s.set_mu([c], [o, Name(o)], {Name(o): ONE})
+    assert calls[0] <= 20 * n
+    assert len(s.l) == n // 2 and len(s.mu) == n
+    own = set(map(id, s.closed_basis + s.open_basis))
+    names = [g for key, out in s.l.items() for g in key + tuple(out)]
+    names += [g for (closed, opens), out in s.mu.items() for g in closed + opens + tuple(out)]
+    assert own.issuperset(map(id, names))

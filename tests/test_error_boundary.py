@@ -201,6 +201,35 @@ def test_long_names_in_tables_are_shown_cut_short(workdir, where):
     assert "%s'..." % LONG[:40] in err
 
 
+# Tables whose one fault is reported by a message that quotes a file
+# line or writes values bare, with a name, line head or arity text of
+# LONG's length, by the message and then the verb that reads them.
+DIGITS = "9" * 4000
+LONG_LINES = {
+    "unknown line": ("check-ainf", CATEGORY + "%s in=a\n" % LONG),
+    "too short": ("check-ainf", CATEGORY + "gen %s\n" % LONG),
+    "no field": ("check-ainf", CATEGORY + "gen M M c level=%s\n" % LONG),
+    "unknown object": ("check-ainf", CATEGORY + "gen M %s c level=0 ham=0\n" % LONG),
+    "object path": ("check-ainf", CATEGORY + "mu 1 M %s in=a out=a coeff=T^0\n" % LONG),
+    "lies in hom": ("check-ainf", CATEGORY + "object %s\ngen %s %s z level=0 ham=0\n" % ((LONG,) * 3)
+                    + "mu 1 M M in=a out=z coeff=T^0\n"),
+    "not composable": ("check-ainf", CATEGORY + "object N\ngen M N %s level=0 ham=0\n" % LONG
+                       + "mu 2 M M M in=%s,b out=a coeff=T^0\n" % LONG),
+    "bracket inputs": ("check-linf", VALID["linf"] + "l %s in=x out=x coeff=T^0\n" % DIGITS),
+    "open inputs": ("check-ocha", VALID["ocha"] + "mu %s 1 in=a out=a coeff=T^0\n" % DIGITS),
+}
+
+
+@pytest.mark.parametrize("where", sorted(LONG_LINES))
+def test_loader_messages_show_long_values_cut_short(workdir, where):
+    verb, text = LONG_LINES[where]
+    path = workdir / "long-line.txt"
+    path.write_text(text)
+    code, err, out = run_main(str(path) if a == "PATH" else a for a in VERBS[verb][0])
+    assert_short_error(code, err, out)
+    assert "..." in err and where.split()[-1] in err, err
+
+
 def test_long_paths_are_shown_cut_short():
     for path in ("/nonexistent/" + LONG, "bundled:" + LONG):
         code, err, out = run_main(["check-ainf", path])

@@ -6,7 +6,9 @@ with tables that dump to the same text.  The bases are the bundled
 fixtures and small random tables of all four formats; the mutations
 drop, copy and swap tokens and lines, rename names, reorder fields,
 break chains that keep their object path, spoil coefficients, and add
-comments, blank lines and indentation."""
+comments, blank lines and indentation; lines end with each boundary
+that str.splitlines knows, so the line numbers in messages are
+checked too."""
 
 import importlib.resources
 import random
@@ -26,6 +28,9 @@ COEFFS = ["T^0", "1", "T^1/2", "T^{1/2}", "T^-1+T^2", "T^1/3+T^{1/3}", "T^1+T^2+
 BAD_COEFFS = ["T^x", "T^1/0", "T^1+0", "", "x", "T^{1/2", "T^1e9999", "T^%s" % ("9" * 4301),
               "T^1++T^2", "T^", "+", "T^1.5", "T^1/2+y"]
 NOISE = ["", "   ", "\t", "# a comment", "#", "  # indented comment", "#mu 1 X0 X0 in=g0"]
+# Every line boundary of str.splitlines; "\n" most often.
+BOUNDARIES = ["\n"] * 8 + ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                           "\u2028", "\u2029"]
 
 
 def _bundled(name):
@@ -203,7 +208,8 @@ def _mutate(rng, lines, names, same_source):
                 if at:
                     tokens[at[0]] = "coeff=" + rng.choice(BAD_COEFFS)
             lines[i] = " ".join(tokens)
-    return "\n".join(lines) + rng.choice(["\n", "", "\n\n", "\r\n"])
+    ends = [rng.choice(BOUNDARIES) for _ in lines[1:]] + [rng.choice(["\n", "", "\n\n", "\r\n"])]
+    return "".join(ln + end for ln, end in zip(lines, ends))
 
 
 def _outcome(load, dump, text, *args):
