@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import re
 from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
@@ -23,9 +22,9 @@ from .trees import (
     LabelledTree,
     MetricTree,
     _Tokens,
+    _stable_items,
     compositions,
     enumerate_stable_trees,
-    sexpr_to_shape,
     shape_to_sexpr,
     stable_sexprs,
 )
@@ -288,15 +287,24 @@ def generalized_corner_flag(ct: ColoredTree) -> bool:
 # -- stacked strata ----------------------------------------------------
 
 
-# A leaf's item: stable, no vertex, no coloring.
-_LEAF = (True, 0, "(leaf %d)", ())
+# A leaf's item: stable, no vertex, no coloring, the leaf's shape.
+_LEAF = (True, 0, "(leaf %d)", (), None)
+
+
+def _stable_vertex(m, first, combos):
+    """The items of the stable vertices whose children run over combos,
+    for trees._stable_items.  They carry no coloring record: they hang
+    from a unary root, which is colored."""
+    for children in combos:
+        yield (True, 1 + sum([c[1] for c in children]), "(v %s)" % " ".join([c[2] for c in children]),
+               (), tuple([c[4] for c in children]))
 
 
 def _stacked_items(d: int):
     """The subtrees with d leaves that occur in some colored tree, in
     canonical order (root arity, composition, child choices), as items
-    (stable, vertex count, plain template, coloring records); no shape
-    is built, and enumerate_stacked_strata parses the plain templates.
+    (stable, vertex count, plain template, coloring records, shape); the
+    shape is the tuple of the children's shapes, a leaf's is None.
 
     A subtree may be stable (every vertex has arity >= 2, so it may sit
     above the color line) or colorable (at its root when all children
@@ -304,10 +312,10 @@ def _stacked_items(d: int):
     neither property fits nowhere and is dropped as soon as it is
     built, so the cost follows the faces of the multiplihedron rather
     than every planar shape.  A unary root must be colored, so its
-    child is a leaf or a stable tree, streamed from stable_sexprs with
-    its leaf numbers turned back into '%d'; the other children have
-    fewer than d leaves, and their items are built once per leaf count
-    and kept for the call, so no item with d leaves is kept.
+    child is a leaf or a stable tree, whose item is built by
+    trees._stable_items and streamed; the other children have fewer
+    than d leaves, and their items are built once per leaf count and
+    kept for the call, so no item with d leaves is kept.
 
     The records list the root colored first, then the product of the
     children's records.  A record is (colored template with v*
@@ -327,9 +335,8 @@ def _stacked_items(d: int):
         for k in range(1, n + 1):
             for comp in compositions(n, k):
                 if k == 1:
-                    combos = zip((_LEAF,) if n == 1 else (
-                        (True, text.count("(v"), re.sub(r"\d+", "%d", text), ())
-                        for text in stable_sexprs(n)))
+                    combos = zip((_LEAF,) if n == 1 else
+                                 _stable_items(n, None, lambda first: _LEAF, _stable_vertex))
                 else:
                     combos = itertools.product(
                         *[((_LEAF,) if m == 1 else ()) + kept(m) for m in comp])
@@ -346,7 +353,7 @@ def _stacked_items(d: int):
                                                for s in r[1]]),
                                         1 if sum([r[2] for r in combo]) <= 1 else 2))
                     yield (k >= 2 and all_stable, 1 + sum([c[1] for c in children]),
-                           "(v %s)" % heads, tuple(records))
+                           "(v %s)" % heads, tuple(records), tuple([c[4] for c in children]))
 
     return items(d)
 
@@ -358,7 +365,7 @@ def stacked_report_lines(d: int):
     records: codim = |V| - |colored|, and the corner is generalized
     exactly when the vertices below the color line split."""
     leaves = tuple(range(1, d + 1))
-    for _, vertices, _, records in _stacked_items(d):
+    for _, vertices, _, records, _ in _stacked_items(d):
         for template, suffixes, below in records:
             codim = vertices - len(suffixes)
             yield d - 1 - codim, stratum_line(d - 1 - codim, codim, template % leaves, 0,
@@ -369,15 +376,14 @@ def stacked_report_lines(d: int):
 def enumerate_stacked_strata(labels):
     """Colored trees with d leaves, against top dimension d - 1, read
     off the coloring records in the order stacked_report_lines prints
-    them: one tree per item, and per record the colored paths from its
-    suffixes ('.0.1' is (0, 1)), codim = |V| - |colored| and a
-    generalized corner when below == 2."""
+    them: one tree per item, built from the item's shape, and per
+    record the colored paths from its suffixes ('.0.1' is (0, 1)),
+    codim = |V| - |colored| and a generalized corner when below == 2."""
     labels = tuple(labels)
     d = len(labels) - 1
-    leaves = tuple(range(1, d + 1))
     out = []
-    for _, vertices, template, records in _stacked_items(d):
-        t = LabelledTree(sexpr_to_shape(template % leaves)[0], labels)
+    for _, vertices, _, records, shape in _stacked_items(d):
+        t = LabelledTree(shape, labels)
         for _, suffixes, below in records:
             codim = vertices - len(suffixes)
             colored = frozenset([tuple(map(int, s.split(".")[1:])) for s in suffixes])

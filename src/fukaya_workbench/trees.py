@@ -588,62 +588,36 @@ def _arity_cap(d: int, max_arity) -> int:
 def enumerate_stable_trees(d: int, max_arity=None):
     """All planar rooted shapes with d leaves and every vertex of arity
     at least 2, and at most max_arity when given, in a fixed canonical
-    order (root arity ascending).  The shapes with fewer leaves are kept
-    for the call, by leaf count, and freed when it returns."""
-    cap = _arity_cap(d, max_arity)
-    memo = {1: (None,)}
-
-    def shapes(m):
-        if m not in memo:
-            memo[m] = []
-            for k in range(2, min(m, cap) + 1):
-                for comp in compositions(m, k):
-                    memo[m].extend(itertools.product(*map(shapes, comp)))
-        return memo[m]
-
-    return shapes(d)
+    order (root arity ascending, then composition and children), as a
+    list of nested tuples built by _stable_items."""
+    return list(_stable_items(d, max_arity, lambda first: None, lambda m, first, combos: combos))
 
 
-# -- s-expressions of the stable shapes --------------------------------
-
-
-def stable_sexprs(d: int, max_arity=None, spans=False):
-    """The shapes of enumerate_stable_trees(d, max_arity), in its order,
-    as their s-expressions shape_to_sexpr(shape), generated one at a
-    time.  With spans, each item is (s-expression, spans), where spans
-    lists the leaf span (a, b) of every interior edge in preorder, as
-    LabelledTree.span does.  Every subtree with at most d - 2 leaves is
-    built once per first leaf and kept for the call; the two root
-    children with d - 1 leaves, in the compositions (1, d - 1) and
-    (d - 1, 1), are streamed.  The arguments are checked before the
-    first item."""
+def _stable_items(d: int, max_arity, leaf, vertex):
+    """One item per stable shape with d leaves (arities at most
+    max_arity), by root arity, then composition, then children,
+    generated one at a time: leaf(first) is the item of the leaf
+    numbered first, and vertex(m, first, combos) yields the items of
+    the vertices with m leaves numbered from first whose children run
+    over combos, a stream of tuples of child items.  Every subtree with
+    at most d - 2 leaves is built once per first leaf and kept for the
+    call; the two root children with d - 1 leaves, in the compositions
+    (1, d - 1) and (d - 1, 1), are streamed.  The arguments are checked
+    before the first item."""
     cap = _arity_cap(d, max_arity)
     memo = {}
 
-    def subtree(m, first):
-        """The items of shapes(m, first) for a child; with spans, each
-        starts with the span (first, first + m - 1) of the child's root."""
-        if m == 1:
-            leaf = "(leaf %d)" % first
-            return [(leaf, ())] if spans else [leaf]
-        items = shapes(m, first)
-        if not spans:
-            return items
-        root = ((first, first + m - 1),)
-        return ((t, root + s) for t, s in items)
-
     def kept(m, first):
         if (m, first) not in memo:
-            memo[m, first] = tuple(subtree(m, first))
+            memo[m, first] = tuple(items(m, first))
         return memo[m, first]
 
-    def shapes(m, first):
-        """One item per shape with m leaves numbered from first, in
-        order of root arity, composition and children; with spans, an
-        item is (s-expression, spans of the non-root vertices)."""
+    def items(m, first):
+        if m == 1:
+            yield leaf(first)
         for k in range(2, min(m, cap) + 1):
             for comp in compositions(m, k):
-                options = [(subtree if c == d - 1 else kept)(c, offset)
+                options = [(items if c == d - 1 else kept)(c, offset)
                            for c, offset in zip(comp, itertools.accumulate(comp, initial=first))]
                 if d - 1 in comp:
                     # (1, d - 1) or (d - 1, 1) under the root: the other
@@ -653,14 +627,33 @@ def stable_sexprs(d: int, max_arity=None, spans=False):
                     combos = ((a, b) for a in left for b in right)
                 else:
                     combos = itertools.product(*options)
-                if not spans:
-                    yield from map("(v %s)".__mod__, map(" ".join, combos))
-                    continue
-                for children in combos:
-                    texts, child_spans = zip(*children)
-                    yield "(v %s)" % " ".join(texts), sum(child_spans, ())
+                yield from vertex(m, first, combos)
 
-    return shapes(d, 1)
+    return items(d, 1)
+
+
+# -- s-expressions of the stable shapes --------------------------------
+
+
+def stable_sexprs(d: int, max_arity=None, spans=False):
+    """The shapes of enumerate_stable_trees(d, max_arity), in its order,
+    as their s-expressions shape_to_sexpr(shape), generated one at a
+    time by _stable_items, so lazily and after checking the arguments.
+    With spans, each item is (s-expression, spans), where spans lists
+    the leaf span (a, b) of every interior edge in preorder, as
+    LabelledTree.span does: a vertex below the root puts its own span
+    before its children's."""
+    if not spans:
+        return _stable_items(d, max_arity, "(leaf %d)".__mod__,
+                             lambda m, first, combos: map("(v %s)".__mod__, map(" ".join, combos)))
+
+    def vertex(m, first, combos):
+        own = () if m == d else ((first, first + m - 1),)
+        for children in combos:
+            texts, child_spans = zip(*children)
+            yield "(v %s)" % " ".join(texts), sum(child_spans, own)
+
+    return _stable_items(d, max_arity, lambda first: ("(leaf %d)" % first, ()), vertex)
 
 
 # -- fundamental decomposition -----------------------------------------

@@ -1,10 +1,11 @@
 """Independent reference implementations used only by the tests.
 
 Each oracle recomputes a quantity along a different route than the
-package: polygon diagonals instead of trees, edge contraction instead
-of arity recursion, two-level composition instead of constraint
-filtering (put in enumeration order by a sort key instead of by
-generation), a filter over every loose shape instead of pruned
+package: polygon diagonals instead of trees, edge contraction instead of
+arity recursion, two-level composition instead of constraint filtering
+(put in enumeration order by a sort key instead of by generation), a
+count-only polynomial program over painted trees instead of one record
+per stratum, a filter over every loose shape instead of pruned
 generation, the corank of the equidistance system instead of a vertex
 count, interval bookkeeping instead of profile splicing, a direct
 associator scan instead of insertion sums, relation scans over every
@@ -168,6 +169,52 @@ def stacked_strata_oracle(d: int):
                     shape = _replace_leaves(lower, uppers)
                     out.add((shape, frozenset(spots)))
     return out
+
+
+# -- stacked strata counted, not built --------------------------------
+
+
+def _poly_add(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    return [x + (b[i] if i < len(b) else 0) for i, x in enumerate(a)]
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def stacked_f_vector_oracle(d: int):
+    """f-vector (dimension 0 first) of the stacked strata with d leaves,
+    counted as painted trees (Forcey, Topology Appl. 156, 2008) by a
+    dynamic program over polynomials in x, where x marks an uncolored
+    vertex, so that its power is the codimension.  Stable trees:
+    S(1) = 1, S(m) = x * sum over arity >= 2 of prod S; planted (a
+    colored root over stable trees): P(m) = sum over arity >= 1 of
+    prod S; colored: C(m) = P(m) + x * sum over arity >= 2 of prod C.
+    No tree is built."""
+
+    def forests(n, arity, table):
+        total = [0]
+        for k in range(arity, n + 1):
+            for comp in _compositions(n, k):
+                term = [1]
+                for m in comp:
+                    term = _poly_mul(term, table[m])
+                total = _poly_add(total, term)
+        return total
+
+    S, C = {1: [1]}, {}
+    for n in range(1, d + 1):
+        if n > 1:
+            S[n] = [0] + forests(n, 2, S)
+        C[n] = _poly_add(forests(n, 1, S), [0] + forests(n, 2, C))
+    codims = (C[d] + [0] * d)[:d]
+    return codims[::-1]
 
 
 def _leaf_count(node) -> int:

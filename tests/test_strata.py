@@ -16,7 +16,7 @@ import fukaya_workbench
 from fukaya_workbench import LabelledTree
 from fukaya_workbench.cli import main
 from fukaya_workbench.strata import (ColoredTree, Glue, Surface, WidthProfile,
-                                     cluster_report_lines, coloring_cone_dim,
+                                     cluster_report_lines, coloring_cone_dim, count_by_dim,
                                      enumerate_cluster_strata, enumerate_stacked_strata,
                                      f_vector, facet_term_bijection,
                                      generalized_corner_flag, intrinsic_width,
@@ -331,12 +331,33 @@ def stacked_lines(d):
     return pairs, rows
 
 
+# f-vectors of the multiplihedra; d = 8 is the one `stacked --d 8` prints.
+STACKED_F_VECTORS = {1: [1], 2: [2, 1], 3: [6, 6, 1], 4: [21, 32, 13, 1],
+                     5: [80, 165, 110, 25, 1], 6: [322, 841, 788, 313, 46, 1],
+                     7: [1348, 4272, 5183, 2984, 809, 84, 1],
+                     8: [5814, 21702, 32413, 24602, 9910, 1986, 155, 1]}
+
+# Vertices of the multiplihedra J_1..J_10: OEIS A121988, as cited by
+# Forcey, "Convex hull realizations of the multiplihedra" (2008).
+MULTIPLIHEDRON_VERTICES = [1, 2, 6, 21, 80, 322, 1348, 5814, 25674, 115566]
+
+
 def test_stacked_f_vectors():
-    expected = {1: [1], 2: [2, 1], 3: [6, 6, 1], 4: [21, 32, 13, 1],
-                5: [80, 165, 110, 25, 1], 6: [322, 841, 788, 313, 46, 1],
-               7: [1348, 4272, 5183, 2984, 809, 84, 1]}
-    for d, fv in expected.items():
-        assert f_vector(stacked_strata(d)) == fv
+    for d in range(1, 8):
+        assert f_vector(stacked_strata(d)) == STACKED_F_VECTORS[d]
+
+
+def test_count_only_oracle_gives_the_cited_counts():
+    for d, fv in STACKED_F_VECTORS.items():
+        assert oracles.stacked_f_vector_oracle(d) == fv
+    assert [oracles.stacked_f_vector_oracle(d)[0] for d in range(1, 11)] == MULTIPLIHEDRON_VERTICES
+    assert sum(oracles.stacked_f_vector_oracle(9)) == 653_049
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_stacked_report_lines_tally_as_the_count_only_oracle(d):
+    pairs, _ = stacked_lines(d)
+    assert count_by_dim(dim for dim, _ in pairs) == oracles.stacked_f_vector_oracle(d)
 
 
 def test_stacked_match_composition_oracle():

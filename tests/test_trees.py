@@ -4,6 +4,7 @@ import math
 import sys
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -99,11 +100,6 @@ def test_stable_counts():
         assert len(enumerate_stable_trees(d)) == n
 
 
-def test_stable_shapes_match_contraction_oracle():
-    for d in range(2, 7):
-        assert set(enumerate_stable_trees(d)) == oracles.stable_shapes_oracle(d)
-
-
 def is_binary(shape):
     if shape is None:
         return True
@@ -114,6 +110,27 @@ def max_arity(shape):
     if shape is None:
         return 0
     return max(len(shape), *(max_arity(c) for c in shape))
+
+
+# The oracle of the stable shapes is the contraction oracle, put in
+# enumeration order by its sort key; enumerate_stable_trees and
+# stable_sexprs share one generator, so neither can check the other.
+
+
+@lru_cache(maxsize=None)
+def ordered_stable_oracle(d):
+    return sorted(oracles.stable_shapes_oracle(d), key=oracles._shape_key)
+
+
+def oracle_shapes(d, cap=None):
+    """The stable shapes with d leaves and arities at most cap, by edge
+    contraction of binary trees, in enumeration order."""
+    return [s for s in ordered_stable_oracle(d) if cap is None or max_arity(s) <= cap]
+
+
+def test_stable_shapes_match_contraction_oracle():
+    for d, cap in itertools.product(range(2, 8), (None, 2, 3)):
+        assert enumerate_stable_trees(d, cap) == oracle_shapes(d, cap), (d, cap)
 
 
 def test_binary_counts_are_catalan():
@@ -138,15 +155,15 @@ def test_stable_needs_two_leaves():
 
 
 # -- s-expressions of the stable shapes --------------------------------
-# The oracles are enumerate_stable_trees, shape_to_sexpr and
+# The oracles are the ordered contraction oracle, shape_to_sexpr and
 # LabelledTree, which walk the shapes node by node and share no code
 # with stable_sexprs.
 
 
-@pytest.mark.parametrize("max_arity", [None, 2])
+@pytest.mark.parametrize("max_arity", [None, 2, 3])
 def test_sexprs_are_the_shapes_in_order(max_arity):
     for d in range(2, 10):
-        shapes = enumerate_stable_trees(d, max_arity)
+        shapes = oracle_shapes(d, max_arity)
         expected = [shape_to_sexpr(s) for s in shapes]
         assert list(stable_sexprs(d, max_arity)) == expected, d
         with_spans = list(stable_sexprs(d, max_arity, spans=True))
@@ -165,7 +182,7 @@ def test_sexprs_are_generated_lazily_after_checking_arguments():
             stable_sexprs(d, max_arity)
 
 
-STABLE_SHAPES = [(d, shape) for d in range(2, 8) for shape in enumerate_stable_trees(d)]
+STABLE_SHAPES = [(d, shape) for d in range(2, 8) for shape in oracle_shapes(d)]
 
 
 @settings(max_examples=25, deadline=None)
@@ -199,33 +216,32 @@ def count_compositions(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("spans", [False, True])
+@pytest.mark.parametrize("route", ["texts", "spans", "shapes"])
 @pytest.mark.parametrize("max_arity", [None, 2])
-def test_children_with_d_minus_1_leaves_are_streamed_not_kept(monkeypatch, max_arity, spans):
+def test_children_with_d_minus_1_leaves_are_streamed_not_kept(monkeypatch, max_arity, route):
     """A subtree with m leaves is built by one pass over the compositions
     of m per root arity.  Only the root has a child with d - 1 leaves, so
     a subtree with at most d - 2 leaves is built once per first leaf
     1..d - m + 1 and kept, one with d - 1 leaves once in each of
-    (1, d - 1) and (d - 1, 1), and the root once.  The first item comes
+    (1, d - 1) and (d - 1, 1), and the root once.  The first text comes
     while the child with d - 1 leaves is at its first child, so it has
-    built one subtree with d - 2 leaves, not both."""
+    built one subtree with d - 2 leaves, not both; only this tells
+    streaming from keeping, since both build each child with d - 1
+    leaves once.  enumerate_stable_trees makes the same passes."""
     d = 8
-    expected = len(enumerate_stable_trees(d, max_arity))
+    expected = oracles.SCHROEDER[d] if max_arity is None else oracles.catalan(d - 1)
     calls = count_compositions(monkeypatch)
-    items = stable_sexprs(d, max_arity, spans)
-    next(items)
-    assert (calls[d - 1, 2], calls[d - 2, 2]) == (1, 1)
-    assert 1 + sum(1 for _ in items) == expected
+    if route == "shapes":
+        assert len(enumerate_stable_trees(d, max_arity)) == expected
+    else:
+        items = stable_sexprs(d, max_arity, route == "spans")
+        next(items)
+        assert (calls[d - 1, 2], calls[d - 2, 2]) == (1, 1)
+        assert 1 + sum(1 for _ in items) == expected
     builds = {m: d - m + 1 for m in range(2, d - 1)}
     builds.update({d - 1: 2, d: 1})
     cap = max_arity or d
     assert dict(calls) == {(m, k): n for m, n in builds.items() for k in range(2, min(m, cap) + 1)}
-
-
-def test_stable_shapes_are_built_once_per_leaf_count(monkeypatch):
-    calls = count_compositions(monkeypatch)
-    assert len(enumerate_stable_trees(8)) == oracles.SCHROEDER[8]
-    assert dict(calls) == {(m, k): 1 for m in range(2, 9) for k in range(2, m + 1)}
 
 
 def test_compositions():
