@@ -294,10 +294,16 @@ _LEAF = (True, 0, "(leaf %d)", (), None)
 def _stable_vertex(m, first, combos):
     """The items of the stable vertices whose children run over combos,
     for trees._stable_items.  They carry no coloring record: they hang
-    from a unary root, which is colored."""
+    from a unary root, which is colored, or stand beside a bare leaf
+    under the root, which is then the one colored vertex."""
     for children in combos:
-        yield (True, 1 + sum([c[1] for c in children]), "(v %s)" % " ".join([c[2] for c in children]),
-               (), tuple([c[4] for c in children]))
+        _, counts, heads, _, shapes = zip(*children)
+        yield True, 1 + sum(counts), "(v %s)" % " ".join(heads), (), shapes
+
+
+def _stable_stacked(n):
+    """The stable subtrees with n >= 2 leaves as stacked items, streamed."""
+    return _stable_items(n, None, lambda first: _LEAF, _stable_vertex)
 
 
 def _stacked_items(d: int):
@@ -309,19 +315,26 @@ def _stacked_items(d: int):
     A subtree may be stable (every vertex has arity >= 2, so it may sit
     above the color line) or colorable (at its root when all children
     are stable, or, at arity >= 2, in every child).  A subtree with
-    neither property fits nowhere and is dropped as soon as it is
-    built, so the cost follows the faces of the multiplihedron rather
-    than every planar shape.  A unary root must be colored, so its
+    neither property fits nowhere: it has a bare leaf beside a child
+    that is not stable.  Such children combinations are never built,
+    so the cost follows the faces of the multiplihedron rather than
+    every planar shape.  A unary root must be colored, so its
     child is a leaf or a stable tree, whose item is built by
-    trees._stable_items and streamed; the other children have fewer
-    than d leaves, and their items are built once per leaf count and
-    kept for the call, so no item with d leaves is kept.
+    trees._stable_items and streamed.  The other children with fewer
+    than d - 1 leaves are built once per leaf count and kept for the
+    call.  A child with d - 1 leaves occurs only under the root, in the
+    compositions (1, d - 1) and (d - 1, 1), and is streamed: beside a
+    bare leaf only a stable child survives, so that side reads the
+    stable trees; beside the unary colored leaf, and in (d - 1, 1), it
+    reads a fresh items(d - 1).  So no item with d - 1 leaves is kept.
 
     The records list the root colored first, then the product of the
-    children's records.  A record is (colored template with v*
-    heads, colored paths as suffixes of 'r', below), where below is 0,
-    1 or 2 as the vertices strictly below the color line are none, a
-    chain, or split over two branches."""
+    children's records.  A record is (colored template with v* heads,
+    colored paths as text such as 'r.0,r.1.0', number of colored paths,
+    below), where below is 0, 1 or 2 as the vertices strictly below the
+    color line are none, a chain, or split over two branches.  A child's
+    records are rewritten for its position once per composition, so a
+    parent record only joins its children's texts."""
     if d < 1:
         raise ValueError("stacked strata need d >= 1")
     memo = {}
@@ -331,29 +344,53 @@ def _stacked_items(d: int):
             memo[m] = tuple(items(m))
         return memo[m]
 
+    def at(i, item):
+        """item as the child at position i: its records' paths start
+        with r.i, rewritten once per composition, not once per parent."""
+        stable, count, template, records, shape = item
+        prefix = "r.%d" % i
+        return stable, count, template, [(t, text.replace("r", prefix), paths, below)
+                                         for t, text, paths, below in records], shape
+
+    def kept_combos(comp):
+        every = [[at(i, c) for c in kept(m)] for i, m in enumerate(comp)]
+        if 1 not in comp:
+            return itertools.product(*every)
+        # A bare leaf leaves only the root to color, so every child
+        # beside it is stable; the other combinations are not built.
+        p = comp.index(1)
+        leaf_tail = [(_LEAF,) if m == 1 else [c for c in cs if c[0]]
+                     for m, cs in zip(comp[p:], every[p:])]
+        return (head + tail for head in itertools.product(*every[:p])
+                for tails in ((leaf_tail, every[p:]) if all([c[0] for c in head]) else (every[p:],))
+                for tail in itertools.product(*tails))
+
     def items(n):
         for k in range(1, n + 1):
             for comp in compositions(n, k):
                 if k == 1:
-                    combos = zip((_LEAF,) if n == 1 else
-                                 _stable_items(n, None, lambda first: _LEAF, _stable_vertex))
+                    combos = zip((_LEAF,) if n == 1 else _stable_stacked(n))
+                elif n == d > 2 and comp == (1, d - 1):
+                    unary = at(0, kept(1)[0])
+                    combos = itertools.chain(zip(itertools.repeat(_LEAF), _stable_stacked(d - 1)),
+                                             ((unary, at(1, c)) for c in items(d - 1)))
+                elif n == d > 2 and comp == (d - 1, 1):
+                    unary = at(1, kept(1)[0])
+                    combos = ((c, b) for c in map(at, itertools.repeat(0), items(d - 1))
+                              for b in ((_LEAF, unary) if c[0] else (unary,)))
                 else:
-                    combos = itertools.product(
-                        *[((_LEAF,) if m == 1 else ()) + kept(m) for m in comp])
+                    combos = kept_combos(comp)
                 for children in combos:
-                    all_stable = all([c[0] for c in children])
-                    product = k >= 2 and all([c[1] for c in children])
-                    if not (all_stable or product):
-                        continue
-                    heads = " ".join([c[2] for c in children])
-                    records = [("(v* %s)" % heads, ("",), 0)] if all_stable else []
-                    for combo in itertools.product(*[c[3] for c in children]) if product else ():
-                        records.append(("(v %s)" % " ".join([r[0] for r in combo]),
-                                        tuple([".%d%s" % (i, s) for i, r in enumerate(combo)
-                                               for s in r[1]]),
-                                        1 if sum([r[2] for r in combo]) <= 1 else 2))
-                    yield (k >= 2 and all_stable, 1 + sum([c[1] for c in children]),
-                           "(v %s)" % heads, tuple(records), tuple([c[4] for c in children]))
+                    stables, counts, heads, child_records, shapes = zip(*children)
+                    all_stable = all(stables)
+                    product = k >= 2 and all(counts)
+                    heads = " ".join(heads)
+                    records = [("(v* %s)" % heads, "r", 1, 0)] if all_stable else []
+                    for combo in itertools.product(*child_records) if product else ():
+                        templates, texts, paths, belows = zip(*combo)
+                        records.append(("(v %s)" % " ".join(templates), ",".join(texts),
+                                        sum(paths), 1 if sum(belows) <= 1 else 2))
+                    yield k >= 2 and all_stable, 1 + sum(counts), "(v %s)" % heads, records, shapes
 
     return items(d)
 
@@ -366,27 +403,26 @@ def stacked_report_lines(d: int):
     exactly when the vertices below the color line split."""
     leaves = tuple(range(1, d + 1))
     for _, vertices, _, records, _ in _stacked_items(d):
-        for template, suffixes, below in records:
-            codim = vertices - len(suffixes)
+        for template, text, paths, below in records:
+            codim = vertices - paths
             yield d - 1 - codim, stratum_line(d - 1 - codim, codim, template % leaves, 0,
-                                              "{%s}" % ",".join(["r" + s for s in suffixes]),
-                                              below == 2)
+                                              "{%s}" % text, below == 2)
 
 
 def enumerate_stacked_strata(labels):
     """Colored trees with d leaves, against top dimension d - 1, read
     off the coloring records in the order stacked_report_lines prints
     them: one tree per item, built from the item's shape, and per
-    record the colored paths from its suffixes ('.0.1' is (0, 1)),
+    record the colored paths parsed from its text ('r.0.1' is (0, 1)),
     codim = |V| - |colored| and a generalized corner when below == 2."""
     labels = tuple(labels)
     d = len(labels) - 1
     out = []
     for _, vertices, _, records, shape in _stacked_items(d):
         t = LabelledTree(shape, labels)
-        for _, suffixes, below in records:
-            codim = vertices - len(suffixes)
-            colored = frozenset([tuple(map(int, s.split(".")[1:])) for s in suffixes])
+        for _, text, paths, below in records:
+            codim = vertices - paths
+            colored = frozenset([tuple(map(int, p.split(".")[1:])) for p in text.split(",")])
             out.append(Stratum(t, 0, codim, d - 1 - codim, colored, below == 2))
     return out
 

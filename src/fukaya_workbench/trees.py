@@ -601,16 +601,20 @@ def _stable_items(d: int, max_arity, leaf, vertex):
     the vertices with m leaves numbered from first whose children run
     over combos, a stream of tuples of child items.  Every subtree with
     at most d - 2 leaves is built once per first leaf and kept for the
-    call; the two root children with d - 1 leaves, in the compositions
-    (1, d - 1) and (d - 1, 1), are streamed.  The arguments are checked
-    before the first item."""
+    call, or once per leaf count when leaf gives leaves 1 and 2 equal
+    items, and then vertex must ignore first as well; the two root
+    children with d - 1 leaves, in the compositions (1, d - 1) and
+    (d - 1, 1), are streamed.  The arguments are checked before the
+    first item."""
     cap = _arity_cap(d, max_arity)
+    numbered = leaf(1) != leaf(2)
     memo = {}
 
     def kept(m, first):
-        if (m, first) not in memo:
-            memo[m, first] = tuple(items(m, first))
-        return memo[m, first]
+        key = (m, first) if numbered else m
+        if key not in memo:
+            memo[key] = tuple(items(m, first))
+        return memo[key]
 
     def items(m, first):
         if m == 1:

@@ -354,10 +354,9 @@ def test_count_only_oracle_gives_the_cited_counts():
     assert sum(oracles.stacked_f_vector_oracle(9)) == 653_049
 
 
-@pytest.mark.parametrize("d", range(1, 8))
+@pytest.mark.parametrize("d", range(1, 9))
 def test_stacked_report_lines_tally_as_the_count_only_oracle(d):
-    pairs, _ = stacked_lines(d)
-    assert count_by_dim(dim for dim, _ in pairs) == oracles.stacked_f_vector_oracle(d)
+    assert count_by_dim(dim for dim, _ in stacked_report_lines(d)) == oracles.stacked_f_vector_oracle(d)
 
 
 def test_stacked_match_composition_oracle():
@@ -410,11 +409,14 @@ def test_stacked_report_lines_match_strata(labels):
     assert [(s.dim, s.report_line()) for s in strata] == pairs
 
 
-def test_stacked_report_lines_keep_no_subtree_with_d_leaves(monkeypatch):
-    """Each level m = 1..d is built by one pass over the compositions of
-    m per root arity: the levels below d once each and kept, the level d
-    once and streamed, so its first line comes from the unary roots
-    before any other composition is read."""
+def test_stacked_report_lines_build_the_level_below_the_root_twice(monkeypatch):
+    """Each level m = 1..d - 2 is built by one pass over the compositions
+    of m per root arity and kept.  The level d - 1 occurs only under the
+    root and is streamed: it is built anew beside the unary colored leaf
+    in (1, d - 1) and again in (d - 1, 1), so twice; beside a bare leaf
+    it is read from the stable trees, which trees.compositions counts.
+    The level d is built once and streamed, so its first line comes from
+    the unary roots before any other composition is read."""
     d = 6
     expected = len(stacked_strata(d))
     calls = Counter()
@@ -429,7 +431,36 @@ def test_stacked_report_lines_keep_no_subtree_with_d_leaves(monkeypatch):
     next(lines)
     assert dict(calls) == {(d, 1): 1}
     assert 1 + sum(1 for _ in lines) == expected
-    assert dict(calls) == {(m, k): 1 for m in range(1, d + 1) for k in range(1, m + 1)}
+    builds = {m: 1 for m in range(1, d - 1)}
+    builds.update({d - 1: 2, d: 1})
+    assert dict(calls) == {(m, k): n for m, n in builds.items() for k in range(1, m + 1)}
+
+
+def traced_bytes(consume):
+    """(bytes still held, peak bytes) of consume() under tracemalloc,
+    both over what was held before it."""
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        consume()
+        gc.collect()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return held - before, peak - before
+
+
+def test_stacked_report_lines_keep_no_subtree_with_d_minus_1_leaves():
+    """Consuming stacked_report_lines(7) peaks at about 0.45 MB under
+    tracemalloc; keeping the items with 6 leaves for the call, as the
+    other levels are kept, raises the peak to about 1.8 MB."""
+    _, peak = traced_bytes(lambda: sum(1 for _ in stacked_report_lines(7)))
+    assert peak < 1024 * 1024
 
 
 # -- memos live for one call -------------------------------------------
@@ -444,22 +475,14 @@ def test_no_module_holds_a_cache():
 def test_enumerations_free_what_they_build():
     """After the calls return, less than 64 KB of what they allocated
     stays; a memo kept across calls would hold hundreds of KB."""
-    gc.collect()
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
+
+    def consume():
         for items in (stable_sexprs(8, spans=True), enumerate_stable_trees(7),
                       stacked_report_lines(6)):
             for _ in items:
                 pass
-        del items
-        gc.collect()
-        kept = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+
+    kept, _ = traced_bytes(consume)
     assert kept < 64 * 1024
 
 
