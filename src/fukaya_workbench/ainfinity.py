@@ -28,7 +28,6 @@ from .novikov import (
     nov_mul,
     nov_to_text,
 )
-from .trees import compositions
 
 
 def _elements(out):
@@ -182,39 +181,47 @@ class FilteredAInfCategory:
             yield from extend((name,))
 
 
-def _block_insertions(total, inputs, inner, outer):
-    """Add to total every single insertion outer(.., inner(block), ..)
-    of a nonempty block of consecutive inputs; inner and outer are
-    tables keyed by input tuples."""
+# -- the insertion kernel ----------------------------------------------
+#
+# Every defect term but the functor's target side is a single insertion
+# outer(head + (g,) + tail), g an output of inner(part), over splits
+# (part, head, tail) of the inputs into blocks or into subsets.
+
+
+def _blocks(inputs, smallest=1):
+    """(block, head, tail) for each block of at least smallest consecutive
+    inputs, by length and then by start; an empty block sits in each of
+    the d + 1 gaps."""
     d = len(inputs)
-    for m in range(1, d + 1):
-        for n in range(0, d - m + 1):
-            entry = inner.get(inputs[n:n + m])
-            if not entry:
-                continue
+    for m in range(smallest, d + 1):
+        for n in range(d - m + 1):
+            yield inputs[n:n + m], inputs[:n], inputs[n + m:]
+
+
+def _subsets(inputs, smallest=1):
+    """(part, (), rest) for each index-ordered subset of at least smallest
+    inputs, by size and then as combinations yields them, so that each
+    unordered split counts once."""
+    n = len(inputs)
+    for m in range(smallest, n + 1):
+        for S in itertools.combinations(range(n), m):
+            chosen = set(S)
+            yield (tuple(inputs[i] for i in S), (),
+                   tuple(inputs[i] for i in range(n) if i not in chosen))
+
+
+def _insert(total, splits, inner, outer):
+    """Add to total every single insertion outer(head + (g,) + tail) with
+    g an output of inner(part), over the splits (part, head, tail); inner
+    and outer look up table entries by input tuple."""
+    for part, head, tail in splits:
+        entry = inner(part)
+        if entry:
             for g, c in entry.items():
-                result = outer.get(inputs[:n] + (g,) + inputs[n + m:])
+                result = outer(head + (g,) + tail)
                 if result:
                     for h, c2 in result.items():
                         _add_term(total, h, nov_mul(c, c2))
-
-
-def _subset_insertions(total, inputs, inner, outer):
-    """Add to total every single insertion outer((inner(v_S),) + v_rest)
-    over the nonempty index-ordered subsets S of the inputs, so that each
-    unordered split counts once; inner and outer look up entries by input
-    tuple."""
-    n = len(inputs)
-    for m in range(1, n + 1):
-        for S in itertools.combinations(range(n), m):
-            entry = inner(tuple(inputs[i] for i in S))
-            if not entry:
-                continue
-            chosen = set(S)
-            rest = tuple(inputs[i] for i in range(n) if i not in chosen)
-            for g, c in entry.items():
-                for h, c2 in outer((g,) + rest).items():
-                    _add_term(total, h, nov_mul(c, c2))
 
 
 def ainf_defect(cat: FilteredAInfCategory, inputs) -> dict:
@@ -223,7 +230,7 @@ def ainf_defect(cat: FilteredAInfCategory, inputs) -> dict:
     inputs = tuple(inputs)
     cat._check_chain(inputs)
     total = {}
-    _block_insertions(total, inputs, cat.mu, cat.mu)
+    _insert(total, _blocks(inputs), cat.mu.get, cat.mu.get)
     return total
 
 
@@ -495,7 +502,7 @@ def linf_defect(alg: LInfinityAlgebra, inputs) -> dict:
     if n < 1:
         raise ValueError("defect needs at least one input")
     total = {}
-    _subset_insertions(total, inputs, alg.l_entry, alg.l_entry)
+    _insert(total, _subsets(inputs), alg.l_entry, alg.l_entry)
     return total
 
 
@@ -560,31 +567,17 @@ def ocha_defect(s: OCHAStructure, closed_inputs, open_inputs) -> dict:
     a closed slot, and an open-closed map feeding an open slot.  With no
     closed inputs the loop degenerates literally to the plain
     A-infinity defect of the mu_{0,*} tables."""
-    closed = tuple(closed_inputs)
+    # Sorted once, every subset and its rest are sorted as the keys are.
+    closed = tuple(sorted(closed_inputs))
     opens = tuple(open_inputs)
-    k = len(closed)
-    d = len(opens)
     total = {}
-    _subset_insertions(total, closed, s.l_entry, lambda key: s.mu_entry(key, opens))
-    # Its own loop: ocha_specialization_report checks it against ainf_defect.
-    for m in range(0, k + 1):
-        for S in itertools.combinations(range(k), m):
-            chosen = set(S)
-            inner_closed = tuple(closed[i] for i in S)
-            outer_closed = tuple(closed[i] for i in range(k) if i not in chosen)
-            for i in range(0, d + 1):
-                for t in range(0, d - i + 1):
-                    if m == 0 and t == 0:
-                        continue
-                    inner = s.mu_entry(inner_closed, opens[i:i + t])
-                    if not inner:
-                        continue
-                    for g, c in inner.items():
-                        outer = s.mu_entry(
-                            outer_closed, opens[:i] + (g,) + opens[i + t:]
-                        )
-                        for h, c2 in outer.items():
-                            _add_term(total, h, nov_mul(c, c2))
+    _insert(total, _subsets(closed), s.l.get, lambda key: s.mu.get((tuple(sorted(key)), opens)))
+    # For each split of the closed inputs, the open insertions; under a
+    # closed part the open block may be empty.  ocha_defect_oracle in
+    # tests/oracles.py sums them by a loop of its own, independently.
+    for part, _, rest in _subsets(closed, 0):
+        _insert(total, _blocks(opens, 0 if part else 1),
+                lambda block: s.mu.get((part, block)), lambda key: s.mu.get((rest, key)))
     return total
 
 
@@ -725,29 +718,26 @@ def functor_defect(F: AInfFunctor, inputs) -> dict:
     inputs = tuple(inputs)
     F.source._check_chain(inputs)
     d = len(inputs)
+    table, mu = F.table, F.target.mu
     total = {}
-    for r in range(1, d + 1):
-        for comp in compositions(d, r):
-            blocks = []
-            pos = 0
-            for span in comp:
-                el = F.table.get(inputs[pos:pos + span])
-                pos += span
-                if not el:
-                    blocks = None
-                    break
-                blocks.append(el)
-            if blocks is None:
-                continue
-            for combo in itertools.product(*(b.items() for b in blocks)):
-                names = tuple(g for g, _ in combo)
-                coeff = NovikovElement.one()
-                for _, c in combo:
-                    coeff = nov_mul(coeff, c)
-                outer = F.target.mu_entry(names)
-                for h, c2 in outer.items():
+    # Prefixes of the inputs cut into F keys, each as (its length, the
+    # outputs picked, the product of their coefficients), grown by one
+    # key at a time; a prefix that no key extends is dropped.
+    prefixes = [(0, (), None)]
+    while prefixes:
+        pos, names, coeff = prefixes.pop()
+        if pos == d:
+            result = mu.get(names)
+            if result:
+                for h, c2 in result.items():
                     _add_term(total, h, nov_mul(coeff, c2))
-    _block_insertions(total, inputs, F.source.mu, F.table)
+            continue
+        for end in range(pos + 1, d + 1):
+            entry = table.get(inputs[pos:end])
+            if entry:
+                for g, c in entry.items():
+                    prefixes.append((end, names + (g,), nov_mul(coeff, c) if names else c))
+    _insert(total, _blocks(inputs), F.source.mu.get, table.get)
     return total
 
 

@@ -124,12 +124,14 @@ def strip_end_bound(lo, hi, end: str, cutoffs) -> StripBound:
     extreme of the Hamiltonian range, -lo on entry and +hi on exit.
     The telescoped closed form is returned alongside for comparison."""
     if end not in ("entry", "exit"):
-        raise ValueError("end must be 'entry' or 'exit', got %r" % end)
+        raise ValueError("end must be 'entry' or 'exit', got %s" % _preview(end))
     cuts = [_num(c, "a cutoff") for c in cutoffs]
     if len(cuts) < 2:
         raise ValueError("need at least two cutoff samples")
-    if not all(math.isfinite(c) for c in cuts):
-        raise ValueError("cutoff samples must be finite, got %s" % cuts)
+    for i, c in enumerate(cuts):
+        if not math.isfinite(c):
+            raise ValueError("cutoff samples must be finite, got %s at position %d of %d"
+                             % (_preview(c, quote=False), i + 1, len(cuts)))
     for a, b in zip(cuts, cuts[1:]):
         if b < a:
             raise ValueError("cutoff samples must be nondecreasing")

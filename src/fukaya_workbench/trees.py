@@ -21,7 +21,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .novikov import _frac, _preview, _value_text
+from .novikov import _frac, _int, _preview, _value_text
 
 INF = float("inf")
 
@@ -396,27 +396,33 @@ def metric_to_text(mt: MetricTree, colored=frozenset()) -> str:
 
 
 def metric_from_text(text: str):
-    """Inverse of metric_to_text; returns (metric tree, colored paths)."""
+    """Inverse of metric_to_text; returns (metric tree, colored paths).
+    An error in a 'len' line names the line."""
     tree, colored = tree_from_text(text)
     interior = tree.interior_edges
     lengths = {}
     for number, line in _significant_lines(text):
         if not line.startswith("len "):
             continue
-        body = line[len("len "):]
-        if "=" not in body:
-            raise ValueError("bad length line %r" % line)
-        name, _, val = body.partition("=")
-        name = name.strip()
-        val = val.strip()
-        if not (name.startswith("e") and name[1:].isdigit()):
-            raise ValueError("bad edge name %s" % _preview(name))
-        k = int(name[1:])
-        if not 1 <= k <= len(interior):
-            raise ValueError("edge %s out of range (tree has %d interior edges)" % (name, len(interior)))
-        if interior[k - 1] in lengths:
-            raise ValueError("line %d: a second length of %s" % (number, name))
-        lengths[interior[k - 1]] = INF if val == "inf" else _frac(val, "length of %s" % name)
+        try:
+            body = line[len("len "):]
+            if "=" not in body:
+                raise ValueError("bad length line %s" % _preview(line))
+            name, _, val = body.partition("=")
+            name = name.strip()
+            val = val.strip()
+            if not (name.startswith("e") and name[1:].isdigit()):
+                raise ValueError("bad edge name %s" % _preview(name))
+            k = _int(name[1:], "edge number")
+            shown = _preview(name, quote=False)
+            if not 1 <= k <= len(interior):
+                raise ValueError("edge %s out of range (tree has %d interior edges)"
+                                 % (shown, len(interior)))
+            if interior[k - 1] in lengths:
+                raise ValueError("a second length of %s" % shown)
+            lengths[interior[k - 1]] = INF if val == "inf" else _frac(val, "length of %s" % shown)
+        except ValueError as e:
+            raise ValueError("line %d: %s" % (number, e)) from None
     return MetricTree(tree, lengths), colored
 
 

@@ -8,7 +8,8 @@ count-only polynomial program over painted trees instead of one record
 per stratum, a filter over every loose shape instead of pruned
 generation, the corank of the equidistance system instead of a vertex
 count, interval bookkeeping instead of profile splicing, a direct
-associator scan instead of insertion sums, relation scans over every
+associator scan instead of insertion sums, defects by a loop of their
+own per relation instead of one insertion kernel, relation scans over every
 tuple instead of over the insertion candidates, action gaps through
 ActionValue bookkeeping instead of direct rational arithmetic, and table
 files through a generic line reader that hands every entry to the public
@@ -437,6 +438,142 @@ def associativity_violations(table, basis):
         if a:
             out.append(((x, y, z), a))
     return out
+
+
+# -- defect values by their own loops ------------------------------------
+#
+# Each defect summed by a loop of its own: consecutive blocks and
+# index-ordered subsets walked inline, the open-closed sum as one nested
+# loop over closed splits and open positions, and the functor's target
+# side over every composition of the inputs, each product taken from the
+# unit.  Inputs must be valid; nothing is checked.
+
+
+def _add_term_oracle(acc, gen, coeff):
+    from fukaya_workbench.novikov import nov_add
+
+    new = nov_add(acc[gen], coeff) if gen in acc else coeff
+    if new.is_zero:
+        acc.pop(gen, None)
+    else:
+        acc[gen] = new
+
+
+def _block_insertions(total, inputs, inner, outer):
+    """Add to total every single insertion outer(.., inner(block), ..)
+    of a nonempty block of consecutive inputs; inner and outer are
+    tables keyed by input tuples."""
+    from fukaya_workbench.novikov import nov_mul
+
+    d = len(inputs)
+    for m in range(1, d + 1):
+        for n in range(0, d - m + 1):
+            entry = inner.get(inputs[n:n + m])
+            if not entry:
+                continue
+            for g, c in entry.items():
+                result = outer.get(inputs[:n] + (g,) + inputs[n + m:])
+                if result:
+                    for h, c2 in result.items():
+                        _add_term_oracle(total, h, nov_mul(c, c2))
+
+
+def _subset_insertions(total, inputs, inner, outer):
+    """Add to total every single insertion outer((inner(v_S),) + v_rest)
+    over the nonempty index-ordered subsets S of the inputs, so that each
+    unordered split counts once; inner and outer look up entries by input
+    tuple."""
+    from fukaya_workbench.novikov import nov_mul
+
+    n = len(inputs)
+    for m in range(1, n + 1):
+        for S in itertools.combinations(range(n), m):
+            entry = inner(tuple(inputs[i] for i in S))
+            if not entry:
+                continue
+            chosen = set(S)
+            rest = tuple(inputs[i] for i in range(n) if i not in chosen)
+            for g, c in entry.items():
+                for h, c2 in outer((g,) + rest).items():
+                    _add_term_oracle(total, h, nov_mul(c, c2))
+
+
+def ainf_defect_oracle(cat, inputs):
+    total = {}
+    _block_insertions(total, tuple(inputs), cat.mu, cat.mu)
+    return total
+
+
+def linf_defect_oracle(alg, inputs):
+    total = {}
+    _subset_insertions(total, tuple(inputs), alg.l_entry, alg.l_entry)
+    return total
+
+
+def ocha_defect_oracle(s, closed_inputs, open_inputs):
+    """Closed brackets into a closed slot, then for each closed split an
+    open-closed map into an open slot, the empty open block included
+    under a nonempty closed part."""
+    from fukaya_workbench.novikov import nov_mul
+
+    closed = tuple(closed_inputs)
+    opens = tuple(open_inputs)
+    k = len(closed)
+    d = len(opens)
+    total = {}
+    _subset_insertions(total, closed, s.l_entry, lambda key: s.mu_entry(key, opens))
+    for m in range(0, k + 1):
+        for S in itertools.combinations(range(k), m):
+            chosen = set(S)
+            inner_closed = tuple(closed[i] for i in S)
+            outer_closed = tuple(closed[i] for i in range(k) if i not in chosen)
+            for i in range(0, d + 1):
+                for t in range(0, d - i + 1):
+                    if m == 0 and t == 0:
+                        continue
+                    inner = s.mu_entry(inner_closed, opens[i:i + t])
+                    if not inner:
+                        continue
+                    for g, c in inner.items():
+                        outer = s.mu_entry(
+                            outer_closed, opens[:i] + (g,) + opens[i + t:]
+                        )
+                        for h, c2 in outer.items():
+                            _add_term_oracle(total, h, nov_mul(c, c2))
+    return total
+
+
+def functor_defect_oracle(F, inputs):
+    """Target operations on the components of every composition of the
+    inputs, then components on single source-operation insertions."""
+    from fukaya_workbench.novikov import NovikovElement, nov_mul
+
+    inputs = tuple(inputs)
+    d = len(inputs)
+    total = {}
+    for r in range(1, d + 1):
+        for comp in _compositions(d, r):
+            blocks = []
+            pos = 0
+            for span in comp:
+                el = F.table.get(inputs[pos:pos + span])
+                pos += span
+                if not el:
+                    blocks = None
+                    break
+                blocks.append(el)
+            if blocks is None:
+                continue
+            for combo in itertools.product(*(b.items() for b in blocks)):
+                names = tuple(g for g, _ in combo)
+                coeff = NovikovElement.one()
+                for _, c in combo:
+                    coeff = nov_mul(coeff, c)
+                outer = F.target.mu_entry(names)
+                for h, c2 in outer.items():
+                    _add_term_oracle(total, h, nov_mul(coeff, c2))
+    _block_insertions(total, inputs, F.source.mu, F.table)
+    return total
 
 
 # -- dense relation scans ------------------------------------------------

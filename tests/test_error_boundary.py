@@ -237,6 +237,14 @@ def test_long_paths_are_shown_cut_short():
         assert err.endswith("LLL'...\n"), err
 
 
+def test_a_non_finite_cutoff_is_named_by_position():
+    cutoffs = ",".join(["0"] * 2500 + ["nan"] + ["1"] * 2500)
+    code, err, out = run_main(["budget", "strip", "--lo", "0", "--hi", "1", "--end", "entry",
+                               "--cutoffs", cutoffs])
+    assert_short_error(code, err, out)
+    assert err == "error: cutoff samples must be finite, got nan at position 2501 of 5001\n"
+
+
 # -- every flag of every verb --------------------------------------------
 
 

@@ -256,6 +256,31 @@ def test_passing_structures_pass(cat, F, alg, s):
     assert find_ocha_violation(s, 2, 3) is None
 
 
+# -- defect values -------------------------------------------------------
+
+
+@given(categories(), functors(), bracket_algebras(), open_closed())
+@SETTINGS
+def test_defects_match_their_own_loops(cat, F, alg, s):
+    """Each defect equals its oracle's, term by term, on every input up
+    to the bounds: composable tuples with repeated generators, F
+    components of arity up to 3, brackets and closed inputs in every
+    order, and open-closed maps with no open input, which fill an empty
+    open block under a closed part."""
+    for t in composable(cat.gens, 4):
+        assert ainfinity.ainf_defect(cat, t) == oracles.ainf_defect_oracle(cat, t)
+    for t in composable(F.source.gens, 4):
+        assert ainfinity.functor_defect(F, t) == oracles.functor_defect_oracle(F, t)
+    for n in (1, 2, 3):
+        for t in itertools.product(alg.basis, repeat=n):
+            assert ainfinity.linf_defect(alg, t) == oracles.linf_defect_oracle(alg, t)
+    for k, d in itertools.product((0, 1, 2, 3), (0, 1, 2)):
+        for closed in itertools.product(s.closed_basis, repeat=k):
+            for opens in itertools.product(s.open_basis, repeat=d):
+                assert (ainfinity.ocha_defect(s, closed, opens)
+                        == oracles.ocha_defect_oracle(s, closed, opens))
+
+
 # -- every violation is a candidate --------------------------------------
 
 

@@ -376,6 +376,21 @@ def test_metric_text_rejects_a_repeated_length():
             metric_from_text(text + again)
 
 
+@pytest.mark.parametrize("line, message", [
+    ("len e1 " + "x" * 5000, "line 3: bad length line 'len e1 %s'..." % ("x" * 33)),
+    ("len e" + "0" * 5000 + "1 = 1",
+     "line 3: edge number has more than 4300 digits: '%s'..." % ("0" * 40)),
+    ("len f1 = 1", "line 3: bad edge name 'f1'"),
+    ("len e0" + "0" * 60 + "1 = 1/0",
+     "line 3: length of e%s... has a zero denominator: '1/0'" % ("0" * 39)),
+    ("len e2 = 1", "line 3: edge e2 out of range (tree has 1 interior edges)"),
+], ids=["no equals sign", "long edge number", "bad edge name", "zero denominator", "out of range"])
+def test_metric_text_errors_name_the_line_and_cut_long_values(line, message):
+    with pytest.raises(ValueError) as exc:
+        metric_from_text("labels: L0,L1,L2,L3\n(v (v (leaf 1) (leaf 2)) (leaf 3))\n%s\n" % line)
+    assert str(exc.value) == message
+
+
 def test_metric_text_round_trip():
     t = LabelledTree(((None, None), (None, None)), ("A", "B", "A", "B", "A"))
     m = MetricTree(t, {(0,): Fraction(1, 3), (1,): INF})
