@@ -497,9 +497,8 @@ class LInfinityAlgebra:
 def linf_defect(alg: LInfinityAlgebra, inputs) -> dict:
     """Z2 sum over index-ordered subsets S of l(l(v_S), v_rest); each
     unordered split contributes exactly once."""
-    inputs = tuple(inputs)
-    n = len(inputs)
-    if n < 1:
+    inputs = _lookup(alg._basis_names, tuple(inputs), "unknown basis element %s")
+    if not inputs:
         raise ValueError("defect needs at least one input")
     total = {}
     _insert(total, _subsets(inputs), alg.l_entry, alg.l_entry)
@@ -568,8 +567,11 @@ def ocha_defect(s: OCHAStructure, closed_inputs, open_inputs) -> dict:
     closed inputs the loop degenerates literally to the plain
     A-infinity defect of the mu_{0,*} tables."""
     # Sorted once, every subset and its rest are sorted as the keys are.
-    closed = tuple(sorted(closed_inputs))
-    opens = tuple(open_inputs)
+    closed = tuple(sorted(_lookup(s._basis_names, tuple(closed_inputs),
+                                  "unknown closed basis element %s")))
+    opens = tuple(_lookup(s._open_names, tuple(open_inputs), "unknown open basis element %s"))
+    if not closed and not opens:
+        raise ValueError("defect needs at least one input")
     total = {}
     _insert(total, _subsets(closed), s.l.get, lambda key: s.mu.get((tuple(sorted(key)), opens)))
     # For each split of the closed inputs, the open insertions; under a

@@ -62,20 +62,26 @@ class Stratum(NamedTuple):
 # -- cluster strata ----------------------------------------------------
 
 
-def cluster_report_lines(labels):
-    """(dim, report line) of every cluster stratum, as
-    enumerate_cluster_strata and Stratum.report_line would give them,
-    generated one at a time from stable_sexprs(d) without building a
-    tree: an interior edge with leaf span (a, b) is unilabelled exactly
-    when labels[a - 1] == labels[b]."""
+def _unilabelled_spans(labels):
+    """(labels as a tuple, d, the leaf spans at which an interior edge is
+    unilabelled).  An interior edge over leaves a..b separates regions
+    a - 1 and b, so it is unilabelled exactly when labels[a - 1] ==
+    labels[b]; (1, d) is the root's own span, never an interior edge's."""
     labels = tuple(labels)
     d = len(labels) - 1
     if d < 2:
         raise ValueError("cluster strata need d >= 2")
-    # The leaf spans (a, b) at which an interior edge is unilabelled;
-    # (1, d) is the root's own span, never an interior edge's.
     same = frozenset((a, b) for a in range(1, d) for b in range(a + 1, d + 1)
                      if labels[a - 1] == labels[b] and (a, b) != (1, d))
+    return labels, d, same
+
+
+def cluster_report_lines(labels):
+    """(dim, report line) of every cluster stratum, as
+    enumerate_cluster_strata and Stratum.report_line would give them,
+    generated one at a time from stable_sexprs(d) without building a
+    tree."""
+    labels, d, same = _unilabelled_spans(labels)
     if not same:
         # Every interior edge is a Floer edge; there is one per vertex
         # below the root.
@@ -96,16 +102,16 @@ def cluster_report_lines(labels):
 
 def enumerate_cluster_strata(labels):
     """One stratum per (stable labelled tree, broken count k) with
-    0 <= k <= number of unilabelled interior edges."""
-    labels = tuple(labels)
-    d = len(labels) - 1
-    if d < 2:
-        raise ValueError("cluster strata need d >= 2")
+    0 <= k <= number of unilabelled interior edges, found by the span
+    rule of cluster_report_lines."""
+    labels, d, same = _unilabelled_spans(labels)
     out = []
     for shape in enumerate_stable_trees(d):
         t = LabelledTree(shape, labels)
-        floer = len(t.floer_interior_edges)
-        for k in range(len(t.uni_interior_edges) + 1):
+        spans = [t.span[p] for p in t.interior_edges]
+        uni = len(same.intersection(spans))
+        floer = len(spans) - uni
+        for k in range(uni + 1):
             out.append(Stratum(t, k, floer + k, d - 2 - floer - k))
     return out
 
@@ -129,29 +135,20 @@ def facet_term_bijection(labels):
     first i are consumed by the inner operation, i + k + j = d.
 
     A facet is either a two-vertex tree with one finite interior edge,
-    or a one-broken-edge stratum.  A broken stratum whose tree has
-    several unilabelled interior edges aggregates more than one
-    splitting and gets descriptor None; on tuples with pairwise
-    distinct labels every facet has a unique descriptor."""
-    labels = tuple(labels)
-    d = len(labels) - 1
+    or a one-broken-edge stratum; its splitting is read off the span
+    (a, b) of the one edge of the kind it breaks.  A broken stratum
+    whose tree has several unilabelled interior edges aggregates more
+    than one splitting and gets descriptor None; on tuples with
+    pairwise distinct labels every facet has a unique descriptor."""
+    labels, d, same = _unilabelled_spans(labels)
     out = []
     for s in enumerate_cluster_strata(labels):
-        if s.codim != 1:
-            continue
-        t = s.tree
-        if s.broken_count == 0:
-            edges = t.floer_interior_edges
-            assert len(edges) == 1
-            e = edges[0]
-        else:
-            uni = t.uni_interior_edges
-            e = uni[0] if len(uni) == 1 else None
-        if e is None:
-            out.append((s, None))
-        else:
-            a, b = t.span[e]
-            out.append((s, (a - 1, b - a + 1, d - b)))
+        if s.codim == 1:
+            t = s.tree
+            kind = [span for span in map(t.span.get, t.interior_edges)
+                    if (span in same) == (s.broken_count > 0)]
+            (a, b), *more = kind
+            out.append((s, None if more else (a - 1, b - a + 1, d - b)))
     return out
 
 

@@ -2,7 +2,10 @@
 
 Each oracle recomputes a quantity along a different route than the
 package: polygon diagonals instead of trees, edge contraction instead of
-arity recursion, two-level composition instead of constraint filtering
+arity recursion, cluster strata classified edge by edge through
+LabelledTree instead of by a set of leaf spans, stable trees and cluster
+strata counted by a closed form and by a program over leaf intervals
+instead of enumerated, two-level composition instead of constraint filtering
 (put in enumeration order by a sort key instead of by generation), a
 count-only polynomial program over painted trees instead of one record
 per stratum, a filter over every loose shape instead of pruned
@@ -17,14 +20,14 @@ setters instead of the one-pass loaders.
 """
 
 import itertools
+import math
+from collections import Counter
 from fractions import Fraction
 
 SCHROEDER = {2: 1, 3: 3, 4: 11, 5: 45, 6: 197, 7: 903, 8: 4279}
 
 
 def catalan(n: int) -> int:
-    import math
-
     return math.comb(2 * n, n) // (n + 1)
 
 
@@ -104,6 +107,90 @@ def stable_shapes_oracle(d: int):
     for b in binary_shapes(d):
         out |= _contractions(b)
     return out
+
+
+# -- cluster strata edge by edge, and counted over leaf intervals -------
+
+
+def cluster_strata_oracle(labels):
+    """The cluster strata of labels in enumeration order: one Stratum per
+    (stable shape, broken count k), 0 <= k <= the number of unilabelled
+    interior edges, over the contraction oracle's shapes in canonical
+    order, each interior edge classified by LabelledTree's own label
+    comparison."""
+    from fukaya_workbench.strata import Stratum
+    from fukaya_workbench.trees import LabelledTree
+
+    labels = tuple(labels)
+    d = len(labels) - 1
+    out = []
+    for shape in sorted(stable_shapes_oracle(d), key=_shape_key):
+        t = LabelledTree(shape, labels)
+        floer = len(t.floer_interior_edges)
+        for k in range(len(t.uni_interior_edges) + 1):
+            out.append(Stratum(t, k, floer + k, d - 2 - floer - k))
+    return out
+
+
+def facet_descriptor_oracle(labels):
+    """(stratum, splitting) for each codimension-1 stratum of
+    cluster_strata_oracle.  An unbroken facet's edge is its one Floer
+    edge, a broken facet's its one unilabelled edge, and an edge between
+    regions i and j gives (i, j - i, d - j); a broken facet with several
+    unilabelled edges gets None."""
+    d = len(labels) - 1
+    out = []
+    for s in cluster_strata_oracle(labels):
+        if s.codim == 1:
+            t = s.tree
+            edges = t.uni_interior_edges if s.broken_count else t.floer_interior_edges
+            if len(edges) == 1:
+                i, j = t.edge_regions(edges[0])
+                out.append((s, (i, j - i, d - j)))
+            else:
+                out.append((s, None))
+    return out
+
+
+def kirkman_cayley(d: int, k: int) -> int:
+    """The dissections of a convex (d + 1)-gon by k non-crossing
+    diagonals, C(d - 2, k) C(d + k, k) / (k + 1) (Cayley, "On the
+    partitions of a polygon", Proc. LMS 22, 1891): the stable trees with
+    d >= 2 leaves and k interior edges, which index the faces of
+    codimension k of Stasheff's associahedron (Trans. AMS 108, 1963)."""
+    return math.comb(d - 2, k) * math.comb(d + k, k) // (k + 1)
+
+
+def cluster_f_vector_oracle(labels):
+    """f-vector (dimension 0 first) of the cluster strata of labels,
+    counted with no tree or text built.  Over each leaf interval a..b,
+    tree counts the stable subtrees by (Floer edges, unilabelled edges);
+    edged[a, b] adds the edge above them, unilabelled when labels[a - 1]
+    == labels[b] (none above a leaf); rows[a, b] counts the sequences of
+    one or more edged subtrees that cover a..b, and split those of two
+    or more, which are the children of a vertex over a..b.  A tree with
+    f Floer and u unilabelled edges gives u + 1 strata, of codimensions
+    f .. f + u."""
+    d = len(labels) - 1
+    edged, rows = {}, {}
+    for n in range(1, d + 1):
+        for a in range(1, d - n + 2):
+            b = a + n - 1
+            split = Counter()
+            for m in range(a, b):
+                for (f1, u1), x in edged[a, m].items():
+                    for (f2, u2), y in rows[m + 1, b].items():
+                        split[f1 + f2, u1 + u2] += x * y
+            tree = split if n > 1 else Counter({(0, 0): 1})
+            uni = n > 1 and labels[a - 1] == labels[b]
+            floer = n > 1 and not uni
+            edged[a, b] = Counter({(f + floer, u + uni): x for (f, u), x in tree.items()})
+            rows[a, b] = edged[a, b] + split
+    fv = [0] * (d - 1)
+    for (f, u), x in tree.items():  # the last tree is the root's, over 1..d
+        for k in range(u + 1):
+            fv[d - 2 - f - k] += x
+    return fv
 
 
 # -- stacked strata by two-level composition ---------------------------

@@ -448,6 +448,27 @@ def test_ocha_validation():
         s.add_closed("c")
 
 
+@pytest.mark.parametrize("defect, inputs, message", [
+    (linf_defect, (("q", "r"),), "unknown basis element 'q'"),
+    (linf_defect, (("x", "a"),), "unknown basis element 'a'"),
+    (linf_defect, ((),), "defect needs at least one input"),
+    (ocha_defect, (("nope",), ("zz",)), "unknown closed basis element 'nope'"),
+    (ocha_defect, (("x", "a"), ("a",)), "unknown closed basis element 'a'"),
+    (ocha_defect, (("x",), ("x",)), "unknown open basis element 'x'"),
+    (ocha_defect, ((), ()), "defect needs at least one input"),
+], ids=lambda value: getattr(value, "__name__", None))
+def test_defects_reject_inputs_outside_their_bases(defect, inputs, message):
+    """Like ainf_defect, and with the messages of set_l and set_mu: a
+    name outside the basis is an error, not a zero defect.  The
+    structure is its own closed L-infinity algebra."""
+    s = OCHAStructure()
+    s.add_closed("x")
+    s.add_open("a")
+    s.set_l(("x",), {"x": ONE})
+    with pytest.raises(ValueError, match="^%s$" % message):
+        defect(s, *inputs)
+
+
 def test_ocha_specialization_report():
     s = OCHAStructure()
     for name in ("x", "y"):

@@ -275,6 +275,8 @@ def test_defects_match_their_own_loops(cat, F, alg, s):
         for t in itertools.product(alg.basis, repeat=n):
             assert ainfinity.linf_defect(alg, t) == oracles.linf_defect_oracle(alg, t)
     for k, d in itertools.product((0, 1, 2, 3), (0, 1, 2)):
+        if not k and not d:
+            continue  # no input at all is an error, not a defect
         for closed in itertools.product(s.closed_basis, repeat=k):
             for opens in itertools.product(s.open_basis, repeat=d):
                 assert (ainfinity.ocha_defect(s, closed, opens)

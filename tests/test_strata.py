@@ -30,6 +30,15 @@ def labels_for(d):
     return tuple("L%d" % i for i in range(d + 1))
 
 
+def label_patterns(d):
+    """Every tuple of d + 1 labels up to renaming, as restricted-growth
+    strings: each label is one already used or the next unused one."""
+    patterns = [("A",)]
+    for _ in range(d):
+        patterns = [p + (c,) for p in patterns for c in "ABCDEFGH"[:len(set(p)) + 1]]
+    return patterns
+
+
 # -- cluster strata ----------------------------------------------------
 
 
@@ -44,6 +53,8 @@ def test_cluster_f_vectors_distinct_labels():
         strata = enumerate_cluster_strata(labels_for(d))
         assert f_vector(strata) == fv
         assert f_vector(strata) == oracles.polygon_face_vector(d)
+        assert oracles.cluster_f_vector_oracle(labels_for(d)) == fv
+        assert [oracles.kirkman_cayley(d, d - 2 - dim) for dim in range(d - 1)] == fv
 
 
 def test_cluster_euler_distinct_labels():
@@ -77,22 +88,25 @@ def test_cluster_unilabelled_broken_counts():
 def test_cluster_constant_labels():
     strata = enumerate_cluster_strata(("L", "L", "L", "L"))
     assert f_vector(strata) == [2, 3]
+    assert oracles.cluster_f_vector_oracle(("L", "L", "L", "L")) == [2, 3]
     assert sum((-1) ** s.dim for s in strata) == -1
 
 
 def test_cluster_errors():
-    with pytest.raises(ValueError):
-        enumerate_cluster_strata(("A", "B"))
-    with pytest.raises(ValueError, match="cluster strata need d >= 2"):
-        list(cluster_report_lines(("A", "B")))
+    for route in (enumerate_cluster_strata, facet_term_bijection, cluster_report_lines):
+        with pytest.raises(ValueError, match="^cluster strata need d >= 2$"):
+            list(route(("A", "B")))
 
 
-# The s-expression route (stable_sexprs, cluster_report_lines and the CLI
-# that streams them) against Stratum objects built on LabelledTree.
+# The library classifies an interior edge by its leaf span, through one
+# set of unilabelled spans per label tuple.  Its routes are checked
+# against oracles that do not: cluster_strata_oracle classifies each edge
+# by LabelledTree's label comparison over the contraction oracle's
+# shapes, and cluster_f_vector_oracle counts strata over leaf intervals.
 
 
 def oracle_lines(labels):
-    return [(s.dim, s.report_line()) for s in enumerate_cluster_strata(labels)]
+    return [(s.dim, s.report_line()) for s in oracles.cluster_strata_oracle(labels)]
 
 
 def oracle_report(labels, fmt):
@@ -120,6 +134,35 @@ LABEL_CASES = [labels_for(d) for d in range(2, 8)] + [
 @pytest.mark.parametrize("labels", LABEL_CASES, ids=",".join)
 def test_cluster_report_lines_match_strata(labels):
     assert list(cluster_report_lines(labels)) == oracle_lines(labels)
+
+
+@pytest.mark.parametrize("labels", LABEL_CASES, ids=",".join)
+def test_cluster_strata_and_facets_match_the_labelled_tree_oracle(labels):
+    assert enumerate_cluster_strata(labels) == oracles.cluster_strata_oracle(labels)
+    assert facet_term_bijection(labels) == oracles.facet_descriptor_oracle(labels)
+
+
+@pytest.mark.parametrize("d", range(2, 6))
+def test_cluster_strata_and_facets_match_the_oracle_on_every_label_pattern(d):
+    """Mixed labels give unbroken facets with unilabelled edges beside
+    their Floer edge, and broken facets with several unilabelled edges;
+    from d = 4 on, both occur."""
+    beside_uni = aggregated = 0
+    for labels in label_patterns(d):
+        assert enumerate_cluster_strata(labels) == oracles.cluster_strata_oracle(labels), labels
+        pairs = facet_term_bijection(labels)
+        assert pairs == oracles.facet_descriptor_oracle(labels), labels
+        for s, desc in pairs:
+            beside_uni += not s.broken_count and len(s.tree.uni_interior_edges) > 0
+            aggregated += desc is None
+    assert d < 4 or (beside_uni and aggregated)
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_report_lines_tally_as_the_span_count_oracle_on_every_label_pattern(d):
+    for labels in label_patterns(d):
+        tally = count_by_dim(dim for dim, _ in cluster_report_lines(labels))
+        assert tally == oracles.cluster_f_vector_oracle(labels), labels
 
 
 @pytest.mark.parametrize("d", range(2, 8))

@@ -100,6 +100,23 @@ def test_stable_counts():
         assert len(enumerate_stable_trees(d)) == n
 
 
+# The little Schroeder numbers (OEIS A001003): stable trees with d = 2..12
+# leaves; `trees --d 11` and `--d 12` print the last two as their counts.
+STABLE_TREE_COUNTS = [1, 3, 11, 45, 197, 903, 4279, 20793, 103049, 518859, 2646723]
+
+
+def test_kirkman_cayley_counts_the_stable_trees_by_codimension():
+    for d in range(2, 10):
+        tally = Counter(text.count("(v") - 1 for text in stable_sexprs(d))
+        assert sorted(tally.items()) == [(k, oracles.kirkman_cayley(d, k)) for k in range(d - 1)]
+    for d in range(2, 7):
+        by_dim = [oracles.kirkman_cayley(d, d - 2 - dim) for dim in range(d - 1)]
+        assert by_dim == oracles.polygon_face_vector(d)
+    counts = [sum(oracles.kirkman_cayley(d, k) for k in range(d - 1)) for d in range(2, 13)]
+    assert counts == STABLE_TREE_COUNTS
+    assert counts[:7] == list(oracles.SCHROEDER.values())
+
+
 def is_binary(shape):
     if shape is None:
         return True
