@@ -10,6 +10,7 @@ flat key=value block.  Exit codes: 0 success, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
 import os
 import random
@@ -725,5 +726,20 @@ def main(argv=None) -> int:
         return 2
 
 
+def run(argv=None) -> int:
+    """The process entry: main(argv), then freeze the collector.
+
+    At interpreter shutdown CPython clears every module and collects the
+    cycles of everything loaded; gc.freeze() moves the live heap into the
+    permanent generation, which those collections skip.  The freeze comes
+    after the work, on every way out (SystemExit from argparse included),
+    so main() itself keeps a normal collector for in-process callers.
+    """
+    try:
+        return main(argv)
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

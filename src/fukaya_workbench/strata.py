@@ -142,13 +142,19 @@ def facet_term_bijection(labels):
     pairwise distinct labels every facet has a unique descriptor."""
     labels, d, same = _unilabelled_spans(labels)
     out = []
-    for s in enumerate_cluster_strata(labels):
-        if s.codim == 1:
-            t = s.tree
-            kind = [span for span in map(t.span.get, t.interior_edges)
-                    if (span in same) == (s.broken_count > 0)]
-            (a, b), *more = kind
-            out.append((s, None if more else (a - 1, b - a + 1, d - b)))
+    # A tree with two or more Floer edges has codimension at least 2, so
+    # only the trees of the other shapes are built.
+    shapes = zip(enumerate_stable_trees(d), stable_sexprs(d, spans=True), strict=True)
+    for shape, (_, spans) in shapes:
+        floer = [span for span in spans if span not in same]
+        # The edge a facet breaks is its one Floer edge, or, when it has
+        # none, one of its unilabelled edges; a corolla has no facet.
+        kind = floer or spans
+        if len(floer) > 1 or not kind:
+            continue
+        (a, b), *more = kind
+        out.append((Stratum(LabelledTree(shape, labels), 0 if floer else 1, 1, d - 3),
+                    None if more else (a - 1, b - a + 1, d - b)))
     return out
 
 

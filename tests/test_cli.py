@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import os
 import shlex
@@ -266,6 +267,58 @@ def test_closed_stdout_is_one_error_line():
     err = proc.stderr.read().decode()
     assert proc.wait() == 2
     assert err == "error: [Errno 32] Broken pipe\n"
+
+
+# Runs the CLI as `python -m fukaya_workbench.cli` does ("module") or
+# through cli.run, the console script's entry ("run"), with an atexit
+# probe, registered first, that reports the collector's frozen count at
+# interpreter shutdown.
+_FREEZE_PROBE = """
+import atexit, gc, sys
+print("before=%d" % gc.get_freeze_count(), file=sys.stderr)
+atexit.register(lambda: print("at_exit=%d" % gc.get_freeze_count(), file=sys.stderr))
+route, argv = sys.argv[1], sys.argv[2:]
+if route == "module":
+    import runpy
+    sys.argv = ["fukaya_workbench.cli"] + argv
+    runpy.run_module("fukaya_workbench.cli", run_name="__main__")
+else:
+    from fukaya_workbench import cli
+    sys.exit(cli.run(argv))
+"""
+
+FREEZE_FILES = {
+    "planted.cat": "object M\ngen M M a level=0 ham=0\nmu 1 M M in=a out=a coeff=T^0\n",
+    "malformed.cat": "object M\ngen M M a level=0\n",
+}
+
+
+@pytest.mark.parametrize("route", ["module", "run"])
+@pytest.mark.parametrize("argv, code", [
+    (("strata", "--d", "3"), 0),
+    (("check-ainf", "planted.cat"), 1),
+    (("check-ainf", "malformed.cat"), 2),
+    (("strata", "--d", "x"), 2),
+], ids=["pass", "violation", "malformed", "bad-flag"])
+def test_a_cli_process_reaches_shutdown_with_its_heap_frozen(tmp_path, route, argv, code):
+    for name, text in FREEZE_FILES.items():
+        (tmp_path / name).write_text(text)
+    env = dict(os.environ, PYTHONPATH=str(Path(fukaya_workbench.__file__).parents[1]))
+    res = subprocess.run([sys.executable, "-c", _FREEZE_PROBE, route, *argv], cwd=tmp_path,
+                         env=env, capture_output=True, text=True)
+    assert res.returncode == code, res.stderr
+    lines = res.stderr.splitlines()
+    assert lines[0] == "before=0"
+    assert lines[-1].startswith("at_exit=") and int(lines[-1][len("at_exit="):]) > 0
+
+
+def test_main_in_process_leaves_the_collector_unfrozen(capsys):
+    before = gc.get_freeze_count()
+    assert run(capsys, "strata", "--d", "3")[0] == 0
+    assert run(capsys, "check-ainf", "no-such-file.cat")[0] == 2
+    with pytest.raises(SystemExit):
+        main(["strata", "--d", "x"])
+    assert gc.get_freeze_count() == before
 
 
 def test_d_zero_reports_range_error(capsys):
