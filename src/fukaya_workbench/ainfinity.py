@@ -119,18 +119,20 @@ class FilteredAInfCategory:
 
     def __init__(self):
         self.objects = []
+        self._object_set = set()  # the objects, for lookups without a scan
         self.gens = {}
         self.mu = {}
 
     def add_object(self, name: str):
-        if name in self.objects:
+        if name in self._object_set:
             raise ValueError("duplicate object %s" % _preview(name))
         self.objects.append(name)
+        self._object_set.add(name)
 
     def add_gen(self, name, source, target, level=0, ham=0):
         if name in self.gens:
             raise ValueError("duplicate generator %s" % _preview(name))
-        if source not in self.objects or target not in self.objects:
+        if source not in self._object_set or target not in self._object_set:
             raise ValueError("generator %s needs known objects, got %s -> %s"
                              % _cut(name, source, target))
         self.gens[name] = Generator(name, source, target,
@@ -412,7 +414,7 @@ def _unit_generator(cat: FilteredAInfCategory, obj: str, name: str) -> Generator
     hom(obj, obj), obj a known object."""
     if name not in cat.gens:
         raise ValueError("unknown unit generator %s" % _preview(name))
-    if obj not in cat.objects:
+    if obj not in cat._object_set:
         raise ValueError("unknown object %s" % _preview(obj))
     e = cat.gens[name]
     if (e.source, e.target) != (obj, obj):
@@ -678,9 +680,9 @@ def ocha_specialization_report(s: OCHAStructure, max_open=4, max_closed=4) -> Sp
 
 
 def _check_object_pair(source, target, x, y):
-    if x not in source.objects:
+    if x not in source._object_set:
         raise ValueError("unknown source object %s" % _preview(x))
-    if y not in target.objects:
+    if y not in target._object_set:
         raise ValueError("unknown target object %s" % _preview(y))
 
 

@@ -40,6 +40,7 @@ from .strata import (
     ColoredTree,
     Glue,
     Surface,
+    _input_count,
     _stacking_scale,
     cluster_report_lines,
     coloring_cone_dim,
@@ -182,7 +183,7 @@ def _int_flag(what):
 
 
 # The largest --d of each enumeration verb.  There the three peak at
-# 97, 44 and 121 MB on CPython 3.11; one leaf more multiplies that by
+# 97, 33 and 36 MB on CPython 3.11; one leaf more multiplies that by
 # four to five.
 MAX_D = {"trees": 12, "strata": 11, "stacked": 9}
 
@@ -333,12 +334,6 @@ def cmd_coloring(args, out):
     return 0
 
 
-def _expr_leaves(e) -> int:
-    if isinstance(e, Surface):
-        return e.d
-    return _expr_leaves(e.outer) + _expr_leaves(e.inner) - 1
-
-
 def _expr_neck_total(e) -> Fraction:
     if isinstance(e, Surface):
         return Fraction(0)
@@ -350,7 +345,7 @@ def _random_width_expr(rng, depth):
         return Surface(rng.randint(2, 4))
     outer = _random_width_expr(rng, depth - 1)
     inner = _random_width_expr(rng, depth - 1)
-    n = rng.randint(1, _expr_leaves(outer))
+    n = rng.randint(1, _input_count(outer))
     length = Fraction(rng.randint(0, 60), rng.randint(1, 12))
     return Glue(outer, n, inner, length)
 
@@ -369,7 +364,7 @@ def _width_trial(rng) -> bool:
     expr = _random_width_expr(rng, 4)
     prof = intrinsic_width(expr)
     return (
-        prof.d == _expr_leaves(expr)
+        prof.d == _input_count(expr)
         and all(w >= 0 for w in prof.widths)
         and (not prof.widths or max(prof.widths) <= _expr_neck_total(expr))
     )

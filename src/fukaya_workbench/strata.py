@@ -24,7 +24,6 @@ from .trees import (
     _Tokens,
     _stable_items,
     compositions,
-    enumerate_stable_trees,
     shape_to_sexpr,
     stable_sexprs,
 )
@@ -76,11 +75,27 @@ def _unilabelled_spans(labels):
     return labels, d, same
 
 
+def _classified_items(d, same, leaf, join):
+    """(item, unilabelled edges, Floer edges) of each stable tree with d
+    leaves, by trees._stable_items, where leaf(first) is a leaf's item and
+    join(child items) a vertex's: a vertex below the root adds the edge
+    above it, which is unilabelled exactly when its leaf span is in same."""
+
+    def vertex(m, first, combos):
+        uni = (first, first + m - 1) in same
+        floer = m < d and not uni
+        for children in combos:
+            items, unis, floers = zip(*children)
+            yield join(items), sum(unis, uni), sum(floers, floer)
+
+    return _stable_items(d, None, lambda first: (leaf(first), 0, 0), vertex)
+
+
 def cluster_report_lines(labels):
     """(dim, report line) of every cluster stratum, as
     enumerate_cluster_strata and Stratum.report_line would give them,
-    generated one at a time from stable_sexprs(d) without building a
-    tree."""
+    generated one at a time from the texts of the stable trees without
+    building a tree."""
     labels, d, same = _unilabelled_spans(labels)
     if not same:
         # Every interior edge is a Floer edge; there is one per vertex
@@ -89,12 +104,8 @@ def cluster_report_lines(labels):
             codim = tree.count("(v") - 1
             yield d - 2 - codim, stratum_line(d - 2 - codim, codim, tree, 0)
         return
-    for tree, spans in stable_sexprs(d, spans=True):
-        # A vertex of arity >= 2 never shares its leaf span with a
-        # child, so a stable tree's spans are distinct and the
-        # intersection counts each unilabelled edge once.
-        uni = len(same.intersection(spans))
-        floer = len(spans) - uni
+    for tree, uni, floer in _classified_items(d, same, "(leaf %d)".__mod__,
+                                              lambda texts: "(v %s)" % " ".join(texts)):
         for k in range(uni + 1):
             codim = floer + k
             yield d - 2 - codim, stratum_line(d - 2 - codim, codim, tree, k)
@@ -102,17 +113,13 @@ def cluster_report_lines(labels):
 
 def enumerate_cluster_strata(labels):
     """One stratum per (stable labelled tree, broken count k) with
-    0 <= k <= number of unilabelled interior edges, found by the span
-    rule of cluster_report_lines."""
+    0 <= k <= number of unilabelled interior edges, classified as
+    cluster_report_lines classifies them."""
     labels, d, same = _unilabelled_spans(labels)
     out = []
-    for shape in enumerate_stable_trees(d):
+    for shape, uni, floer in _classified_items(d, same, lambda first: None, tuple):
         t = LabelledTree(shape, labels)
-        spans = [t.span[p] for p in t.interior_edges]
-        uni = len(same.intersection(spans))
-        floer = len(spans) - uni
-        for k in range(uni + 1):
-            out.append(Stratum(t, k, floer + k, d - 2 - floer - k))
+        out += [Stratum(t, k, floer + k, d - 2 - floer - k) for k in range(uni + 1)]
     return out
 
 
@@ -141,20 +148,26 @@ def facet_term_bijection(labels):
     than one splitting and gets descriptor None; on tuples with
     pairwise distinct labels every facet has a unique descriptor."""
     labels, d, same = _unilabelled_spans(labels)
+
+    # A subtree is built as (shape, Floer spans, unilabelled spans), and
+    # none with two Floer edges, which give a codimension of at least 2.
+    def vertex(m, first, combos):
+        span = (first, first + m - 1)
+        uni = (span,) if span in same else ()
+        floer = () if uni or m == d else (span,)
+        for children in combos:
+            shapes, below, unis = zip(*children)
+            if len(floers := sum(below, floer)) < 2:
+                yield shapes, floers, sum(unis, uni)
+
     out = []
-    # A tree with two or more Floer edges has codimension at least 2, so
-    # only the trees of the other shapes are built.
-    shapes = zip(enumerate_stable_trees(d), stable_sexprs(d, spans=True), strict=True)
-    for shape, (_, spans) in shapes:
-        floer = [span for span in spans if span not in same]
+    for shape, floer, uni in _stable_items(d, None, lambda first: (None, (), ()), vertex):
         # The edge a facet breaks is its one Floer edge, or, when it has
         # none, one of its unilabelled edges; a corolla has no facet.
-        kind = floer or spans
-        if len(floer) > 1 or not kind:
-            continue
-        (a, b), *more = kind
-        out.append((Stratum(LabelledTree(shape, labels), 0 if floer else 1, 1, d - 3),
-                    None if more else (a - 1, b - a + 1, d - b)))
+        if kind := floer or uni:
+            (a, b), *more = kind
+            out.append((Stratum(LabelledTree(shape, labels), 0 if floer else 1, 1, d - 3),
+                        None if more else (a - 1, b - a + 1, d - b)))
     return out
 
 
@@ -321,15 +334,15 @@ def _stacked_items(d: int):
     neither property fits nowhere: it has a bare leaf beside a child
     that is not stable.  Such children combinations are never built,
     so the cost follows the faces of the multiplihedron rather than
-    every planar shape.  A unary root must be colored, so its
-    child is a leaf or a stable tree, whose item is built by
-    trees._stable_items and streamed.  The other children with fewer
+    every planar shape.  A unary root must be colored, so its child is
+    a leaf or a stable tree, streamed by trees._stable_items, which
+    keeps the smaller stable trees for its call.  The others with fewer
     than d - 1 leaves are built once per leaf count and kept for the
     call.  A child with d - 1 leaves occurs only under the root, in the
     compositions (1, d - 1) and (d - 1, 1), and is streamed: beside a
     bare leaf only a stable child survives, so that side reads the
     stable trees; beside the unary colored leaf, and in (d - 1, 1), it
-    reads a fresh items(d - 1).  So no item with d - 1 leaves is kept.
+    reads a fresh items(d - 1).  So no such child with records is kept.
 
     The records list the root colored first, then the product of the
     children's records.  A record is (colored template with v* heads,

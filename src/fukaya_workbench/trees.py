@@ -596,24 +596,24 @@ def enumerate_stable_trees(d: int, max_arity=None):
     at least 2, and at most max_arity when given, in a fixed canonical
     order (root arity ascending, then composition and children), as a
     list of nested tuples built by _stable_items."""
-    return list(_stable_items(d, max_arity, lambda first: None, lambda m, first, combos: combos))
+    return list(_stable_items(d, max_arity, None, lambda m, first, combos: combos))
 
 
 def _stable_items(d: int, max_arity, leaf, vertex):
     """One item per stable shape with d leaves (arities at most
     max_arity), by root arity, then composition, then children,
-    generated one at a time: leaf(first) is the item of the leaf
-    numbered first, and vertex(m, first, combos) yields the items of
-    the vertices with m leaves numbered from first whose children run
-    over combos, a stream of tuples of child items.  Every subtree with
-    at most d - 2 leaves is built once per first leaf and kept for the
-    call, or once per leaf count when leaf gives leaves 1 and 2 equal
-    items, and then vertex must ignore first as well; the two root
-    children with d - 1 leaves, in the compositions (1, d - 1) and
-    (d - 1, 1), are streamed.  The arguments are checked before the
-    first item."""
+    generated one at a time: vertex(m, first, combos) yields the items
+    of the vertices with m leaves numbered from first whose children run
+    over combos, a stream of tuples of child items.  When leaf is a
+    function, leaf(first) is the item of the leaf numbered first, every
+    subtree with at most d - 2 leaves is built once per first leaf and
+    kept for the call, and the two root children with d - 1 leaves, in
+    the compositions (1, d - 1) and (d - 1, 1), are streamed.  Otherwise
+    leaf is the item of every leaf, vertex must ignore first, and every
+    subtree is built once per leaf count and kept.  The arguments are
+    checked before the first item."""
     cap = _arity_cap(d, max_arity)
-    numbered = leaf(1) != leaf(2)
+    numbered = callable(leaf)
     memo = {}
 
     def kept(m, first):
@@ -624,12 +624,13 @@ def _stable_items(d: int, max_arity, leaf, vertex):
 
     def items(m, first):
         if m == 1:
-            yield leaf(first)
+            yield leaf(first) if numbered else leaf
         for k in range(2, min(m, cap) + 1):
             for comp in compositions(m, k):
-                options = [(items if c == d - 1 else kept)(c, offset)
+                streamed = numbered and d - 1 in comp
+                options = [(items if streamed and c == d - 1 else kept)(c, offset)
                            for c, offset in zip(comp, itertools.accumulate(comp, initial=first))]
-                if d - 1 in comp:
+                if streamed:
                     # (1, d - 1) or (d - 1, 1) under the root: the other
                     # side is one leaf, so the streamed side is read
                     # once; product() would hold all of it.
@@ -642,28 +643,12 @@ def _stable_items(d: int, max_arity, leaf, vertex):
     return items(d, 1)
 
 
-# -- s-expressions of the stable shapes --------------------------------
-
-
-def stable_sexprs(d: int, max_arity=None, spans=False):
+def stable_sexprs(d: int, max_arity=None):
     """The shapes of enumerate_stable_trees(d, max_arity), in its order,
     as their s-expressions shape_to_sexpr(shape), generated one at a
-    time by _stable_items, so lazily and after checking the arguments.
-    With spans, each item is (s-expression, spans), where spans lists
-    the leaf span (a, b) of every interior edge in preorder, as
-    LabelledTree.span does: a vertex below the root puts its own span
-    before its children's."""
-    if not spans:
-        return _stable_items(d, max_arity, "(leaf %d)".__mod__,
-                             lambda m, first, combos: map("(v %s)".__mod__, map(" ".join, combos)))
-
-    def vertex(m, first, combos):
-        own = () if m == d else ((first, first + m - 1),)
-        for children in combos:
-            texts, child_spans = zip(*children)
-            yield "(v %s)" % " ".join(texts), sum(child_spans, own)
-
-    return _stable_items(d, max_arity, lambda first: ("(leaf %d)" % first, ()), vertex)
+    time by _stable_items, so lazily and after checking the arguments."""
+    return _stable_items(d, max_arity, "(leaf %d)".__mod__,
+                         lambda m, first, combos: map("(v %s)".__mod__, map(" ".join, combos)))
 
 
 # -- fundamental decomposition -----------------------------------------

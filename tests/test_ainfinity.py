@@ -321,6 +321,38 @@ def test_gaps_of_a_large_random_category_match_the_oracle(seed):
     assert rep.rho_star == max([Fraction(0)] + [v / d for d, v in raw.items()])
 
 
+class ScanCountingList(list):
+    """A list that counts the membership tests made on it."""
+
+    scans = 0
+
+    def __contains__(self, item):
+        self.scans += 1
+        return super().__contains__(item)
+
+
+def test_object_lookups_do_not_scan_the_object_list():
+    """Adding objects and generators, checking units and mapping objects
+    look the objects up without scanning the public objects list, a
+    scan that made loading n objects and n generators quadratic in n."""
+    cat = FilteredAInfCategory()
+    cat.objects = ScanCountingList()
+    names = ["X%d" % i for i in range(20)]
+    for i, x in enumerate(names):
+        cat.add_object(x)
+        cat.add_gen("e%d" % i, x, x)
+    cat.set_mu(("e3", "e3"), {"e3": ONE})
+    assert check_strict_unit(cat, "X3", "e3").ok
+    assert measure_discrepancies(cat, {"X4": "e4"}).unit_levels == {"X4": 0}
+    F = load_functor("".join("obj %s %s\n" % (x, x) for x in names), cat, cat)
+    assert F.object_map == {x: x for x in names}
+    with pytest.raises(ValueError, match="^duplicate object 'X0'$"):
+        cat.add_object("X0")
+    with pytest.raises(ValueError, match="^generator f needs known objects, got X0 -> Y$"):
+        cat.add_gen("f", "X0", "Y")
+    assert cat.objects == names and cat.objects.scans == 0
+
+
 def test_gaps_skip_outputs_stored_as_zero():
     cat = FilteredAInfCategory()
     cat.add_object("M")

@@ -158,6 +158,15 @@ def test_cluster_strata_and_facets_match_the_oracle_on_every_label_pattern(d):
     assert d < 4 or (beside_uni and aggregated)
 
 
+@pytest.mark.parametrize("labels", ["AAAAAAAAAA", "ABCABCABCA", "ABCDEFGHIJ", "AABABBACABCA"])
+def test_facets_count_as_the_span_count_oracle(labels):
+    """Beyond the sizes where the LabelledTree oracle runs, the facets
+    are as many as the leaf-interval program counts in codimension 1;
+    the last tuple is the `strata --labels` run that CI pins."""
+    d = len(labels) - 1
+    assert len(facet_term_bijection(tuple(labels))) == oracles.cluster_f_vector_oracle(labels)[d - 3]
+
+
 @pytest.mark.parametrize("d", range(2, 7))
 def test_report_lines_tally_as_the_span_count_oracle_on_every_label_pattern(d):
     for labels in label_patterns(d):
@@ -186,25 +195,32 @@ def test_cluster_report_lines_at_the_edges_of_the_equal_label_set(labels):
     assert list(cluster_report_lines(labels)) == oracle_lines(labels)
 
 
-@pytest.mark.parametrize("argv, spans", [
-    (["strata", "--d", "6"], False),
-    (["strata", "--labels", "(A,A,B,B,C,C)"], False),
-    (["strata", "--labels", "(A,B,C,D,A)"], False),
-    (["strata", "--labels", "(A,B,A,B)"], True),
-    (["strata", "--labels", "(A,B,C,B)"], True),
+@pytest.mark.parametrize("argv, text_only", [
+    (["strata", "--d", "6"], True),
+    (["strata", "--labels", "(A,A,B,B,C,C)"], True),
+    (["strata", "--labels", "(A,B,C,D,A)"], True),
+    (["strata", "--labels", "(A,B,A,B)"], False),
+    (["strata", "--labels", "(A,B,C,B)"], False),
 ])
-def test_spans_are_asked_for_only_when_an_edge_can_be_unilabelled(
-        capsys, monkeypatch, argv, spans):
+def test_text_only_sexprs_run_exactly_when_no_edge_can_be_unilabelled(
+        capsys, monkeypatch, argv, text_only):
+    """Without an edge that can be unilabelled, `strata` reads the plain
+    texts of stable_sexprs; otherwise it classifies the edges."""
     asked = []
 
-    def recording(d, max_arity=None, spans=False):
-        asked.append(spans)
-        return stable_sexprs(d, max_arity, spans)
+    def recording(route):
+        def call(d, *args):
+            asked.append(route)
+            return original[route](d, *args)
+        return call
 
-    monkeypatch.setattr("fukaya_workbench.strata.stable_sexprs", recording)
+    module = fukaya_workbench.strata
+    original = {route: getattr(module, route) for route in ("stable_sexprs", "_classified_items")}
+    for route in original:
+        monkeypatch.setattr(module, route, recording(route))
     assert main(argv) == 0
     capsys.readouterr()
-    assert asked == [spans]
+    assert asked == ["stable_sexprs" if text_only else "_classified_items"]
 
 
 @pytest.mark.parametrize("fmt", ["text", "machine"])
@@ -517,11 +533,14 @@ def test_no_module_holds_a_cache():
 
 def test_enumerations_free_what_they_build():
     """After the calls return, less than 64 KB of what they allocated
-    stays; a memo kept across calls would hold hundreds of KB."""
+    stays; a memo kept across calls would hold hundreds of KB.  The
+    cluster routes classify the edges of 8 leaves over repeated labels."""
+    labels = tuple("ABACBCABA")
 
     def consume():
-        for items in (stable_sexprs(8, spans=True), enumerate_stable_trees(7),
-                      stacked_report_lines(6)):
+        for items in (cluster_report_lines(labels), facet_term_bijection(labels),
+                      enumerate_cluster_strata(labels[:7]), stable_sexprs(8),
+                      enumerate_stable_trees(7), stacked_report_lines(6)):
             for _ in items:
                 pass
 

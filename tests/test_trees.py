@@ -12,6 +12,9 @@ from hypothesis import strategies as st
 
 import oracles
 from fukaya_workbench import INF, LabelledTree, MetricTree, trees
+from fukaya_workbench.strata import (_classified_items, _unilabelled_spans,
+                                     cluster_report_lines, enumerate_cluster_strata,
+                                     facet_term_bijection)
 from fukaya_workbench.trees import (classify_tuple, compositions,
                                     enumerate_stable_trees, fundamental_decomposition,
                                     glue_labels, glue_metrics, glue_trees, gluing_length,
@@ -183,11 +186,6 @@ def test_sexprs_are_the_shapes_in_order(max_arity):
         shapes = oracle_shapes(d, max_arity)
         expected = [shape_to_sexpr(s) for s in shapes]
         assert list(stable_sexprs(d, max_arity)) == expected, d
-        with_spans = list(stable_sexprs(d, max_arity, spans=True))
-        assert [text for text, _ in with_spans] == expected, d
-        for shape, (_, spans) in zip(shapes, with_spans):
-            t = LabelledTree(shape, ("L",) * (d + 1))
-            assert spans == tuple(t.span[p] for p in t.interior_edges), shape
 
 
 def test_sexprs_are_generated_lazily_after_checking_arguments():
@@ -202,18 +200,26 @@ def test_sexprs_are_generated_lazily_after_checking_arguments():
 STABLE_SHAPES = [(d, shape) for d in range(2, 8) for shape in oracle_shapes(d)]
 
 
+def classified(labels, leaf, join):
+    _, d, same = _unilabelled_spans(labels)
+    return list(_classified_items(d, same, leaf, join))
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.sampled_from("ABC"), min_size=8, max_size=8))
-def test_span_counts_match_labelled_tree_edges(letters):
-    items = [item for d in range(2, 8) for item in stable_sexprs(d, spans=True)]
-    assert len(items) == len(STABLE_SHAPES)
-    for (d, shape), (text, spans) in zip(STABLE_SHAPES, items):
-        labels = letters[:d + 1]
-        t = LabelledTree(shape, labels)
-        assert text == shape_to_sexpr(shape)
-        uni = sum(labels[a - 1] == labels[b] for a, b in spans)
-        assert uni == len(t.uni_interior_edges)
-        assert len(spans) - uni == len(t.floer_interior_edges)
+def test_classified_counts_match_labelled_tree_edges(letters):
+    """The cluster routes' classifier counts, per tree, the interior
+    edges that LabelledTree finds unilabelled and Floer, with both the
+    shapes and the texts as items."""
+    labels = {d: letters[:d + 1] for d in range(2, 8)}
+    shapes = [item for d in range(2, 8) for item in classified(labels[d], lambda first: None, tuple)]
+    texts = [item for d in range(2, 8)
+             for item in classified(labels[d], "(leaf %d)".__mod__, lambda ts: "(v %s)" % " ".join(ts))]
+    assert len(shapes) == len(texts) == len(STABLE_SHAPES)
+    for (d, shape), item, (text, *counts) in zip(STABLE_SHAPES, shapes, texts):
+        t = LabelledTree(shape, labels[d])
+        assert item == (shape, len(t.uni_interior_edges), len(t.floer_interior_edges))
+        assert (text, *counts) == (shape_to_sexpr(shape), *item[1:])
 
 
 def count_compositions(monkeypatch):
@@ -233,33 +239,61 @@ def count_compositions(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("route", ["texts", "spans", "shapes"])
+def numbered_builds(d):
+    """The passes over the compositions of m of a numbered route: once
+    per first leaf 1..d - m + 1 for a kept subtree, once in each of
+    (1, d - 1) and (d - 1, 1) for a streamed one with d - 1 leaves, and
+    once for the root."""
+    builds = {m: d - m + 1 for m in range(2, d - 1)}
+    builds.update({d - 1: 2, d: 1})
+    return builds
+
+
+@pytest.mark.parametrize("route", ["texts", "numbered", "shapes"])
 @pytest.mark.parametrize("max_arity", [None, 2])
 def test_children_with_d_minus_1_leaves_are_streamed_not_kept(monkeypatch, max_arity, route):
     """A subtree with m leaves is built by one pass over the compositions
-    of m per root arity.  Only the root has a child with d - 1 leaves, so
-    a subtree with at most d - 2 leaves is built once per first leaf
-    1..d - m + 1 and kept, one with d - 1 leaves once in each of
-    (1, d - 1) and (d - 1, 1), and the root once.  The first text comes
-    while the child with d - 1 leaves is at its first child, so it has
-    built one subtree with d - 2 leaves, not both; only this tells
-    streaming from keeping, since both build each child with d - 1
-    leaves once.  The shapes do not depend on the leaf numbers, so
-    enumerate_stable_trees builds a kept subtree once per leaf count."""
+    of m per root arity.  When the leaf item is a function of the leaf
+    number, the route is numbered, even if, as here for "numbered", it
+    gives every leaf the same item: only the root has a child with
+    d - 1 leaves, so those children are streamed and the smaller ones
+    kept per first leaf.  The first item comes while the child with
+    d - 1 leaves is at its first child, so it has built one subtree with
+    d - 2 leaves, not both; only this tells streaming from keeping,
+    since both build each child with d - 1 leaves once.  With one
+    constant leaf item, as in enumerate_stable_trees, every subtree,
+    the level with d - 1 leaves included, is built once and kept."""
     d = 8
     expected = oracles.SCHROEDER[d] if max_arity is None else oracles.catalan(d - 1)
     calls = count_compositions(monkeypatch)
     if route == "shapes":
         assert len(enumerate_stable_trees(d, max_arity)) == expected
+        builds = {m: 1 for m in range(2, d + 1)}
     else:
-        items = stable_sexprs(d, max_arity, route == "spans")
+        if route == "texts":
+            items = stable_sexprs(d, max_arity)
+        else:
+            items = trees._stable_items(d, max_arity, lambda first: None,
+                                        lambda m, first, combos: combos)
         next(items)
         assert (calls[d - 1, 2], calls[d - 2, 2]) == (1, 1)
         assert 1 + sum(1 for _ in items) == expected
-    builds = {m: 1 if route == "shapes" else d - m + 1 for m in range(2, d - 1)}
-    builds.update({d - 1: 2, d: 1})
+        builds = numbered_builds(d)
     cap = max_arity or d
     assert dict(calls) == {(m, k): n for m, n in builds.items() for k in range(2, min(m, cap) + 1)}
+
+
+@pytest.mark.parametrize("route", [lambda labels: list(cluster_report_lines(labels)),
+                                   enumerate_cluster_strata, facet_term_bijection],
+                         ids=["report", "strata", "facets"])
+def test_cluster_routes_are_numbered(monkeypatch, route):
+    """The cluster routes read each vertex's first leaf, so they build
+    their subtrees as numbered routes do, even where every leaf's item
+    is the shape None."""
+    d = 7
+    calls = count_compositions(monkeypatch)
+    route(tuple("ABACBCAB"))
+    assert dict(calls) == {(m, k): n for m, n in numbered_builds(d).items() for k in range(2, m + 1)}
 
 
 def test_compositions():
