@@ -256,7 +256,15 @@ def _first_violation(tuples, defect):
     return None
 
 
+def _require_int(name, value):
+    """A scan bound is an int; a bool or a float would scan an unclear
+    range and still pass."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError("%s must be an integer, got %s" % (name, _preview(value)))
+
+
 def _require_positive(name, value):
+    _require_int(name, value)
     if value < 1:
         raise ValueError("%s must be at least 1, got %d; the scan would check nothing"
                          % (name, value))
@@ -626,6 +634,8 @@ def find_ocha_violation(s: OCHAStructure, max_closed: int, max_open: int):
     ((closed, open), defect); None if all relations hold.  Closed
     multisets go by size, then in basis order; for each, open tuples go
     by length, then in basis order."""
+    _require_int("max_closed", max_closed)
+    _require_int("max_open", max_open)
     if min(max_closed, max_open) < 0:
         raise ValueError("max_closed and max_open must be nonnegative")
     if max_closed == max_open == 0:

@@ -3,8 +3,13 @@
 Every verb prints a deterministic report; rerunning a command gives
 byte-identical output.  --format machine swaps the human lines for a
 flat key=value block.  Exit codes: 0 success, 1 verification failure,
-2 usage or parse errors.  The environment variable WORKBENCH_SEED
-(default 0) seeds the randomized self-check options.
+2 usage or parse errors and running out of memory.  The environment
+variable WORKBENCH_SEED (default 0) seeds the randomized self-check
+options.
+
+A run builds the parser of the verb it names, and each verb imports
+the modules it uses when it runs: a scan loads neither trees nor
+strata, an enumeration not ainfinity.
 """
 
 from __future__ import annotations
@@ -13,52 +18,11 @@ import argparse
 import gc
 import itertools
 import os
-import random
 import sys
 from collections import Counter
 from fractions import Fraction
 
-from .ainfinity import (
-    check_strict_unit,
-    element_to_text,
-    find_ainf_violation,
-    find_functor_violation,
-    find_linf_violation,
-    find_ocha_violation,
-    functor_shift,
-    load_category,
-    load_functor,
-    load_linf,
-    load_ocha,
-    measure_discrepancies,
-    ocha_specialization_report,
-)
-# budget is imported by the verbs that use it (cmd_budget_*, cmd_dim):
-# its dataclasses load dataclasses and inspect, which no other verb needs.
 from .novikov import ActionValue, _frac, _int, _preview
-from .strata import (
-    ColoredTree,
-    Glue,
-    Surface,
-    _input_count,
-    _stacking_scale,
-    cluster_report_lines,
-    coloring_cone_dim,
-    count_by_dim,
-    generalized_corner_flag,
-    intrinsic_width,
-    stacked_gluing_lengths,
-    stacked_report_lines,
-    validate_coloring,
-    width_expr_from_text,
-)
-from .trees import (
-    classify_tuple,
-    labels_from_text,
-    reduce_tuple,
-    stable_sexprs,
-    tree_from_text,
-)
 
 
 def _fmt_float(x) -> str:
@@ -141,6 +105,7 @@ def _read_source(path: str) -> str:
 
 
 def _parse_labels(text: str):
+    from .trees import labels_from_text
     labels = labels_from_text(text)
     if len(labels) < 2:
         raise ValueError("need at least two labels, got %s" % _preview(text))
@@ -269,6 +234,7 @@ def _tally(dims, pairs):
 
 
 def cmd_reduce(args, out):
+    from .trees import reduce_tuple
     rt = reduce_tuple(args.tuple)
     out.kv("input", "(%s)" % ",".join(args.tuple))
     out.kv("reduced", rt.to_text())
@@ -284,12 +250,14 @@ def cmd_reduce(args, out):
 
 
 def cmd_classify(args, out):
+    from .trees import classify_tuple
     out.kv("input", "(%s)" % ",".join(args.tuple))
     out.kv("class", classify_tuple(args.tuple))
     return 0
 
 
 def cmd_trees(args, out):
+    from .trees import stable_sexprs
     out.kv("count", out.items("tree", stable_sexprs(args.d, 2 if args.binary else None)))
     return 0
 
@@ -297,6 +265,7 @@ def cmd_trees(args, out):
 def _report_strata(out, pairs):
     """Stream the (dim, report line) pairs as stratum items, then the
     f-vector, the Euler characteristic and the count."""
+    from .strata import count_by_dim
     dims = Counter()
     count = out.items("stratum", _tally(dims, pairs))
     counts = count_by_dim(dims)
@@ -307,16 +276,21 @@ def _report_strata(out, pairs):
 
 
 def cmd_strata(args, out):
+    from .strata import cluster_report_lines
     labels = args.labels or tuple("L%d" % i for i in range(args.d + 1))
     return _report_strata(out, cluster_report_lines(labels))
 
 
 def cmd_stacked(args, out):
+    from .strata import stacked_report_lines
     d = args.d if args.labels is None else len(args.labels) - 1
     return _report_strata(out, stacked_report_lines(d))
 
 
 def cmd_coloring(args, out):
+    from .strata import (ColoredTree, coloring_cone_dim, generalized_corner_flag,
+                         validate_coloring)
+    from .trees import tree_from_text
     tree, colored = tree_from_text(_read_source(args.file))
     ct = ColoredTree(tree, colored)
     report = validate_coloring(ct)
@@ -335,12 +309,14 @@ def cmd_coloring(args, out):
 
 
 def _expr_neck_total(e) -> Fraction:
+    from .strata import Surface
     if isinstance(e, Surface):
         return Fraction(0)
     return _expr_neck_total(e.outer) + _expr_neck_total(e.inner) + Fraction(e.length)
 
 
 def _random_width_expr(rng, depth):
+    from .strata import Glue, Surface, _input_count
     if depth <= 0 or rng.random() < 0.35:
         return Surface(rng.randint(2, 4))
     outer = _random_width_expr(rng, depth - 1)
@@ -353,6 +329,7 @@ def _random_width_expr(rng, depth):
 def _self_check(out, n, trial):
     """Run trial(rng) n times on one WORKBENCH_SEED generator; exit 1 if
     any trial fails."""
+    import random
     rng = random.Random(_seed())
     bad = sum(1 for _ in range(n) if not trial(rng))
     out.kv("random", "%d ok" % n if not bad else "%d failed" % bad)
@@ -361,6 +338,7 @@ def _self_check(out, n, trial):
 
 
 def _width_trial(rng) -> bool:
+    from .strata import _input_count, intrinsic_width
     expr = _random_width_expr(rng, 4)
     prof = intrinsic_width(expr)
     return (
@@ -378,6 +356,8 @@ def _epsdelta_trial(rng) -> bool:
 
 
 def cmd_width(args, out):
+    from .strata import (_stacking_scale, intrinsic_width, stacked_gluing_lengths,
+                         width_expr_from_text)
     if args.stack is None and (args.child_widths is not None or args.root_widths is not None):
         raise ValueError("--child-widths and --root-widths need --stack")
     if args.stack is not None:
@@ -403,6 +383,7 @@ def _report_scan(out, verdict, hit, witness_keys=None, **bounds):
         for key, value in bounds.items():
             out.kv(key, value)
         return 0
+    from .ainfinity import element_to_text
     witness, defect = hit
     out.kv(verdict, "fail")
     for key, names in zip(witness_keys, witness) if witness_keys else [("witness", witness)]:
@@ -412,18 +393,21 @@ def _report_scan(out, verdict, hit, witness_keys=None, **bounds):
 
 
 def cmd_check_ainf(args, out):
+    from .ainfinity import find_ainf_violation, load_category
     cat = load_category(_read_source(args.file))
     hit = find_ainf_violation(cat, args.max_d)
     return _report_scan(out, "ainf", hit, max_d=args.max_d)
 
 
 def cmd_check_linf(args, out):
+    from .ainfinity import find_linf_violation, load_linf
     alg = load_linf(_read_source(args.file))
     hit = find_linf_violation(alg, args.max_n)
     return _report_scan(out, "linf", hit, max_n=args.max_n)
 
 
 def cmd_check_ocha(args, out):
+    from .ainfinity import find_ocha_violation, load_ocha, ocha_specialization_report
     if args.specializations:
         for flag, bound in (("--max-closed", args.max_closed), ("--max-open", args.max_open)):
             if bound < 1:
@@ -431,17 +415,21 @@ def cmd_check_ocha(args, out):
                                  "that sector would compare nothing" % (flag, bound))
     s = load_ocha(_read_source(args.file))
     hit = find_ocha_violation(s, args.max_closed, args.max_open)
+    # The report comes before the first line, so an error in it (such as
+    # running out of memory) leaves stdout empty.
+    rep = (ocha_specialization_report(s, args.max_open, args.max_closed)
+           if hit is None and args.specializations else None)
     code = _report_scan(out, "ocha", hit, ("witness_closed", "witness_open"),
                         max_closed=args.max_closed, max_open=args.max_open)
-    if code or not args.specializations:
+    if rep is None:
         return code
-    rep = ocha_specialization_report(s, args.max_open, args.max_closed)
     out.kv("open_sector_matches_ainf", "yes" if rep.open_sector_matches else "no")
     out.kv("closed_sector_linf_consistent", "yes" if rep.closed_sector_consistent else "no")
     return 0 if rep.open_sector_matches and rep.closed_sector_consistent else 1
 
 
 def cmd_measure(args, out):
+    from .ainfinity import load_category, measure_discrepancies
     units = {}
     for obj, gen in args.unit or ():
         if obj in units:
@@ -460,6 +448,7 @@ def cmd_measure(args, out):
 
 
 def cmd_unit(args, out):
+    from .ainfinity import check_strict_unit, element_to_text, load_category
     cat = load_category(_read_source(args.file))
     rep = check_strict_unit(cat, args.object, args.unit)
     if rep.ok:
@@ -475,6 +464,7 @@ def cmd_unit(args, out):
 
 
 def cmd_functor(args, out):
+    from .ainfinity import find_functor_violation, functor_shift, load_category, load_functor
     source_text = _read_source(args.source)
     source = load_category(source_text)
     # The same text needs no second load; the functor only reads both.
@@ -564,47 +554,39 @@ def cmd_dim(args, out):
 
 
 # -- parser ------------------------------------------------------------
+#
+# Each verb's arguments are added by a function of its own, so that a
+# run builds the parser of the one verb it names.
 
 
-def build_parser() -> argparse.ArgumentParser:
-    fmt = argparse.ArgumentParser(add_help=False)
-    fmt.add_argument("--format", **_one_of("text", "machine"), default="text",
-                     help="output style (default text)")
-
-    p = argparse.ArgumentParser(
-        prog="workbench",
-        description="verification workbench for filtered A-infinity structures",
-    )
-    sub = p.add_subparsers(dest="verb", required=True)
-
-    def verb(parent, name, func, help=None):
-        """The subcommand name of parent, run by func."""
-        s = parent.add_parser(name, parents=[fmt], help=help)
-        s.set_defaults(func=func)
-        return s
-
-    s = verb(sub, "reduce", cmd_reduce, "reduce a label tuple")
+def _reduce_args(s):
     s.add_argument("tuple", type=_flag(_parse_labels),
                    help="label tuple like '(L0,L0,L2,L3,L2,L1,L0)'")
 
-    s = verb(sub, "classify", cmd_classify, "classify a label tuple")
+
+def _classify_args(s):
     s.add_argument("tuple", type=_flag(_parse_labels))
 
-    s = verb(sub, "trees", cmd_trees, "enumerate stable shapes")
+
+def _trees_args(s):
     s.add_argument("--d", type=_d_type("trees"), required=True)
     s.add_argument("--binary", action="store_true", help="only binary shapes")
 
-    for name, func, help in (("strata", cmd_strata, "cluster strata report"),
-                             ("stacked", cmd_stacked, "stacked strata report")):
-        s = verb(sub, name, func, help)
-        labels = s.add_mutually_exclusive_group(required=True)
-        labels.add_argument("--labels", type=_labels_type(name))
-        labels.add_argument("--d", type=_d_type(name), help="shorthand for distinct labels L0..Ld")
 
-    s = verb(sub, "coloring", cmd_coloring, "validate a colored tree file")
+def _labels_args(verb):
+    def add(s):
+        labels = s.add_mutually_exclusive_group(required=True)
+        labels.add_argument("--labels", type=_labels_type(verb))
+        labels.add_argument("--d", type=_d_type(verb), help="shorthand for distinct labels L0..Ld")
+
+    return add
+
+
+def _file_args(s):
     s.add_argument("file")
 
-    s = verb(sub, "width", cmd_width, "intrinsic widths and gluing lengths")
+
+def _width_args(s):
     mode = s.add_mutually_exclusive_group(required=True)
     mode.add_argument("expr", nargs="?",
                       help="expression like '(glue (surface 2) 1 (surface 2) 3/10)'")
@@ -617,80 +599,91 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--root-widths", type=_widths("a root width"),
                    help="comma list of root surface widths")
 
-    s = verb(sub, "check-ainf", cmd_check_ainf, "scan a category for relation violations")
+
+def _check_ainf_args(s):
     s.add_argument("file", help="category file, or bundled:exterior")
     s.add_argument("--max-d", type=_int_flag("--max-d"), default=4)
 
-    s = verb(sub, "check-linf", cmd_check_linf, "scan bracket tables")
+
+def _check_linf_args(s):
     s.add_argument("file")
     s.add_argument("--max-n", type=_int_flag("--max-n"), default=3)
 
-    s = verb(sub, "check-ocha", cmd_check_ocha, "scan open-closed tables")
+
+def _check_ocha_args(s):
     s.add_argument("file")
     s.add_argument("--max-closed", type=_int_flag("--max-closed"), default=2)
     s.add_argument("--max-open", type=_int_flag("--max-open"), default=3)
     s.add_argument("--specializations", action="store_true",
                    help="also cross-check the degenerate sectors")
 
-    s = verb(sub, "measure", cmd_measure, "action discrepancy report")
+
+def _measure_args(s):
     s.add_argument("file")
     s.add_argument("--unit", action="append", type=_flag(_unit_pair), metavar="OBJECT:GEN")
 
-    s = verb(sub, "unit", cmd_unit, "strict unit check")
+
+def _unit_args(s):
     s.add_argument("file")
     s.add_argument("--object", required=True)
     s.add_argument("--unit", required=True)
 
-    s = verb(sub, "functor", cmd_functor, "functor shift and equation check")
+
+def _functor_args(s):
     s.add_argument("--source", required=True)
     s.add_argument("--target", required=True)
     s.add_argument("--map", required=True)
     s.add_argument("--max-d", type=_int_flag("--max-d"), default=3)
     s.add_argument("--no-check", action="store_true", help="skip the equation scan")
 
-    s = sub.add_parser("budget", help="curvature and energy budgets")
-    which = s.add_subparsers(dest="which", required=True)
 
-    w = verb(which, "vertex", cmd_budget_vertex)
+def _vertex_args(w):
     w.add_argument("--d", type=_int_flag("--d"), required=True)
     w.add_argument("--eps", type=_rational("eps"), required=True)
     w.add_argument("--case", **_one_of("open", "closed"), default="open")
     w.add_argument("--convention", **_one_of("main", "draft"), default="main")
 
-    w = verb(which, "epsdelta", cmd_budget_epsdelta)
+
+def _epsdelta_args(w):
     w.add_argument("--eps", type=_rational("eps"), required=True)
     w.add_argument("--delta", type=_rational("delta"), required=True)
     w.add_argument("--random", type=_flag(_trial_count), metavar="N")
 
-    w = verb(which, "window", cmd_budget_window)
+
+def _window_args(w):
     w.add_argument("--lo", type=_rational("--lo"), required=True)
     w.add_argument("--hi", type=_rational("--hi"), required=True)
     w.add_argument("--eps", type=_rational("--eps"), required=True)
     w.add_argument("--delta", type=_rational("--delta"))
 
-    w = verb(which, "strip", cmd_budget_strip)
+
+def _strip_args(w):
     w.add_argument("--lo", type=_rational("--lo"), required=True)
     w.add_argument("--hi", type=_rational("--hi"), required=True)
     w.add_argument("--end", **_one_of("entry", "exit"), required=True)
     w.add_argument("--cutoffs", type=_comma_list(_cutoff), required=True,
                    help="comma list of monotone samples")
 
-    w = verb(which, "energy", cmd_budget_energy)
+
+def _energy_args(w):
     w.add_argument("--inputs", type=_comma_list(ActionValue.from_text), required=True,
                    help="comma list of actions, -inf allowed")
     w.add_argument("--output", type=_flag(ActionValue.from_text), required=True)
     w.add_argument("--curvature", type=_rational("--curvature"), default=Fraction(0))
 
-    w = verb(which, "continuation", cmd_budget_continuation)
+
+def _continuation_args(w):
     for name in ("eps1", "delta1", "eps2", "delta2"):
         w.add_argument("--" + name, type=_rational(name), required=True)
     w.add_argument("--d", type=_int_flag("--d"), required=True)
 
-    w = verb(which, "thin", cmd_budget_thin)
+
+def _thin_args(w):
     w.add_argument("--d", type=_int_flag("--d"), required=True)
     w.add_argument("--case", **_one_of("open", "closed"), default="open")
 
-    s = verb(sub, "dim", cmd_dim, "virtual dimension formulas")
+
+def _dim_args(s):
     s.add_argument("--case", required=True)
     s.add_argument("--d", type=_int_flag("--d"))
     s.add_argument("--n", type=_int_flag("--n"))
@@ -702,6 +695,67 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--l", type=_int_flag("--l"))
     s.add_argument("--k", type=_int_flag("--k"))
 
+
+# name: (handler, help, the function that adds its arguments).  A group
+# of verbs has the table of its own verbs as handler and takes no
+# arguments of its own.
+_BUDGET_VERBS = {
+    "vertex": (cmd_budget_vertex, None, _vertex_args),
+    "epsdelta": (cmd_budget_epsdelta, None, _epsdelta_args),
+    "window": (cmd_budget_window, None, _window_args),
+    "strip": (cmd_budget_strip, None, _strip_args),
+    "energy": (cmd_budget_energy, None, _energy_args),
+    "continuation": (cmd_budget_continuation, None, _continuation_args),
+    "thin": (cmd_budget_thin, None, _thin_args),
+}
+
+VERBS = {
+    "reduce": (cmd_reduce, "reduce a label tuple", _reduce_args),
+    "classify": (cmd_classify, "classify a label tuple", _classify_args),
+    "trees": (cmd_trees, "enumerate stable shapes", _trees_args),
+    "strata": (cmd_strata, "cluster strata report", _labels_args("strata")),
+    "stacked": (cmd_stacked, "stacked strata report", _labels_args("stacked")),
+    "coloring": (cmd_coloring, "validate a colored tree file", _file_args),
+    "width": (cmd_width, "intrinsic widths and gluing lengths", _width_args),
+    "check-ainf": (cmd_check_ainf, "scan a category for relation violations", _check_ainf_args),
+    "check-linf": (cmd_check_linf, "scan bracket tables", _check_linf_args),
+    "check-ocha": (cmd_check_ocha, "scan open-closed tables", _check_ocha_args),
+    "measure": (cmd_measure, "action discrepancy report", _measure_args),
+    "unit": (cmd_unit, "strict unit check", _unit_args),
+    "functor": (cmd_functor, "functor shift and equation check", _functor_args),
+    "budget": (_BUDGET_VERBS, "curvature and energy budgets", None),
+    "dim": (cmd_dim, "virtual dimension formulas", _dim_args),
+}
+
+
+def build_parser(only=None) -> argparse.ArgumentParser:
+    """The parser of every verb; with only, the parser of the verb only
+    (with all of its sub-verbs), whose usage lines still list every
+    verb.  Either parses the argv of that verb alike."""
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", **_one_of("text", "machine"), default="text",
+                     help="output style (default text)")
+
+    def add_verbs(parent, dest, table, only=None, metavar=None):
+        sub = parent.add_subparsers(dest=dest, required=True, metavar=metavar)
+        for name, (func, help, add_arguments) in table.items():
+            if only not in (None, name):
+                continue
+            if isinstance(func, dict):
+                add_verbs(sub.add_parser(name, help=help), "which", func)
+                continue
+            s = sub.add_parser(name, parents=[fmt], help=help)
+            s.set_defaults(func=func)
+            add_arguments(s)
+
+    p = argparse.ArgumentParser(
+        prog="workbench",
+        description="verification workbench for filtered A-infinity structures",
+    )
+    # In usage lines the metavar stands in for the full parser's choices.
+    # The full parser takes none: its missing-verb error names the
+    # metavar if there is one, and 'verb' otherwise.
+    add_verbs(p, "verb", VERBS, only, None if only is None else "{%s}" % ",".join(VERBS))
     return p
 
 
@@ -713,12 +767,22 @@ def _error_text(e) -> str:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # A run builds the parser of the verb it names; --help, no verb or
+    # an unknown one need them all.
+    only = argv[0] if argv and argv[0] in VERBS else None
+    args = build_parser(only).parse_args(argv)
     try:
         return args.func(args, Out(args.format))
     except (ValueError, OSError) as e:
-        print("error: %s" % _error_text(e), file=sys.stderr)
-        return 2
+        message = _error_text(e)
+    except MemoryError:
+        # Printed once the except clause has dropped the traceback, and
+        # with it the frames that held the memory.
+        message = "out of memory"
+    print("error: %s" % message, file=sys.stderr)
+    return 2
 
 
 def run(argv=None) -> int:

@@ -1,6 +1,7 @@
 import importlib.resources
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -693,6 +694,24 @@ def test_scan_with_no_arity_is_rejected():
         find_ocha_violation(OCHAStructure(), 0, 0)
     with pytest.raises(ValueError, match="must be nonnegative"):
         find_ocha_violation(OCHAStructure(), -1, 2)
+
+
+@pytest.mark.parametrize("bound", [2.5, True, "3"], ids=["float", "bool", "text"])
+def test_scan_bounds_must_be_integers(bound):
+    # 2.5 and True once scanned an unclear range and passed; '3' failed
+    # with a TypeError from the comparison.
+    cat = exterior()
+    shown = repr(bound)
+    with pytest.raises(ValueError, match="^max_d must be an integer, got %s$" % re.escape(shown)):
+        find_ainf_violation(cat, bound)
+    with pytest.raises(ValueError, match="^max_d must be an integer"):
+        find_functor_violation(identity_functor(cat, cat), bound)
+    with pytest.raises(ValueError, match="^max_n must be an integer"):
+        find_linf_violation(LInfinityAlgebra(), bound)
+    with pytest.raises(ValueError, match="^max_closed must be an integer"):
+        find_ocha_violation(OCHAStructure(), bound, 2)
+    with pytest.raises(ValueError, match="^max_open must be an integer"):
+        find_ocha_violation(OCHAStructure(), 2, bound)
 
 
 HEAD = "object M\ngen M M a level=0 ham=0\n"

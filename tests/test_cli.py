@@ -1,6 +1,11 @@
+import argparse
+import contextlib
 import gc
 import hashlib
+import importlib
+import io
 import os
+import resource
 import shlex
 import subprocess
 import sys
@@ -9,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import fukaya_workbench
-from fukaya_workbench import cli
+from fukaya_workbench import ainfinity, cli
 from fukaya_workbench.cli import _read_source, main
 from fukaya_workbench.trees import enumerate_stable_trees, shape_to_sexpr
 from test_strata import labels_for, oracle_report
@@ -127,12 +132,195 @@ def test_enumeration_loads_no_process_pool():
         assert not [m for m in loaded if m.startswith(("concurrent", "multiprocessing"))], verb
 
 
-def test_verbs_load_neither_dataclasses_nor_budget():
+def test_verbs_load_neither_dataclasses_nor_budget(tmp_path):
     # The records are named tuples, and budget is imported by its verbs.
-    for argv in (("strata", "--d", "2"), ("check-ainf", "bundled:exterior", "--max-d", "1"),
-                 ("measure", "bundled:weakly")):
+    # Each verb imports the modules it runs: a scan loads neither trees
+    # nor strata, an enumeration not ainfinity.
+    for name in ("ok.linf", "ok.ocha", "id.fun"):
+        (tmp_path / name).write_text(SCAN_FILES[name])
+    scan = ("fukaya_workbench.ainfinity",
+            {"fukaya_workbench.trees", "fukaya_workbench.strata"})
+    enumeration = ("fukaya_workbench.trees", {"fukaya_workbench.ainfinity"})
+    runs = [
+        (("trees", "--d", "3"), enumeration),
+        (("strata", "--d", "2"), enumeration),
+        (("stacked", "--d", "2"), enumeration),
+        (("check-ainf", "bundled:exterior", "--max-d", "1"), scan),
+        (("measure", "bundled:weakly"), scan),
+        (FUNCTOR + (str(tmp_path / "id.fun"),), scan),
+        (("check-linf", str(tmp_path / "ok.linf")), scan),
+        (("check-ocha", str(tmp_path / "ok.ocha"), "--specializations"), scan),
+    ]
+    for argv, (used, unused) in runs:
         loaded = _fresh_run(*argv)[1]
-        assert not loaded & {"dataclasses", "inspect", "fukaya_workbench.budget"}, argv
+        assert used in loaded, argv
+        assert not loaded & ({"dataclasses", "inspect", "fukaya_workbench.budget"} | unused), argv
+
+
+# The public names of the package, by the module that defines them, as
+# the package exported them when it imported every module up front.
+PACKAGE_EXPORTS = {
+    "novikov": "ActionValue NovikovElement action action_max action_of_sum action_sum nov_add "
+               "nov_from_text nov_mul nov_to_text valuation",
+    "trees": "INF LabelledTree MetricTree ReducedTuple TreeDecomposition classify_tuple "
+             "enumerate_stable_trees fundamental_decomposition glue_labels glue_metrics "
+             "glue_trees metric_from_text metric_to_text reduce_tuple tree_from_text tree_to_text",
+    "strata": "ColoredTree ColoringReport Glue Stratum Surface WidthProfile coloring_cone_dim "
+              "enumerate_cluster_strata enumerate_stacked_strata f_vector facet_term_bijection "
+              "generalized_corner_flag intrinsic_width stacked_gluing_lengths validate_coloring "
+              "width_expr_from_text width_expr_to_text",
+    "ainfinity": "AInfFunctor DiscrepancyReport FilteredAInfCategory LInfinityAlgebra "
+                 "OCHAStructure UnitReport ainf_defect check_strict_unit dump_category "
+                 "dump_functor dump_linf dump_ocha find_ainf_violation find_functor_violation "
+                 "find_linf_violation find_ocha_violation functor_defect functor_shift "
+                 "linf_defect load_category load_functor load_linf load_ocha "
+                 "measure_discrepancies ocha_defect ocha_specialization_report",
+    "budget": "IndexInput continuation_shift energy_action_check eps_delta_budget "
+              "strip_end_bound thin_part_count validate_floer_window vertex_curvature_budget "
+              "virtual_dimension",
+}
+
+
+def test_package_names_are_the_same_objects_loaded_on_first_use():
+    listed = set(dir(fukaya_workbench))
+    for module, names in PACKAGE_EXPORTS.items():
+        source = importlib.import_module("fukaya_workbench." + module)
+        assert getattr(fukaya_workbench, module) is source
+        for name in names.split():
+            assert getattr(fukaya_workbench, name) is getattr(source, name), name
+        assert listed >= {module, *names.split()}
+    with pytest.raises(AttributeError):
+        fukaya_workbench.no_such_name
+    env = dict(os.environ, PYTHONPATH=str(Path(fukaya_workbench.__file__).parents[1]))
+    code = ("import sys, fukaya_workbench as f\n"
+            "print(*sorted(m for m in sys.modules if m.startswith('fukaya_workbench')))\n"
+            "f.nov_mul\n"
+            "print(*sorted(m for m in sys.modules if m.startswith('fukaya_workbench')))\n")
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert res.stdout == "fukaya_workbench\nfukaya_workbench fukaya_workbench.novikov\n"
+
+
+# -- the one-verb parser -------------------------------------------------
+
+# A run of each verb and sub-verb, and a bad value of one of its flags.
+# Parsing opens no file, so file arguments are bare names.
+PARSER_RUNS = {
+    ("reduce",): (["(L0,L1,L0)"], ["(L0)"]),
+    ("classify",): (["(L0,L1,L0)"], ["(A,,B)"]),
+    ("trees",): (["--d", "3", "--binary"], ["--d", "13"]),
+    ("strata",): (["--labels", "(A,B,A,B)"], ["--d", "x"]),
+    ("stacked",): (["--d", "3", "--format", "machine"], ["--d", "10"]),
+    ("coloring",): (["t.txt"], ["t.txt", "--format", "json"]),
+    ("width",): (["--stack=-1/2", "--child-widths", "0,1"], ["--random", "0"]),
+    ("check-ainf",): (["c.cat", "--max-d", "5"], ["c.cat", "--max-d", "1/2"]),
+    ("check-linf",): (["l.txt", "--max-n", "2"], ["l.txt", "--max-n", ""]),
+    ("check-ocha",): (["o.txt", "--specializations"], ["o.txt", "--max-open", "x"]),
+    ("measure",): (["c.cat", "--unit", "M:e", "--unit", "N:f"], ["c.cat", "--unit", "M"]),
+    ("unit",): (["c.cat", "--object", "M", "--unit", "e"], ["c.cat", "--object", "M",
+                                                             "--unit", "e", "--format", "x"]),
+    ("functor",): (["--source", "a", "--target", "b", "--map", "m", "--no-check"],
+                   ["--source", "a", "--target", "b", "--map", "m", "--max-d", "x"]),
+    ("budget", "vertex"): (["--d", "3", "--eps", "1/10", "--case", "closed"],
+                           ["--d", "3", "--eps", "1/0"]),
+    ("budget", "epsdelta"): (["--eps", "1/10", "--delta", "3/4", "--random", "2"],
+                             ["--eps", "1/10", "--delta", "x"]),
+    ("budget", "window"): (["--lo", "3/50", "--hi", "2/25", "--eps", "1/10"],
+                           ["--lo", "x", "--hi", "1", "--eps", "1"]),
+    ("budget", "strip"): (["--lo", "0", "--hi", "1", "--end", "exit", "--cutoffs", "0,1"],
+                          ["--lo", "0", "--hi", "1", "--end", "middle", "--cutoffs", "0"]),
+    ("budget", "energy"): (["--inputs", "1,-inf", "--output", "3", "--curvature", "1/2"],
+                           ["--inputs", "1,x", "--output", "3"]),
+    ("budget", "continuation"): (["--eps1", "1/10", "--delta1", "3/4", "--eps2", "1/10",
+                                  "--delta2", "3/4", "--d", "3"],
+                                 ["--eps1", "1/10", "--delta1", "3/4", "--eps2", "1/10",
+                                  "--delta2", "3/4", "--d", "3.5"]),
+    ("budget", "thin"): (["--d", "5", "--case", "closed"], ["--d", "5", "--case", "x"]),
+    ("dim",): (["--case", "marked_disc", "--l", "3", "--k", "2", "--morse", ""],
+               ["--case", "marked_disc", "--morse", "1,x"]),
+}
+
+
+def _parse(parser, argv):
+    """(exit code or Namespace, stdout, stderr) of parser on argv."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parser.parse_args(argv)
+        except SystemExit as e:
+            result = e.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def test_parser_runs_cover_every_verb():
+    def paths(parser, path=()):
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for name, sub in action.choices.items():
+                    yield from paths(sub, path + (name,)) if sub._subparsers else [path + (name,)]
+
+    assert sorted(paths(cli.build_parser())) == sorted(PARSER_RUNS)
+
+
+@pytest.mark.parametrize("path", sorted(PARSER_RUNS), ids=" ".join)
+def test_one_verb_parser_parses_as_the_full_parser(path):
+    one, full = cli.build_parser(path[0]), cli.build_parser()
+    verbs = [a for a in one._actions if isinstance(a, argparse._SubParsersAction)]
+    assert [list(a.choices) for a in verbs] == [[path[0]]]
+    run, bad = PARSER_RUNS[path]
+    path = list(path)
+    # --help; a missing required argument; a bad flag value; an
+    # unrecognized argument, whose usage line names every verb
+    for argv, code, message in ((path + ["--help"], 0, ""),
+                                (path, 2, " required"),
+                                (path + bad, 2, "error: argument "),
+                                (path + run + ["--bogus"], 2, "error: unrecognized arguments: ")):
+        result = _parse(one, argv)
+        assert result == _parse(full, argv), argv
+        assert result[0] == code and message in result[2], argv
+    assert "{reduce,classify,trees," in result[2]
+    namespace = _parse(one, path + run)
+    assert namespace == _parse(full, path + run)
+    assert isinstance(namespace[0], argparse.Namespace) and namespace[1:] == ("", "")
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["bogus"], ["--format", "machine"]])
+def test_a_run_naming_no_verb_builds_every_verb(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out, captured.err) == _parse(cli.build_parser(), argv)
+
+
+def _limited_run(megabytes, *argv):
+    """A CLI child whose address space is limited to megabytes; the
+    limit is set in the child alone, before it starts Python."""
+    env = dict(os.environ, PYTHONPATH=str(Path(fukaya_workbench.__file__).parents[1]))
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (megabytes << 20, megabytes << 20))
+
+    return subprocess.run([sys.executable, "-m", "fukaya_workbench.cli", *argv], env=env,
+                          preexec_fn=limit, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True)
+
+
+def test_running_out_of_memory_is_a_usage_exit_with_one_error_line(tmp_path):
+    # trees --d 12 peaks near 100 MB; it streams, so its stdout is cut.
+    res = _limited_run(60, "trees", "--d", "12", "--format", "machine")
+    assert (res.returncode, res.stderr) == (2, "error: out of memory\n")
+    assert "count=" not in res.stdout[-100:]
+    # The OCHA report over 10 closed elements at --max-closed 12 peaks near
+    # 160 MB, and check-ocha prints nothing before it is done.
+    ocha = tmp_path / "ten.ocha"
+    ocha.write_text("".join("closed c%d\n" % i for i in range(10)) + "open o\n")
+    argv = ("check-ocha", str(ocha), "--max-open", "1", "--specializations")
+    res = _limited_run(60, *argv, "--max-closed", "12")
+    assert (res.returncode, res.stdout, res.stderr) == (2, "", "error: out of memory\n")
+    # The limit leaves room for a small run.
+    res = _limited_run(60, *argv, "--max-closed", "2")
+    assert (res.returncode, res.stderr) == (0, "")
+    assert res.stdout.endswith("closed_sector_linf_consistent: yes\n")
 
 
 def _run_without_site(*argv):
@@ -665,8 +853,8 @@ def test_functor_loads_a_category_once_when_source_and_target_texts_agree(
     (tmp_path / "id.fun").write_text(EXTERIOR_MAP)
     monkeypatch.chdir(tmp_path)
     loads = []
-    load = cli.load_category
-    monkeypatch.setattr(cli, "load_category", lambda text: loads.append(text) or load(text))
+    load = ainfinity.load_category
+    monkeypatch.setattr(ainfinity, "load_category", lambda text: loads.append(text) or load(text))
 
     def functor(target):
         loads.clear()
