@@ -23,6 +23,7 @@ from .novikov import (
     _frac_memo,
     _int,
     _preview,
+    _require_int,
     nov_add,
     nov_from_text,
     nov_mul,
@@ -254,13 +255,6 @@ def _first_violation(tuples, defect):
         if value:
             return t, value
     return None
-
-
-def _require_int(name, value):
-    """A scan bound is an int; a bool or a float would scan an unclear
-    range and still pass."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError("%s must be an integer, got %s" % (name, _preview(value)))
 
 
 def _require_positive(name, value):

@@ -77,6 +77,13 @@ def _int(text, what) -> int:
         raise ValueError("%s must be an integer, got %s" % (what, _preview(text))) from None
 
 
+def _require_int(name, value):
+    """A bound given to the library is an int; a bool or a float would
+    give an unclear range, and a scan over it would still pass."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError("%s must be an integer, got %s" % (name, _preview(value)))
+
+
 def _value_text(x) -> str:
     """x as str, or to six significant digits when that would be long."""
     text = str(x)

@@ -17,13 +17,13 @@ from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
-from .novikov import _frac, _int, _preview, _value_text
+from .novikov import _frac, _int, _preview, _require_int, _value_text
 from .trees import (
     LabelledTree,
     MetricTree,
+    _combos,
     _Tokens,
-    _stable_items,
-    compositions,
+    _tree_levels,
     shape_to_sexpr,
     stable_sexprs,
 )
@@ -77,18 +77,18 @@ def _unilabelled_spans(labels):
 
 def _classified_items(d, same, leaf, join):
     """(item, unilabelled edges, Floer edges) of each stable tree with d
-    leaves, by trees._stable_items, where leaf(first) is a leaf's item and
+    leaves, by trees._tree_levels, where leaf(first) is a leaf's item and
     join(child items) a vertex's: a vertex below the root adds the edge
     above it, which is unilabelled exactly when its leaf span is in same."""
 
-    def vertex(m, first, combos):
+    def vertex(m, first, comp, options):
         uni = (first, first + m - 1) in same
         floer = m < d and not uni
-        for children in combos:
+        for children in _combos(options):
             items, unis, floers = zip(*children)
             yield join(items), sum(unis, uni), sum(floers, floer)
 
-    return _stable_items(d, None, lambda first: (leaf(first), 0, 0), vertex)
+    return _tree_levels(d, None, lambda first: (leaf(first), 0, 0), vertex)(d, 1)
 
 
 def cluster_report_lines(labels):
@@ -151,17 +151,17 @@ def facet_term_bijection(labels):
 
     # A subtree is built as (shape, Floer spans, unilabelled spans), and
     # none with two Floer edges, which give a codimension of at least 2.
-    def vertex(m, first, combos):
+    def vertex(m, first, comp, options):
         span = (first, first + m - 1)
         uni = (span,) if span in same else ()
         floer = () if uni or m == d else (span,)
-        for children in combos:
+        for children in _combos(options):
             shapes, below, unis = zip(*children)
             if len(floers := sum(below, floer)) < 2:
                 yield shapes, floers, sum(unis, uni)
 
     out = []
-    for shape, floer, uni in _stable_items(d, None, lambda first: (None, (), ()), vertex):
+    for shape, floer, uni in _tree_levels(d, None, lambda first: (None, (), ()), vertex)(d, 1):
         # The edge a facet breaks is its one Floer edge, or, when it has
         # none, one of its unilabelled edges; a corolla has no facet.
         if kind := floer or uni:
@@ -307,19 +307,14 @@ def generalized_corner_flag(ct: ColoredTree) -> bool:
 _LEAF = (True, 0, "(leaf %d)", (), None)
 
 
-def _stable_vertex(m, first, combos):
-    """The items of the stable vertices whose children run over combos,
-    for trees._stable_items.  They carry no coloring record: they hang
-    from a unary root, which is colored, or stand beside a bare leaf
-    under the root, which is then the one colored vertex."""
-    for children in combos:
+def _stable_vertex(m, first, comp, options):
+    """The items of the stable vertices with children from options, for
+    trees._tree_levels.  They carry no coloring record: they hang from a
+    unary root, which is colored, or stand beside a bare leaf, which
+    leaves the root as the one colored vertex."""
+    for children in _combos(options):
         _, counts, heads, _, shapes = zip(*children)
         yield True, 1 + sum(counts), "(v %s)" % " ".join(heads), (), shapes
-
-
-def _stable_stacked(n):
-    """The stable subtrees with n >= 2 leaves as stacked items, streamed."""
-    return _stable_items(n, None, lambda first: _LEAF, _stable_vertex)
 
 
 def _stacked_items(d: int):
@@ -328,87 +323,88 @@ def _stacked_items(d: int):
     (stable, vertex count, plain template, coloring records, shape); the
     shape is the tuple of the children's shapes, a leaf's is None.
 
-    A subtree may be stable (every vertex has arity >= 2, so it may sit
-    above the color line) or colorable (at its root when all children
-    are stable, or, at arity >= 2, in every child).  A subtree with
-    neither property fits nowhere: it has a bare leaf beside a child
-    that is not stable.  Such children combinations are never built,
-    so the cost follows the faces of the multiplihedron rather than
-    every planar shape.  A unary root must be colored, so its child is
-    a leaf or a stable tree, streamed by trees._stable_items, which
-    keeps the smaller stable trees for its call.  The others with fewer
-    than d - 1 leaves are built once per leaf count and kept for the
-    call.  A child with d - 1 leaves occurs only under the root, in the
-    compositions (1, d - 1) and (d - 1, 1), and is streamed: beside a
-    bare leaf only a stable child survives, so that side reads the
-    stable trees; beside the unary colored leaf, and in (d - 1, 1), it
-    reads a fresh items(d - 1).  So no such child with records is kept.
+    Two calls of trees._tree_levels build them: one the stable trees
+    (every vertex of arity >= 2), without records and each once per leaf
+    count for the call, the other the colored items, from unary(), a
+    colored unary root over a leaf or a stable tree, and vertex(), a
+    vertex of arity >= 2.  A subtree fits above the color line when it
+    is stable, and below or on it when it is colorable: at its root when
+    all children are stable, or, at arity >= 2, in every child.  Beside
+    a bare leaf only the root can be colored, so every other child there
+    is read from the stable trees.  No children combination that fits
+    nowhere is built, so the cost follows the faces of the multiplihedron
+    rather than every planar shape.  The colored items with d - 1 leaves
+    are streamed, built once in each of the root's compositions (1, d - 1)
+    and (d - 1, 1), and never kept.
 
     The records list the root colored first, then the product of the
     children's records.  A record is (colored template with v* heads,
     colored paths as text such as 'r.0,r.1.0', number of colored paths,
     below), where below is 0, 1 or 2 as the vertices strictly below the
     color line are none, a chain, or split over two branches.  A child's
-    records are rewritten for its position once per composition, so a
+    records are rewritten for its position once per composition, or, for
+    the one large part of a composition, each time it is read, so a
     parent record only joins its children's texts."""
+    _require_int("d", d)
     if d < 1:
         raise ValueError("stacked strata need d >= 1")
-    memo = {}
-
-    def kept(m):
-        if m not in memo:
-            memo[m] = tuple(items(m))
-        return memo[m]
+    # Level 1 of the stable call is the bare leaf, also when d = 1.
+    stable_trees = _tree_levels(max(d, 2), None, _LEAF, _stable_vertex)
 
     def at(i, item):
-        """item as the child at position i: its records' paths start
-        with r.i, rewritten once per composition, not once per parent."""
+        """item as the child at position i: its paths start with r.i."""
         stable, count, template, records, shape = item
         prefix = "r.%d" % i
         return stable, count, template, [(t, text.replace("r", prefix), paths, below)
                                          for t, text, paths, below in records], shape
 
-    def kept_combos(comp):
-        every = [[at(i, c) for c in kept(m)] for i, m in enumerate(comp)]
-        if 1 not in comp:
-            return itertools.product(*every)
-        # A bare leaf leaves only the root to color, so every child
-        # beside it is stable; the other combinations are not built.
-        p = comp.index(1)
-        leaf_tail = [(_LEAF,) if m == 1 else [c for c in cs if c[0]]
-                     for m, cs in zip(comp[p:], every[p:])]
-        return (head + tail for head in itertools.product(*every[:p])
-                for tails in ((leaf_tail, every[p:]) if all([c[0] for c in head]) else (every[p:],))
-                for tail in itertools.product(*tails))
+    def unary(m, first):
+        for child in stable_trees(m, first):
+            template = child[2]
+            yield False, 1 + child[1], "(v %s)" % template, (("(v* %s)" % template, "r", 1, 0),), (child[4],)
 
-    def items(n):
-        for k in range(1, n + 1):
-            for comp in compositions(n, k):
-                if k == 1:
-                    combos = zip((_LEAF,) if n == 1 else _stable_stacked(n))
-                elif n == d > 2 and comp == (1, d - 1):
-                    unary = at(0, kept(1)[0])
-                    combos = itertools.chain(zip(itertools.repeat(_LEAF), _stable_stacked(d - 1)),
-                                             ((unary, at(1, c)) for c in items(d - 1)))
-                elif n == d > 2 and comp == (d - 1, 1):
-                    unary = at(1, kept(1)[0])
-                    combos = ((c, b) for c in map(at, itertools.repeat(0), items(d - 1))
-                              for b in ((_LEAF, unary) if c[0] else (unary,)))
-                else:
-                    combos = kept_combos(comp)
-                for children in combos:
-                    stables, counts, heads, child_records, shapes = zip(*children)
-                    all_stable = all(stables)
-                    product = k >= 2 and all(counts)
-                    heads = " ".join(heads)
-                    records = [("(v* %s)" % heads, "r", 1, 0)] if all_stable else []
-                    for combo in itertools.product(*child_records) if product else ():
-                        templates, texts, paths, belows = zip(*combo)
-                        records.append(("(v %s)" % " ".join(templates), ",".join(texts),
-                                        sum(paths), 1 if sum(belows) <= 1 else 2))
-                    yield k >= 2 and all_stable, 1 + sum(counts), "(v %s)" % heads, records, shapes
+    def vertex(m, first, comp, options):
+        # The largest part, when the others have at most two leaves in
+        # all, is rewritten as it is read, at most three times (once per
+        # item with two leaves before it), and never held; every other
+        # part is rewritten once and held for the composition.
+        big = comp.index(max(comp)) if max(comp) >= max(m - 2, 2) else None
+        every = [map(at, itertools.repeat(i), o) if i == big or type(o) is not tuple
+                 else tuple(map(at, itertools.repeat(i), o)) for i, o in enumerate(options)]
+        if 1 not in comp and big is not None:  # (c, 2) or (2, c)
+            combos = itertools.chain.from_iterable(
+                zip(itertools.repeat(a), map(at, itertools.repeat(1), options[1]) if big else every[1])
+                for a in every[0])
+        elif 1 not in comp:
+            combos = _combos(every)
+        else:
+            # Level 1 holds the bare leaf, then the colored unary vertex
+            # over it.  From the first part with one leaf on, either every
+            # such part is a bare leaf and every other child is stable, or
+            # none is.  A part read once is the only one with two leaves
+            # or more, so it stands first or beside single items.
+            p = comp.index(1)
+            parts = list(zip(comp, itertools.accumulate(comp, initial=first)))[p:]
+            bare = [(_LEAF,) if c == 1 else stable_trees(c, o) for c, o in parts]
+            unary_leaves = [(o[1],) if c == 1 else o for (c, _), o in zip(parts, every[p:])]
+            if p == 0:
+                combos = itertools.chain(_combos(bare), _combos(unary_leaves))
+            else:
+                combos = (head + tail for head in _combos(every[:p])
+                          for tails in ((bare, unary_leaves) if all(h[0] for h in head) else (unary_leaves,))
+                          for tail in itertools.product(*tails))
+        for children in combos:
+            stables, counts, heads, child_records, shapes = zip(*children)
+            all_stable = all(stables)
+            heads = " ".join(heads)
+            records = [("(v* %s)" % heads, "r", 1, 0)] if all_stable else []
+            for combo in itertools.product(*child_records) if all(counts) else ():
+                templates, texts, paths, belows = zip(*combo)
+                records.append(("(v %s)" % " ".join(templates), ",".join(texts),
+                                sum(paths), 1 if sum(belows) <= 1 else 2))
+            yield all_stable, 1 + sum(counts), "(v %s)" % heads, tuple(records), shapes
 
-    return items(d)
+    return _tree_levels(d, None, _LEAF, vertex, unary)(d, 1)
 
 
 def stacked_report_lines(d: int):

@@ -21,20 +21,16 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .novikov import _frac, _int, _preview, _value_text
+from .novikov import _frac, _int, _preview, _require_int, _value_text
 
 INF = float("inf")
 
 
 def compositions(n: int, k: int):
-    """Ordered k-tuples of positive integers summing to n."""
-    assert n >= k >= 1
-    if k == 1:
-        yield (n,)
-        return
-    for first in range(1, n - k + 2):
-        for rest in compositions(n - first, k - 1):
-            yield (first,) + rest
+    """Ordered k-tuples of positive integers summing to n, in
+    lexicographic order: the gaps between 0, k - 1 cuts and n."""
+    for cuts in itertools.combinations(range(1, n), k - 1):
+        yield tuple(b - a for a, b in zip((0,) + cuts, cuts + (n,)))
 
 
 def node_at(shape, path):
@@ -583,72 +579,75 @@ def glue_metrics(m1: MetricTree, leaf: int, m2: MetricTree, rho=None, length=Non
 # -- enumeration -------------------------------------------------------
 
 
-def _arity_cap(d: int, max_arity) -> int:
-    if d < 2:
-        raise ValueError("stable trees need d >= 2")
-    if max_arity is not None and max_arity < 2:
-        raise ValueError("a stable vertex has arity at least 2, got max_arity %d" % max_arity)
-    return d if max_arity is None else min(d, max_arity)
-
-
 def enumerate_stable_trees(d: int, max_arity=None):
     """All planar rooted shapes with d leaves and every vertex of arity
     at least 2, and at most max_arity when given, in a fixed canonical
     order (root arity ascending, then composition and children), as a
-    list of nested tuples built by _stable_items."""
-    return list(_stable_items(d, max_arity, None, lambda m, first, combos: combos))
+    list of nested tuples built by _tree_levels."""
+    return list(_tree_levels(d, max_arity, None, lambda m, first, comp, options: _combos(options))(d, 1))
 
 
-def _stable_items(d: int, max_arity, leaf, vertex):
-    """One item per stable shape with d leaves (arities at most
-    max_arity), by root arity, then composition, then children,
-    generated one at a time: vertex(m, first, combos) yields the items
-    of the vertices with m leaves numbered from first whose children run
-    over combos, a stream of tuples of child items.  When leaf is a
-    function, leaf(first) is the item of the leaf numbered first, every
-    subtree with at most d - 2 leaves is built once per first leaf and
-    kept for the call, and the two root children with d - 1 leaves, in
-    the compositions (1, d - 1) and (d - 1, 1), are streamed.  Otherwise
-    leaf is the item of every leaf, vertex must ignore first, and every
-    subtree is built once per leaf count and kept.  The arguments are
-    checked before the first item."""
-    cap = _arity_cap(d, max_arity)
+def _tree_levels(d: int, max_arity, leaf, vertex, unary=None):
+    """level(m, first): the items of the subtrees with m leaves numbered
+    from first, of the trees with d leaves, by root arity, composition
+    and children; callers read level(d, 1).  Below the root, level 1
+    starts with leaf(first) when leaf is a function, else with leaf.
+    Then unary(m, first), when given, yields the items with a unary
+    root, and vertex(m, first, comp, options) those whose root splits m
+    by comp into 2..max_arity parts, options[i] holding child i's items.
+
+    Levels below d - 1 are built once, per first leaf when leaf is a
+    function and per leaf count otherwise, and kept for the call; level
+    d is streamed.  Level d - 1, read only by the root's compositions
+    (1, d - 1) and (d - 1, 1), is streamed when leaf is a function, as
+    each read has a key of its own, or when unary roots are given, as
+    their items there are too many to keep, and kept otherwise.  The
+    arguments are checked before the first item."""
+    _require_int("d", d)
+    if max_arity is not None:
+        _require_int("max_arity", max_arity)
+    if d < (1 if unary else 2):
+        raise ValueError("stable trees need d >= 2")
+    if max_arity is not None and max_arity < 2:
+        raise ValueError("a stable vertex has arity at least 2, got max_arity %d" % max_arity)
+    cap = d if max_arity is None else min(d, max_arity)
     numbered = callable(leaf)
+    last_kept = d - 2 if (numbered or unary) and d > 2 else d - 1
     memo = {}
 
-    def kept(m, first):
+    def level(m, first):
         key = (m, first) if numbered else m
-        if key not in memo:
-            memo[key] = tuple(items(m, first))
-        return memo[key]
+        kept = memo.get(key)
+        if kept is None:
+            if m > last_kept:
+                return items(m, first)
+            kept = memo[key] = tuple(items(m, first))
+        return kept
 
     def items(m, first):
-        if m == 1:
-            yield leaf(first) if numbered else leaf
-        for k in range(2, min(m, cap) + 1):
-            for comp in compositions(m, k):
-                streamed = numbered and d - 1 in comp
-                options = [(items if streamed and c == d - 1 else kept)(c, offset)
-                           for c, offset in zip(comp, itertools.accumulate(comp, initial=first))]
-                if streamed:
-                    # (1, d - 1) or (d - 1, 1) under the root: the other
-                    # side is one leaf, so the streamed side is read
-                    # once; product() would hold all of it.
-                    left, right = options
-                    combos = ((a, b) for a in left for b in right)
-                else:
-                    combos = itertools.product(*options)
-                yield from vertex(m, first, combos)
+        vertices = (vertex(m, first, comp, list(map(level, comp, itertools.accumulate(comp, initial=first))))
+                    for k in range(2, min(m, cap) + 1) for comp in compositions(m, k))
+        return itertools.chain((leaf(first) if numbered else leaf,) if m == 1 < d else (),
+                               unary(m, first) if unary else (), itertools.chain.from_iterable(vertices))
 
-    return items(d, 1)
+    return level
+
+
+def _combos(options):
+    """The tuples of one item per option, in product order.  An option
+    is a kept tuple or a stream, which is read once: it stands beside
+    single items only, repeated along it, as product() would hold it."""
+    if all(type(o) is tuple for o in options):
+        return itertools.product(*options)
+    return zip(*(itertools.repeat(o[0]) if type(o) is tuple else o for o in options))
 
 
 def stable_sexprs(d: int, max_arity=None):
     """The shapes of enumerate_stable_trees(d, max_arity), in its order,
     as their s-expressions shape_to_sexpr(shape), generated one at a
-    time by _stable_items, so lazily and after checking the arguments."""
-    return _stable_items(d, max_arity, "(leaf %d)".__mod__,
-                         lambda m, first, combos: map("(v %s)".__mod__, map(" ".join, combos)))
+    time by _tree_levels, so lazily and after checking the arguments."""
+    return _tree_levels(d, max_arity, "(leaf %d)".__mod__, lambda m, first, comp, options:
+                        map("(v %s)".__mod__, map(" ".join, _combos(options))))(d, 1)
 
 
 # -- fundamental decomposition -----------------------------------------

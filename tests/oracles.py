@@ -485,6 +485,28 @@ def _scale(coeffs, exp):
     return frozenset(e + exp for e in coeffs)
 
 
+def _times(a, b):
+    """The Z2 product of two exponent sets: every sum of one exponent of
+    each, a sum reached an even number of times cancelling."""
+    out = frozenset()
+    for e in a:
+        out = _xor(out, _scale(b, e))
+    return out
+
+
+# The exponent set of the unit T^0.
+_ONE = frozenset([Fraction(0)])
+
+
+def _add_term_oracle(acc, gen, coeffs):
+    """Add the exponent set coeffs to acc[gen] over Z2, dropping zeros."""
+    new = _xor(acc.get(gen, frozenset()), coeffs)
+    if new:
+        acc[gen] = new
+    else:
+        acc.pop(gen, None)
+
+
 def table_lookup(table, x, y):
     return table.get((x, y), {})
 
@@ -493,27 +515,12 @@ def associator(table, x, y, z):
     """(x*y)*z + x*(y*z) over Z2 Novikov coefficients; the table maps
     basis pairs to {basis: frozenset of exponents}."""
     acc = {}
-
-    def add(g, coeffs):
-        cur = acc.get(g, frozenset())
-        new = _xor(cur, coeffs)
-        if new:
-            acc[g] = new
-        else:
-            acc.pop(g, None)
-
     for g, c in table_lookup(table, x, y).items():
         for h, c2 in table_lookup(table, g, z).items():
-            merged = frozenset()
-            for e in c:
-                merged = _xor(merged, _scale(c2, e))
-            add(h, merged)
+            _add_term_oracle(acc, h, _times(c, c2))
     for g, c in table_lookup(table, y, z).items():
         for h, c2 in table_lookup(table, x, g).items():
-            merged = frozenset()
-            for e in c:
-                merged = _xor(merged, _scale(c2, e))
-            add(h, merged)
+            _add_term_oracle(acc, h, _times(c, c2))
     return acc
 
 
@@ -533,25 +540,16 @@ def associativity_violations(table, basis):
 # index-ordered subsets walked inline, the open-closed sum as one nested
 # loop over closed splits and open positions, and the functor's target
 # side over every composition of the inputs, each product taken from the
-# unit.  Inputs must be valid; nothing is checked.
-
-
-def _add_term_oracle(acc, gen, coeff):
-    from fukaya_workbench.novikov import nov_add
-
-    new = nov_add(acc[gen], coeff) if gen in acc else coeff
-    if new.is_zero:
-        acc.pop(gen, None)
-    else:
-        acc[gen] = new
+# unit.  Coefficients are the exponent sets of the tables' entries,
+# added and multiplied by _xor and _times, not by the package's Novikov
+# arithmetic; a defect is {output: exponent set}.  Inputs must be
+# valid; nothing is checked.
 
 
 def _block_insertions(total, inputs, inner, outer):
     """Add to total every single insertion outer(.., inner(block), ..)
     of a nonempty block of consecutive inputs; inner and outer are
     tables keyed by input tuples."""
-    from fukaya_workbench.novikov import nov_mul
-
     d = len(inputs)
     for m in range(1, d + 1):
         for n in range(0, d - m + 1):
@@ -562,7 +560,7 @@ def _block_insertions(total, inputs, inner, outer):
                 result = outer.get(inputs[:n] + (g,) + inputs[n + m:])
                 if result:
                     for h, c2 in result.items():
-                        _add_term_oracle(total, h, nov_mul(c, c2))
+                        _add_term_oracle(total, h, _times(c.exps, c2.exps))
 
 
 def _subset_insertions(total, inputs, inner, outer):
@@ -570,8 +568,6 @@ def _subset_insertions(total, inputs, inner, outer):
     over the nonempty index-ordered subsets S of the inputs, so that each
     unordered split counts once; inner and outer look up entries by input
     tuple."""
-    from fukaya_workbench.novikov import nov_mul
-
     n = len(inputs)
     for m in range(1, n + 1):
         for S in itertools.combinations(range(n), m):
@@ -582,7 +578,7 @@ def _subset_insertions(total, inputs, inner, outer):
             rest = tuple(inputs[i] for i in range(n) if i not in chosen)
             for g, c in entry.items():
                 for h, c2 in outer((g,) + rest).items():
-                    _add_term_oracle(total, h, nov_mul(c, c2))
+                    _add_term_oracle(total, h, _times(c.exps, c2.exps))
 
 
 def ainf_defect_oracle(cat, inputs):
@@ -601,8 +597,6 @@ def ocha_defect_oracle(s, closed_inputs, open_inputs):
     """Closed brackets into a closed slot, then for each closed split an
     open-closed map into an open slot, the empty open block included
     under a nonempty closed part."""
-    from fukaya_workbench.novikov import nov_mul
-
     closed = tuple(closed_inputs)
     opens = tuple(open_inputs)
     k = len(closed)
@@ -626,15 +620,13 @@ def ocha_defect_oracle(s, closed_inputs, open_inputs):
                             outer_closed, opens[:i] + (g,) + opens[i + t:]
                         )
                         for h, c2 in outer.items():
-                            _add_term_oracle(total, h, nov_mul(c, c2))
+                            _add_term_oracle(total, h, _times(c.exps, c2.exps))
     return total
 
 
 def functor_defect_oracle(F, inputs):
     """Target operations on the components of every composition of the
     inputs, then components on single source-operation insertions."""
-    from fukaya_workbench.novikov import NovikovElement, nov_mul
-
     inputs = tuple(inputs)
     d = len(inputs)
     total = {}
@@ -653,12 +645,12 @@ def functor_defect_oracle(F, inputs):
                 continue
             for combo in itertools.product(*(b.items() for b in blocks)):
                 names = tuple(g for g, _ in combo)
-                coeff = NovikovElement.one()
+                coeff = _ONE
                 for _, c in combo:
-                    coeff = nov_mul(coeff, c)
+                    coeff = _times(coeff, c.exps)
                 outer = F.target.mu_entry(names)
                 for h, c2 in outer.items():
-                    _add_term_oracle(total, h, nov_mul(coeff, c2))
+                    _add_term_oracle(total, h, _times(coeff, c2.exps))
     _block_insertions(total, inputs, F.source.mu, F.table)
     return total
 

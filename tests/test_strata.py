@@ -13,7 +13,7 @@ import pytest
 
 import oracles
 import fukaya_workbench
-from fukaya_workbench import LabelledTree
+from fukaya_workbench import LabelledTree, trees
 from fukaya_workbench.cli import main
 from fukaya_workbench.strata import (ColoredTree, Glue, Surface, WidthProfile,
                                      cluster_report_lines, coloring_cone_dim, count_by_dim,
@@ -468,31 +468,65 @@ def test_stacked_report_lines_match_strata(labels):
     assert [(s.dim, s.report_line()) for s in strata] == pairs
 
 
-def test_stacked_report_lines_build_the_level_below_the_root_twice(monkeypatch):
-    """Each level m = 1..d - 2 is built by one pass over the compositions
-    of m per root arity and kept.  The level d - 1 occurs only under the
-    root and is streamed: it is built anew beside the unary colored leaf
-    in (1, d - 1) and again in (d - 1, 1), so twice; beside a bare leaf
-    it is read from the stable trees, which trees.compositions counts.
-    The level d is built once and streamed, so its first line comes from
-    the unary roots before any other composition is read."""
-    d = 6
-    expected = len(stacked_strata(d))
-    calls = Counter()
-    original = fukaya_workbench.strata.compositions
+def count_stacked_builds(monkeypatch):
+    """(passes over the compositions of m into k parts by (m, k), stable
+    vertex builds by (m, composition)) from now on, for both calls of
+    trees._tree_levels that stacked items make: the stable trees' and
+    the colored items'."""
+    passes, stable = Counter(), Counter()
+    original, stable_vertex = trees.compositions, fukaya_workbench.strata._stable_vertex
 
     def counting(n, k):
-        calls[n, k] += 1
+        passes[n, k] += 1
         return original(n, k)
 
-    monkeypatch.setattr(fukaya_workbench.strata, "compositions", counting)
+    def counting_vertex(m, first, comp, options):
+        stable[m, comp] += 1
+        return stable_vertex(m, first, comp, options)
+
+    monkeypatch.setattr(trees, "compositions", counting)
+    monkeypatch.setattr(fukaya_workbench.strata, "_stable_vertex", counting_vertex)
+    return passes, stable
+
+
+def all_compositions(m):
+    return [comp for k in range(2, m + 1) for comp in oracles._compositions(m, k)]
+
+
+def test_stacked_report_lines_build_the_level_below_the_root_twice(monkeypatch):
+    """The stable trees are built by one pass over the compositions of m
+    per root arity, for m = 2..d.  The colored items are built the same
+    way for m = 2..d - 2 and kept.  Their level d - 1 occurs only under
+    the root and is streamed: it is built anew beside the unary colored
+    leaf in (1, d - 1) and again in (d - 1, 1), so twice; beside a bare
+    leaf the stable trees are read instead.  The level d is built once
+    and streamed, so its first line comes from the unary roots, which
+    read the stable trees alone, before any colored composition."""
+    d = 6
+    expected = len(stacked_strata(d))
+    passes, stable = count_stacked_builds(monkeypatch)
     lines = stacked_report_lines(d)
     next(lines)
-    assert dict(calls) == {(d, 1): 1}
+    assert dict(passes) == {**{(m, k): 1 for m in range(2, d) for k in range(2, m + 1)}, (d, 2): 1}
+    assert set(stable) == {(m, comp) for m in range(2, d) for comp in all_compositions(m)} | {(d, (1, d - 1))}
     assert 1 + sum(1 for _ in lines) == expected
-    builds = {m: 1 for m in range(1, d - 1)}
-    builds.update({d - 1: 2, d: 1})
-    assert dict(calls) == {(m, k): n for m, n in builds.items() for k in range(1, m + 1)}
+    colored = {m: 1 for m in range(2, d - 1)}
+    colored.update({d - 1: 2, d: 1})
+    assert dict(passes) == {(m, k): 1 + n for m, n in colored.items() for k in range(2, m + 1)}
+    assert stable == Counter((m, comp) for m in range(2, d + 1) for comp in all_compositions(m))
+
+
+def test_stacked_report_lines_build_each_stable_subtree_once(monkeypatch):
+    """Every stable vertex of stacked_report_lines(8) is built once per
+    leaf count, not once per first leaf and not once per level that
+    reads it: 2^(m - 1) - 1 compositions for each m = 2..8, 247 in all,
+    where a fresh memo per unary root or per root composition built
+    them 1,286 times."""
+    d = 8
+    _, stable = count_stacked_builds(monkeypatch)
+    assert sum(1 for _ in stacked_report_lines(d)) == sum(oracles.stacked_f_vector_oracle(d))
+    assert stable == Counter((m, comp) for m in range(2, d + 1) for comp in all_compositions(m))
+    assert sum(stable.values()) == 247
 
 
 def traced_bytes(consume):
@@ -546,6 +580,12 @@ def test_enumerations_free_what_they_build():
 
     kept, _ = traced_bytes(consume)
     assert kept < 64 * 1024
+
+
+def test_stacked_d_is_an_integer():
+    """True would read as d = 1 and give that stratum."""
+    with pytest.raises(ValueError, match="^d must be an integer, got True$"):
+        next(stacked_report_lines(True))
 
 
 def test_stacked_strata_need_one_leaf():

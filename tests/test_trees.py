@@ -1,7 +1,5 @@
-import inspect
 import itertools
 import math
-import sys
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -174,6 +172,15 @@ def test_stable_needs_two_leaves():
         enumerate_stable_trees(4, 1)
 
 
+@pytest.mark.parametrize("args, bound", [((4.0,), "d"), ((4, 2.5), "max_arity"), (("4",), "d")],
+                         ids=["float d", "float max_arity", "text d"])
+def test_stable_tree_bounds_are_integers(args, bound):
+    """A bound that is not an int is a ValueError naming it, not a
+    TypeError from the arithmetic and not a range read off a float."""
+    with pytest.raises(ValueError, match="^%s must be an integer, got " % bound):
+        enumerate_stable_trees(*args)
+
+
 # -- s-expressions of the stable shapes --------------------------------
 # The oracles are the ordered contraction oracle, shape_to_sexpr and
 # LabelledTree, which walk the shapes node by node and share no code
@@ -188,10 +195,15 @@ def test_sexprs_are_the_shapes_in_order(max_arity):
         assert list(stable_sexprs(d, max_arity)) == expected, d
 
 
-def test_sexprs_are_generated_lazily_after_checking_arguments():
+def test_sexprs_are_generated_lazily_after_checking_arguments(monkeypatch):
+    """The call builds nothing, and the first text reads only the root's
+    compositions into two parts."""
+    first = shape_to_sexpr(enumerate_stable_trees(8)[0])
+    calls = count_compositions(monkeypatch)
     items = stable_sexprs(8)
-    assert inspect.isgenerator(items)
-    assert next(items) == shape_to_sexpr(enumerate_stable_trees(8)[0])
+    assert iter(items) is items and not calls
+    assert next(items) == first
+    assert (8, 2) in calls and (8, 3) not in calls
     for d, max_arity in ((1, None), (4, 1)):
         with pytest.raises(ValueError):
             stable_sexprs(d, max_arity)
@@ -223,16 +235,13 @@ def test_classified_counts_match_labelled_tree_edges(letters):
 
 
 def count_compositions(monkeypatch):
-    """Count the calls of trees.compositions by (n, k) from now on.  The
-    calls that compositions makes of itself go through the same module
-    global and are left out, so each count is the number of passes over
-    the compositions of n into k parts."""
+    """Count the calls of trees.compositions by (n, k) from now on: the
+    passes over the compositions of n into k parts."""
     calls = Counter()
     original = trees.compositions
 
     def counting(n, k):
-        if sys._getframe(1).f_code is not original.__code__:
-            calls[n, k] += 1
+        calls[n, k] += 1
         return original(n, k)
 
     monkeypatch.setattr(trees, "compositions", counting)
@@ -273,8 +282,8 @@ def test_children_with_d_minus_1_leaves_are_streamed_not_kept(monkeypatch, max_a
         if route == "texts":
             items = stable_sexprs(d, max_arity)
         else:
-            items = trees._stable_items(d, max_arity, lambda first: None,
-                                        lambda m, first, combos: combos)
+            items = trees._tree_levels(d, max_arity, lambda first: None,
+                                       lambda m, first, comp, options: trees._combos(options))(d, 1)
         next(items)
         assert (calls[d - 1, 2], calls[d - 2, 2]) == (1, 1)
         assert 1 + sum(1 for _ in items) == expected
