@@ -15,6 +15,7 @@ import itertools
 import math
 from collections import Counter
 from fractions import Fraction
+from operator import itemgetter
 from typing import NamedTuple
 
 from .novikov import _frac, _int, _preview, _require_int, _value_text
@@ -22,6 +23,7 @@ from .trees import (
     LabelledTree,
     MetricTree,
     _combos,
+    _spaced,
     _Tokens,
     _tree_levels,
     shape_to_sexpr,
@@ -75,18 +77,31 @@ def _unilabelled_spans(labels):
     return labels, d, same
 
 
+def _columns(option):
+    """A child option of (item, unilabelled, Floer) triples as its three
+    columns: tuples for a kept tuple, and for a stream, maps over three
+    tee copies of it, which are read in lockstep."""
+    if type(option) is tuple:
+        return [tuple(map(itemgetter(i), option)) for i in range(3)]
+    return [map(itemgetter(i), copy) for i, copy in enumerate(itertools.tee(option, 3))]
+
+
 def _classified_items(d, same, leaf, join):
     """(item, unilabelled edges, Floer edges) of each stable tree with d
     leaves, by trees._tree_levels, where leaf(first) is a leaf's item and
-    join(child items) a vertex's: a vertex below the root adds the edge
-    above it, which is unilabelled exactly when its leaf span is in same."""
+    join(items) gives a vertex's items, items[i] holding child i's, one
+    per children combination in _combos order.  A vertex below the root
+    adds the edge above it, which is unilabelled exactly when its leaf
+    span is in same.  Each count is a sum over _combos of the children's
+    count columns and the vertex's own edge, so no Python frame runs per
+    combination."""
 
     def vertex(m, first, comp, options):
         uni = (first, first + m - 1) in same
         floer = m < d and not uni
-        for children in _combos(options):
-            items, unis, floers = zip(*children)
-            yield join(items), sum(unis, uni), sum(floers, floer)
+        items, unis, floers = zip(*map(_columns, options))
+        return zip(join(items), map(sum, _combos(unis + ((uni,),))),
+                   map(sum, _combos(floers + ((floer,),))))
 
     return _tree_levels(d, None, lambda first: (leaf(first), 0, 0), vertex)(d, 1)
 
@@ -95,20 +110,33 @@ def cluster_report_lines(labels):
     """(dim, report line) of every cluster stratum, as
     enumerate_cluster_strata and Stratum.report_line would give them,
     generated one at a time from the texts of the stable trees without
-    building a tree."""
+    building a tree, after checking the labels."""
     labels, d, same = _unilabelled_spans(labels)
-    if not same:
+
+    # lines[uni][floer]: the dims of the lines of a tree with uni
+    # unilabelled and floer Floer interior edges, one per broken count k
+    # of 0..uni at codimension floer + k, and the texts before and after
+    # the tree in them, so that each line is one join.
+    lines = [[(tuple(d - 2 - floer - k for k in range(uni + 1)),
+               tuple(("dim=%d codim=%d tree=" % (d - 2 - floer - k, floer + k), " broken=%d colored={}" % k)
+                     for k in range(uni + 1)))
+              for floer in range(d - 1)] for uni in range(d - 1)]
+
+    def floer_line(tree):
         # Every interior edge is a Floer edge; there is one per vertex
         # below the root.
-        for tree in stable_sexprs(d):
-            codim = tree.count("(v") - 1
-            yield d - 2 - codim, stratum_line(d - 2 - codim, codim, tree, 0)
-        return
-    for tree, uni, floer in _classified_items(d, same, "(leaf %d)".__mod__,
-                                              lambda texts: "(v %s)" % " ".join(texts)):
-        for k in range(uni + 1):
-            codim = floer + k
-            yield d - 2 - codim, stratum_line(d - 2 - codim, codim, tree, k)
+        dims, around = lines[0][tree.count("(v") - 1]
+        return dims[0], tree.join(around[0])
+
+    def classified_lines(item):
+        tree, uni, floer = item
+        dims, around = lines[uni][floer]
+        return zip(dims, map(tree.join, around))
+
+    if not same:
+        return map(floer_line, stable_sexprs(d))
+    return itertools.chain.from_iterable(map(classified_lines, _classified_items(
+        d, same, "(leaf %d)".__mod__, lambda texts: map("".join, _combos(_spaced(texts))))))
 
 
 def enumerate_cluster_strata(labels):
@@ -117,7 +145,7 @@ def enumerate_cluster_strata(labels):
     cluster_report_lines classifies them."""
     labels, d, same = _unilabelled_spans(labels)
     out = []
-    for shape, uni, floer in _classified_items(d, same, lambda first: None, tuple):
+    for shape, uni, floer in _classified_items(d, same, lambda first: None, _combos):
         t = LabelledTree(shape, labels)
         out += [Stratum(t, k, floer + k, d - 2 - floer - k) for k in range(uni + 1)]
     return out
@@ -412,13 +440,19 @@ def stacked_report_lines(d: int):
     enumerate_stacked_strata and Stratum.report_line would give them
     for any d + 1 labels, generated one at a time from the coloring
     records: codim = |V| - |colored|, and the corner is generalized
-    exactly when the vertices below the color line split."""
+    exactly when the vertices below the color line split.  d is checked
+    at the call."""
+    items = _stacked_items(d)
     leaves = tuple(range(1, d + 1))
-    for _, vertices, _, records, _ in _stacked_items(d):
-        for template, text, paths, below in records:
-            codim = vertices - paths
-            yield d - 1 - codim, stratum_line(d - 1 - codim, codim, template % leaves, 0,
-                                              "{%s}" % text, below == 2)
+
+    def lines():
+        for _, vertices, _, records, _ in items:
+            for template, text, paths, below in records:
+                codim = vertices - paths
+                yield d - 1 - codim, stratum_line(d - 1 - codim, codim, template % leaves, 0,
+                                                  "{%s}" % text, below == 2)
+
+    return lines()
 
 
 def enumerate_stacked_strata(labels):

@@ -642,12 +642,24 @@ def _combos(options):
     return zip(*(itertools.repeat(o[0]) if type(o) is tuple else o for o in options))
 
 
+def _spaced(options):
+    """options with a vertex text's separators around them as single
+    items, [("(v ",), o1, (" ",), o2, .., (")",)]: one join of each of
+    their _combos tuples is the text of a vertex over those children."""
+    spaced = [("(v ",)]
+    for o in options:
+        spaced += o, (" ",)
+    spaced[-1] = (")",)
+    return spaced
+
+
 def stable_sexprs(d: int, max_arity=None):
     """The shapes of enumerate_stable_trees(d, max_arity), in its order,
     as their s-expressions shape_to_sexpr(shape), generated one at a
-    time by _tree_levels, so lazily and after checking the arguments."""
+    time by _tree_levels, so lazily and after checking the arguments;
+    each vertex text is one join."""
     return _tree_levels(d, max_arity, "(leaf %d)".__mod__, lambda m, first, comp, options:
-                        map("(v %s)".__mod__, map(" ".join, _combos(options))))(d, 1)
+                        map("".join, _combos(_spaced(options))))(d, 1)
 
 
 # -- fundamental decomposition -----------------------------------------

@@ -583,9 +583,20 @@ def test_enumerations_free_what_they_build():
 
 
 def test_stacked_d_is_an_integer():
-    """True would read as d = 1 and give that stratum."""
+    """True would read as d = 1 and give that stratum; the call raises,
+    before any line is asked for."""
     with pytest.raises(ValueError, match="^d must be an integer, got True$"):
-        next(stacked_report_lines(True))
+        stacked_report_lines(True)
+
+
+@pytest.mark.parametrize("route, argument, message", [
+    (cluster_report_lines, "A", "^cluster strata need d >= 2$"),
+    (stacked_report_lines, 0, "^stacked strata need d >= 1$"),
+], ids=["cluster", "stacked"])
+def test_report_lines_check_their_argument_at_the_call(route, argument, message):
+    """The call raises, before any line is asked for."""
+    with pytest.raises(ValueError, match=message):
+        route(argument)
 
 
 def test_stacked_strata_need_one_leaf():

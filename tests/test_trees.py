@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -224,14 +225,47 @@ def test_classified_counts_match_labelled_tree_edges(letters):
     edges that LabelledTree finds unilabelled and Floer, with both the
     shapes and the texts as items."""
     labels = {d: letters[:d + 1] for d in range(2, 8)}
-    shapes = [item for d in range(2, 8) for item in classified(labels[d], lambda first: None, tuple)]
+    shapes = [item for d in range(2, 8) for item in classified(labels[d], lambda first: None, trees._combos)]
     texts = [item for d in range(2, 8)
-             for item in classified(labels[d], "(leaf %d)".__mod__, lambda ts: "(v %s)" % " ".join(ts))]
+             for item in classified(labels[d], "(leaf %d)".__mod__,
+                                    lambda ts: map("".join, trees._combos(trees._spaced(ts))))]
     assert len(shapes) == len(texts) == len(STABLE_SHAPES)
     for (d, shape), item, (text, *counts) in zip(STABLE_SHAPES, shapes, texts):
         t = LabelledTree(shape, labels[d])
         assert item == (shape, len(t.uni_interior_edges), len(t.floer_interior_edges))
         assert (text, *counts) == (shape_to_sexpr(shape), *item[1:])
+
+
+def test_classifier_enters_its_vertex_once_per_composition(monkeypatch):
+    """Under sys.setprofile, the classified text items of ABCABCABCA
+    (20,793 trees) enter the classifier's vertex code at most once per
+    composition that the recursion visits: the counts are summed by
+    C-level maps, with no Python frame resumed per children combination."""
+    visited = []
+    original = trees.compositions
+
+    def counting(n, k):
+        for comp in original(n, k):
+            visited.append(comp)
+            yield comp
+
+    monkeypatch.setattr(trees, "compositions", counting)
+    vertex_codes = {c for c in _classified_items.__code__.co_consts
+                    if getattr(c, "co_name", None) == "vertex"}
+    entries = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in vertex_codes:
+            entries.append(frame.f_code)
+
+    lines = cluster_report_lines("ABCABCABCA")
+    sys.setprofile(profile)
+    try:
+        trees_seen = len({line.partition(" tree=")[2].partition(" broken=")[0] for _, line in lines})
+    finally:
+        sys.setprofile(None)
+    assert trees_seen == 20_793
+    assert 0 < len(entries) <= len(visited)
 
 
 def count_compositions(monkeypatch):
