@@ -29,7 +29,9 @@ def _fmt_float(x) -> str:
     return "%.12g" % float(x)
 
 
-_BLOCK = 256
+# Lines per block of Out.items and _tally: one hundred, whose indices
+# share all but their last two digits.
+_BLOCK = 100
 
 
 class Out:
@@ -51,28 +53,35 @@ class Out:
         """item(key.i, line) for each line, i = 0, 1, .., written in
         blocks of _BLOCK lines as they come; returns how many there were.
 
-        A machine block is one % over a template of one "key.%d=%s"
-        line per item, so a % in a line is a value, never a conversion;
-        a text block is one join."""
-        if self.fmt == "machine":
-            unit = key.replace("%", "%%") + ".%d=%s\n"
-            template = unit * _BLOCK
+        A text block is one join.  A machine block is one % over a
+        template with one "=%s" slot per line, so a % in a line is a
+        value, never a conversion.  A full block after the first is the
+        lines of one hundred h >= 1, whose indices are str(h) and two
+        digits, so its template is key.h joined over the tails "00=%s\n"
+        .. "99=%s\n", which are built on the first such block and fill
+        their slots with the lines alone.  The first hundred and a short
+        last block interleave the indices with the lines, one "key.%d=%s"
+        line each."""
         it = iter(lines)
         count = 0
-        while True:
-            block = list(itertools.islice(it, _BLOCK))
-            if not block:
-                return count
+        key = key.replace("%", "%%")
+        tails = None
+        while block := tuple(itertools.islice(it, _BLOCK)):
             n = len(block)
-            if self.fmt == "machine":
+            if self.fmt != "machine":
+                text = "\n".join(block) + "\n"
+            elif count and n == _BLOCK:
+                if tails is None:
+                    tails = [""] + ["%02d=%%s\n" % i for i in range(_BLOCK)]
+                text = (key + "." + str(count // _BLOCK)).join(tails) % block
+            else:
                 values = [None] * (2 * n)
                 values[::2] = range(count, count + n)
                 values[1::2] = block
-                text = (template if n == _BLOCK else unit * n) % tuple(values)
-            else:
-                text = "\n".join(block) + "\n"
+                text = (key + ".%d=%s\n") * n % tuple(values)
             sys.stdout.write(text)
             count += n
+        return count
 
     def seq(self, key, values):
         body = ",".join(str(v) for v in values)
@@ -148,7 +157,7 @@ def _int_flag(what):
 
 
 # The largest --d of each enumeration verb.  There the three peak at
-# 89, 32 and 31 MB on CPython 3.11; one leaf more multiplies that by
+# 88, 30 and 30 MB on CPython 3.11; one leaf more multiplies that by
 # four to five.
 MAX_D = {"trees": 12, "strata": 11, "stacked": 9}
 
@@ -225,10 +234,11 @@ def _unit_pair(text) -> tuple:
 
 def _tally(dims, pairs):
     """The lines of the (dim, line) pairs, counting their dims in dims
-    once per block of _BLOCK pairs, as Out.items writes them.  A block
-    is split into its dims and its lines as it is read, so its pairs
-    are not held beside the lines (a held block raised the peak RSS of
-    `stacked --d 9` by 0.3 MB)."""
+    once per block of _BLOCK pairs, so that a block is read just when
+    Out.items reads the hundred lines that it writes with one template.
+    A block is split into its dims and its lines as it is read, so its
+    pairs are not held beside the lines (a held block raised the peak
+    RSS of `stacked --d 9` by 0.3 MB)."""
 
     def blocks():
         it = iter(pairs)

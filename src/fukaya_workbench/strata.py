@@ -77,12 +77,19 @@ def _unilabelled_spans(labels):
     return labels, d, same
 
 
-def _columns(option):
-    """A child option of (item, unilabelled, Floer) triples as its three
-    columns: tuples for a kept tuple, and for a stream, maps over three
-    tee copies of it, which are read in lockstep."""
-    if type(option) is tuple:
-        return [tuple(map(itemgetter(i), option)) for i in range(3)]
+def _columns(items):
+    """(item, unilabelled, Floer) triples as their three columns, a list
+    of tuples: the form in which _classified_items keeps a level, so
+    each kept level is split once, as it is built."""
+    return list(zip(*items))
+
+
+def _child_columns(option):
+    """A child option as its three columns: a kept level as it is, and
+    the streamed level d - 1 as maps over three tee copies of it, which
+    are read in lockstep."""
+    if type(option) is list:
+        return option
     return [map(itemgetter(i), copy) for i, copy in enumerate(itertools.tee(option, 3))]
 
 
@@ -99,11 +106,11 @@ def _classified_items(d, same, leaf, join):
     def vertex(m, first, comp, options):
         uni = (first, first + m - 1) in same
         floer = m < d and not uni
-        items, unis, floers = zip(*map(_columns, options))
+        items, unis, floers = zip(*map(_child_columns, options))
         return zip(join(items), map(sum, _combos(unis + ((uni,),))),
                    map(sum, _combos(floers + ((floer,),))))
 
-    return _tree_levels(d, None, lambda first: (leaf(first), 0, 0), vertex)(d, 1)
+    return _tree_levels(d, None, lambda first: (leaf(first), 0, 0), vertex, keep=_columns)(d, 1)
 
 
 def cluster_report_lines(labels):

@@ -587,7 +587,7 @@ def enumerate_stable_trees(d: int, max_arity=None):
     return list(_tree_levels(d, max_arity, None, lambda m, first, comp, options: _combos(options))(d, 1))
 
 
-def _tree_levels(d: int, max_arity, leaf, vertex, unary=None):
+def _tree_levels(d: int, max_arity, leaf, vertex, unary=None, keep=tuple):
     """level(m, first): the items of the subtrees with m leaves numbered
     from first, of the trees with d leaves, by root arity, composition
     and children; callers read level(d, 1).  Below the root, level 1
@@ -597,8 +597,9 @@ def _tree_levels(d: int, max_arity, leaf, vertex, unary=None):
     by comp into 2..max_arity parts, options[i] holding child i's items.
 
     Levels below d - 1 are built once, per first leaf when leaf is a
-    function and per leaf count otherwise, and kept for the call; level
-    d is streamed.  Level d - 1, read only by the root's compositions
+    function and per leaf count otherwise, and kept for the call as
+    keep(items), the form in which vertex reads them; level d is
+    streamed.  Level d - 1, read only by the root's compositions
     (1, d - 1) and (d - 1, 1), is streamed when leaf is a function, as
     each read has a key of its own, or when unary roots are given, as
     their items there are too many to keep, and kept otherwise.  The
@@ -610,27 +611,37 @@ def _tree_levels(d: int, max_arity, leaf, vertex, unary=None):
         raise ValueError("stable trees need d >= 2")
     if max_arity is not None and max_arity < 2:
         raise ValueError("a stable vertex has arity at least 2, got max_arity %d" % max_arity)
-    cap = d if max_arity is None else min(d, max_arity)
-    numbered = callable(leaf)
-    last_kept = d - 2 if (numbered or unary) and d > 2 else d - 1
-    memo = {}
+    return _Levels(d, d if max_arity is None else min(d, max_arity), leaf, vertex, unary, keep).level
 
-    def level(m, first):
-        key = (m, first) if numbered else m
-        kept = memo.get(key)
+
+class _Levels:
+    """The memo and arguments of _tree_levels, which returns the level
+    method.  The recursion runs through the instance, which holds
+    nothing that holds it back, so the memo is freed by reference
+    counting once the method and the streams read from it are, with
+    nothing left for the cyclic collector."""
+
+    def __init__(self, d, cap, leaf, vertex, unary, keep):
+        self.d, self.cap, self.leaf, self.vertex, self.unary, self.keep = d, cap, leaf, vertex, unary, keep
+        self.numbered = callable(leaf)
+        self.last_kept = d - 2 if (self.numbered or unary) and d > 2 else d - 1
+        self.memo = {}
+
+    def level(self, m, first):
+        key = (m, first) if self.numbered else m
+        kept = self.memo.get(key)
         if kept is None:
-            if m > last_kept:
-                return items(m, first)
-            kept = memo[key] = tuple(items(m, first))
+            if m > self.last_kept:
+                return self.items(m, first)
+            kept = self.memo[key] = self.keep(self.items(m, first))
         return kept
 
-    def items(m, first):
+    def items(self, m, first):
+        vertex, level = self.vertex, self.level
         vertices = (vertex(m, first, comp, list(map(level, comp, itertools.accumulate(comp, initial=first))))
-                    for k in range(2, min(m, cap) + 1) for comp in compositions(m, k))
-        return itertools.chain((leaf(first) if numbered else leaf,) if m == 1 < d else (),
-                               unary(m, first) if unary else (), itertools.chain.from_iterable(vertices))
-
-    return level
+                    for k in range(2, min(m, self.cap) + 1) for comp in compositions(m, k))
+        return itertools.chain((self.leaf(first) if self.numbered else self.leaf,) if m == 1 < self.d else (),
+                               self.unary(m, first) if self.unary else (), itertools.chain.from_iterable(vertices))
 
 
 def _combos(options):

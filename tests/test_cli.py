@@ -530,9 +530,13 @@ ITEM_LINES = ["plain", "100%", "%s", "%%", "%d", "a %(x)s b", "%"]
 
 
 @pytest.mark.parametrize("fmt", ["text", "machine"])
-@pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 513])
+@pytest.mark.parametrize("n", [0, 1, 99, 100, 101, 199, 200, 201, 255, 256, 257, 513,
+                               999, 1000, 1001, 10000, 100001])
 @pytest.mark.parametrize("key", ["stratum", "odd%key"])
 def test_out_items_match_the_per_line_rendering(capsys, fmt, n, key):
+    """Counts on each side of the first hundred, of later hundreds, of a
+    thousand and of each change in the index's digit count, so of the
+    blocks that fill one template per hundred and of a short last one."""
     lines = [ITEM_LINES[i % len(ITEM_LINES)] + " %d" % i for i in range(n)]
     assert cli.Out(fmt).items(key, iter(lines)) == n
     if fmt == "machine":
@@ -544,12 +548,12 @@ def test_out_items_match_the_per_line_rendering(capsys, fmt, n, key):
 
 @pytest.mark.parametrize("fmt", ["text", "machine"])
 def test_out_items_write_each_block_before_reading_the_next(monkeypatch, fmt):
-    """Each write follows the block it holds: 256, 512, then 513 lines read."""
+    """Each write follows the block it holds: 100, 200, then 201 lines read."""
     read = []
     writes = []
 
     def lines():
-        for i in range(513):
+        for i in range(201):
             read.append(i)
             yield "line %d" % i
 
@@ -558,8 +562,8 @@ def test_out_items_write_each_block_before_reading_the_next(monkeypatch, fmt):
             writes.append((len(read), text.count("\n")))
 
     monkeypatch.setattr(sys, "stdout", Stdout())
-    assert cli.Out(fmt).items("tree", lines()) == 513
-    assert writes == [(256, 256), (512, 256), (513, 1)]
+    assert cli.Out(fmt).items("tree", lines()) == 201
+    assert writes == [(100, 100), (200, 100), (201, 1)]
 
 
 LABEL_ERRORS = [("(A,,B,A)", "empty label in '(A,,B,A)'"),
