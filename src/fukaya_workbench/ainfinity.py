@@ -764,24 +764,27 @@ def _concatenations(F: AInfFunctor, top):
         if reach[0]:
             targets.append((names, reach))
 
-    def extend(names, reach, chain, rest):
-        """chain continued by a piece for each of names, rest inputs in
-        all; reach[1:] belongs to names[1:]."""
-        if not names:
-            yield chain
-            return
-        for a, by in pieces.items():
-            if rest - a in reach[1]:
-                for key in by.get(names[0], ()):
-                    if not chain or gens[chain[-1]].target == gens[key[0]].source:
-                        yield from extend(names[1:], reach[1:], chain + key, rest - a)
-
     def build(n):
         for names, reach in targets:
             if n in reach[0]:
-                yield from extend(names, reach, (), n)
+                yield from _pieces_for(gens, pieces, names, reach, (), n)
 
     return set().union(*(reach[0] for _, reach in targets)), build
+
+
+def _pieces_for(gens, pieces, names, reach, chain, rest):
+    """chain continued by a piece of pieces for each of names, rest
+    inputs in all; reach[1:] belongs to names[1:].  A function of its
+    own, not a closure that calls itself, so that no cycle holds gens
+    and pieces once a scan is done."""
+    if not names:
+        yield chain
+        return
+    for a, by in pieces.items():
+        if rest - a in reach[1]:
+            for key in by.get(names[0], ()):
+                if not chain or gens[chain[-1]].target == gens[key[0]].source:
+                    yield from _pieces_for(gens, pieces, names[1:], reach[1:], chain + key, rest - a)
 
 
 def _functor_candidates(F: AInfFunctor, max_d: int):
@@ -821,22 +824,41 @@ def functor_shift(F: AInfFunctor) -> FunctorShiftReport:
 
 
 class _LineKind(NamedTuple):
-    """One kind of line: how many positional tokens follow the head (or a
-    function of those tokens that says so), the handler, and the
-    key=value fields it accepts, each with its default (None: required)."""
+    """One kind of line: how many positional tokens follow the head, the
+    handler, and the key=value fields it accepts, each with its default
+    (None: required)."""
 
-    arity: object
+    arity: int
     handler: object
     fields: dict
 
 
+class _ChainLines(NamedTuple):
+    """'HEAD d X0 .. Xd in=g1,..,gd out=g coeff=..' lines (mu in
+    categories, F in functor maps), which _read_lines reads into entries
+    in its own loop: the inputs come from gens, and the objects must be
+    the chain they run through.  One walk over the (gi, Xi-1, Xi) looks
+    each input up once, checks the path and finds whether the inputs
+    compose, so that a composing chain is stored without the setter's
+    second walk.  The inputs are kept as the generators' own names, and
+    so is an output known in out_gens."""
+
+    entries: object
+    gens: dict
+    out_gens: dict
+
+
 def _read_lines(text, kinds):
-    """Run kinds[head].handler(number, tokens, fields) on every line that
-    is neither blank nor a comment, in file order; tokens is the split
-    line, its head first and then its positional tokens.  Unknown heads,
-    unknown, missing and repeated fields are rejected; every ValueError
-    names the line it came from.  Each line is split once; split() drops
-    the whitespace around it, so the line is stripped only to be quoted.
+    """Read every line that is neither blank nor a comment, in file
+    order; tokens is the split line, its head first and then its
+    positional tokens.  A line of a _LineKind runs
+    kind.handler(number, tokens, fields).  A line of a _ChainLines is
+    read here, so that it calls nov_from_text only on a coefficient text
+    not seen before, nov_add only on a repeated output, and no other
+    Python function unless it has a fault.  Unknown heads, unknown,
+    missing and repeated fields are rejected; every ValueError names the
+    line it came from.  Each line is split once; split() drops the
+    whitespace around it, so the line is stripped only to be quoted.
     The lines are taken off the end of a reversed list, so that each is
     freed once it has been read."""
     lines = text.splitlines()
@@ -853,9 +875,23 @@ def _read_lines(text, kinds):
             kind = kinds.get(head)
             if kind is None:
                 raise ValueError("unknown line %s" % _preview(line.strip()))
-            arity, handler, accepted = kind
-            if type(arity) is not int:
-                arity = arity(tokens)
+            chain = type(kind) is _ChainLines
+            if chain:
+                # d >= 1 and then d + 1 objects before the fields.
+                if len(tokens) < 2:
+                    raise ValueError("missing arity")
+                try:
+                    d = int(tokens[1])
+                except ValueError:
+                    _int(tokens[1], "%s arity" % head)  # raises, naming the token
+                    raise
+                if d < 1:
+                    raise ValueError("arity must be at least 1, got %d" % d)
+                if len(tokens) < d + 6:  # fewer than the three fields after the objects
+                    _check_path_length(tokens, d)
+                arity, accepted = d + 2, _ENTRY_FIELDS
+            else:
+                arity, handler, accepted = kind
             if len(tokens) <= arity:
                 raise ValueError("%s line %s is too short: it needs %d token(s) before its fields"
                                  % (head, _preview(line.strip()), arity))
@@ -876,9 +912,69 @@ def _read_lines(text, kinds):
                             raise ValueError("%s line %s has no %s= field"
                                              % (head, _preview(line.strip()), key))
                         fields[key] = default
-            handler(number, tokens, fields)
+            if not chain:
+                handler(number, tokens, fields)
+                continue
+            entries, gens, out_gens = kind
+            inputs = fields["in"].split(",")
+            if "" in inputs:
+                inputs = list(filter(None, inputs))
+            if len(inputs) != d:
+                raise ValueError("arity %s with %d inputs" % (tokens[1], len(inputs)))
+            # tokens is HEAD d X0 .. Xd.  Input i must start at X(i-1);
+            # with the path right, it composes with the next one iff it
+            # ends at Xi.
+            composes = True
+            i = 2
+            names = []
+            for g in inputs:
+                gen = gens.get(g)
+                if gen is None or gen.source != tokens[i]:
+                    _path_fault(tokens, inputs, gens)
+                names.append(gen.name)
+                i += 1
+                if gen.target != tokens[i]:
+                    composes = False
+            if gen.target != tokens[i]:
+                _path_fault(tokens, inputs, gens)
+            names = tuple(names)
+            written = fields["coeff"]
+            coeff = entries.memo.get((written,))
+            if coeff is None:
+                coeff = nov_from_text(written, entries.memo)
+            outs = entries.outs.get(names)
+            if outs is None:
+                outs = entries.outs[names] = {}
+                entries.first_lines.append(number)
+                if not composes:
+                    entries.unchecked.add(names)
+            out = fields["out"]
+            gen = out_gens.get(out)
+            if gen is not None:
+                out = gen.name
+            outs[out] = nov_add(outs[out], coeff) if out in outs else coeff
         except ValueError as e:
             raise ValueError("line %d: %s" % (number, e)) from None
+
+
+def _check_path_length(tokens, d):
+    """Reject a chain line of arity d with fewer tokens than its d + 1
+    objects and three fields need, when a field that the line lacks
+    stands among those objects: its object path is too short."""
+    objects = tokens[2:d + 3]
+    missing = _ENTRY_FIELDS.keys() - {t.partition("=")[0] for t in tokens[d + 3:]}
+    for i, token in enumerate(objects):
+        if "=" in token and token.partition("=")[0] in missing:
+            raise ValueError("object path %s is too short for arity %d: it needs %d objects"
+                             % (_preview(" ".join(objects[:i])), d, d + 1))
+
+
+def _path_fault(tokens, inputs, gens):
+    """Reject the inputs of a chain line whose walk failed: the first
+    unknown input wins over a path that differs."""
+    _lookup(gens, inputs, "unknown generator %s")
+    raise ValueError("object path %s does not match inputs %s"
+                     % _cut(" ".join(tokens[2:len(inputs) + 3]), ",".join(inputs)))
 
 
 _ENTRY_FIELDS = {"in": None, "out": None, "coeff": None}
@@ -900,15 +996,14 @@ class _Entries:
         self.memo = {}
 
     def kind(self, arity, inputs_of, own, accepted=_ENTRY_FIELDS):
-        """Lines that add a term; inputs_of(tokens, fields) parses and
-        checks their inputs and returns (inputs, checked), checked when
-        it made every check of the inputs that the setter makes.  own(g)
-        is the structure's own string for an output name g that it knows,
-        else g, so that the entries hold one string per known name."""
+        """Lines that add a term; inputs_of(tokens, fields) parses their
+        inputs, which the setter checks.  own(g) is the structure's own
+        string for an output name g that it knows, else g, so that the
+        entries hold one string per known name."""
         outs_of, first_lines, unchecked, memo = self.outs, self.first_lines, self.unchecked, self.memo
 
         def handler(number, tokens, fields):
-            inputs, checked = inputs_of(tokens, fields)
+            inputs = inputs_of(tokens, fields)
             text = fields["coeff"]
             coeff = memo.get((text,))
             if coeff is None:
@@ -917,8 +1012,7 @@ class _Entries:
             if outs is None:
                 outs = outs_of[inputs] = {}
                 first_lines.append(number)
-                if not checked:
-                    unchecked.add(inputs)
+                unchecked.add(inputs)
             out = own(fields["out"])
             outs[out] = nov_add(outs[out], coeff) if out in outs else coeff
 
@@ -977,68 +1071,6 @@ def _chain(gens, inputs):
     return tuple(gens[g].source for g in inputs) + (gens[inputs[-1]].target,)
 
 
-def _chain_kind(head, entries, gens, out_gens):
-    """'HEAD d X0 .. Xd in=g1,..,gd out=g coeff=..' lines (mu in
-    categories, F in functor maps): the inputs come from gens, and the
-    objects must be the chain they run through.  One walk over the
-    (gi, Xi-1, Xi) looks each input up once, checks the path and finds
-    whether the inputs compose, so that a composing chain is stored
-    without the setter's second walk.  The inputs are kept as the
-    generators' own names, and so is an output known in out_gens."""
-    what = "%s arity" % head
-
-    def arity(tokens):
-        """d >= 1 and then d + 1 objects before the fields; a field the
-        line lacks among those objects means a short path."""
-        if len(tokens) < 2:
-            raise ValueError("missing arity")
-        d = _int(tokens[1], what)
-        if d < 1:
-            raise ValueError("arity must be at least 1, got %d" % d)
-        if len(tokens) < d + 6:  # fewer than the three fields after the objects
-            objects = tokens[2:d + 3]
-            missing = _ENTRY_FIELDS.keys() - {t.partition("=")[0] for t in tokens[d + 3:]}
-            for i, token in enumerate(objects):
-                if "=" in token and token.partition("=")[0] in missing:
-                    raise ValueError("object path %s is too short for arity %d: it needs %d objects"
-                                     % (_preview(" ".join(objects[:i])), d, d + 1))
-        return d + 2
-
-    def inputs_of(tokens, fields):
-        inputs = _split_names(fields["in"])
-        if len(inputs) != int(tokens[1]):
-            raise ValueError("arity %s with %d inputs" % (tokens[1], len(inputs)))
-        # tokens is HEAD d X0 .. Xd.  Input i must start at X(i-1); with
-        # the path right, it composes with the next one iff it ends at Xi.
-        composes = True
-        i = 2
-        names = []
-        try:
-            for g in inputs:
-                gen = gens[g]
-                if gen.source != tokens[i]:
-                    break
-                names.append(gen.name)
-                i += 1
-                if gen.target != tokens[i]:
-                    composes = False
-            else:
-                if gen.target == tokens[i]:
-                    return tuple(names), composes
-        except KeyError:
-            pass
-        # The first unknown input wins over a path that differs.
-        _lookup(gens, inputs, "unknown generator %s")
-        raise ValueError("object path %s does not match inputs %s"
-                         % _cut(" ".join(tokens[2:len(inputs) + 3]), ",".join(inputs)))
-
-    def own(name):
-        gen = out_gens.get(name)
-        return name if gen is None else gen.name
-
-    return entries.kind(arity, inputs_of, own)
-
-
 def _chain_lines(head, table, gens):
     return _entry_lines(table, lambda k: "%s %d %s in=%s"
                         % (head, len(k), " ".join(_chain(gens, k)), ",".join(k)))
@@ -1049,7 +1081,7 @@ def _bracket_inputs(tokens, fields):
     inputs = _split_names(fields["in"])
     if len(inputs) != _int(tokens[1], "l arity"):
         raise ValueError("l %s with %d inputs" % (*_cut(tokens[1]), len(inputs)))
-    return tuple(sorted(inputs)), False
+    return tuple(sorted(inputs))
 
 
 def _bracket_lines(alg):
@@ -1078,7 +1110,7 @@ def load_category(text: str) -> FilteredAInfCategory:
         "gen": _LineKind(3, lambda n, t, f: cat.add_gen(t[3], t[1], t[2],
                                                         mu.exact(f["level"]), mu.exact(f["ham"])),
                          {"level": None, "ham": None}),
-        "mu": _chain_kind("mu", mu, cat.gens, cat.gens),
+        "mu": _ChainLines(mu, cat.gens, cat.gens),
     })
     mu.store(cat.set_mu, cat._put_mu)
     return cat
@@ -1115,7 +1147,7 @@ def _open_closed_inputs(tokens, fields):
     if (len(closed), len(opens)) != (k, d):
         raise ValueError("mu %s %s with %d closed and %d open inputs"
                          % (*_cut(tokens[1], tokens[2]), len(closed), len(opens)))
-    return (tuple(sorted(closed)), opens), False
+    return tuple(sorted(closed)), opens
 
 
 def load_ocha(text: str) -> OCHAStructure:
@@ -1162,7 +1194,7 @@ def load_functor(text: str, source: FilteredAInfCategory, target: FilteredAInfCa
         object_map[x] = y
 
     _read_lines(text, {"obj": _LineKind(2, obj_line, {}),
-                       "F": _chain_kind("F", components, source.gens, target.gens)})
+                       "F": _ChainLines(components, source.gens, target.gens)})
     F = AInfFunctor(source, target, object_map)
     components.store(F.set_component, F._put_component)
     return F

@@ -129,19 +129,23 @@ def cluster_report_lines(labels):
                      for k in range(uni + 1)))
               for floer in range(d - 1)] for uni in range(d - 1)]
 
-    def floer_line(tree):
-        # Every interior edge is a Floer edge; there is one per vertex
-        # below the root.
-        dims, around = lines[0][tree.count("(v") - 1]
-        return dims[0], tree.join(around[0])
-
     def classified_lines(item):
         tree, uni, floer = item
         dims, around = lines[uni][floer]
         return zip(dims, map(tree.join, around))
 
     if not same:
-        return map(floer_line, stable_sexprs(d))
+        # Every interior edge is a Floer edge, one per vertex below the
+        # root.  A text with V vertices holds its leaf texts, "(v" and ")"
+        # per vertex and a space before each of its d + V - 1 nodes other
+        # than the root, so its length gives V and with it the line.
+        base = sum(map(len, map("(leaf %d)".__mod__, range(1, d + 1)))) + d - 1
+        dim_of = {base + 4 * (floer + 1): dims[0] for floer, (dims, _) in enumerate(lines[0])}
+        around_of = {base + 4 * (floer + 1): around[0] for floer, (_, around) in enumerate(lines[0])}
+        texts, sized = itertools.tee(stable_sexprs(d))
+        for_dims, for_lines = itertools.tee(map(len, sized))
+        return zip(map(dim_of.__getitem__, for_dims),
+                   map(str.join, texts, map(around_of.__getitem__, for_lines)))
     return itertools.chain.from_iterable(map(classified_lines, _classified_items(
         d, same, "(leaf %d)".__mod__, lambda texts: map("".join, _combos(_spaced(texts))))))
 

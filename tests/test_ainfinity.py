@@ -1,7 +1,9 @@
+import gc
 import importlib.resources
 import itertools
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -653,6 +655,53 @@ def test_load_coerces_each_distinct_text_once(monkeypatch):
     assert cat.mu
     assert len(coerced) == len(set(coerced))
     assert set(coerced) <= set(exponents) | set(levels)
+
+
+def _distinct_entry_lines(n):
+    """A category of 60 endomorphisms of one object and n mu lines, each
+    with inputs of its own and one of four coefficient texts."""
+    names = ["g%d" % i for i in range(60)]
+    lines = ["object M"] + ["gen M M %s level=0 ham=0" % g for g in names]
+    coeffs = ["T^0", "T^1/2", "T^-1+T^2", "T^{1/3}"]
+    for i, (a, b) in zip(range(n), itertools.product(names, repeat=2)):
+        lines.append("mu 2 M M M in=%s,%s out=%s coeff=%s" % (a, b, names[i % 60], coeffs[i % 4]))
+    return "\n".join(lines) + "\n"
+
+
+def _python_calls(func, *args):
+    """How many Python frames func(*args) enters, by sys.setprofile's
+    'call' events; calls into C make none.  The collector is off, since
+    a collection runs the Python functions in gc.callbacks."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        func(*args)
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    return calls
+
+
+# A stored entry whose inputs compose costs FilteredAInfCategory._put_mu
+# and its _set_entry.
+STORE_CALLS_PER_ENTRY = 2
+
+
+def test_chain_lines_make_no_python_call():
+    """Frames, not a clock: n more mu lines with inputs of their own and
+    known coefficient texts add the store's calls for their n entries to
+    a load, and no call per line."""
+    n = 1000
+    one, two = (_python_calls(load_category, _distinct_entry_lines(k)) for k in (n, 2 * n))
+    assert len(load_category(_distinct_entry_lines(2 * n)).mu) == 2 * n
+    assert two - one <= STORE_CALLS_PER_ENTRY * n
 
 
 def test_load_category_errors():

@@ -459,12 +459,13 @@ def test_closed_stdout_is_one_error_line():
 
 # Runs the CLI as `python -m fukaya_workbench.cli` does ("module") or
 # through cli.run, the console script's entry ("run"), with an atexit
-# probe, registered first, that reports the collector's frozen count at
-# interpreter shutdown.
+# probe, registered first, that reports at interpreter shutdown whether
+# the collector is enabled and its frozen count.
 _FREEZE_PROBE = """
 import atexit, gc, sys
 print("before=%d" % gc.get_freeze_count(), file=sys.stderr)
-atexit.register(lambda: print("at_exit=%d" % gc.get_freeze_count(), file=sys.stderr))
+atexit.register(lambda: print("enabled=%d\\nat_exit=%d" % (gc.isenabled(), gc.get_freeze_count()),
+                              file=sys.stderr))
 route, argv = sys.argv[1], sys.argv[2:]
 if route == "module":
     import runpy
@@ -497,6 +498,7 @@ def test_a_cli_process_reaches_shutdown_with_its_heap_frozen(tmp_path, route, ar
     assert res.returncode == code, res.stderr
     lines = res.stderr.splitlines()
     assert lines[0] == "before=0"
+    assert lines[-2] == "enabled=0"
     assert lines[-1].startswith("at_exit=") and int(lines[-1][len("at_exit="):]) > 0
 
 
@@ -507,6 +509,94 @@ def test_main_in_process_leaves_the_collector_unfrozen(capsys):
     with pytest.raises(SystemExit):
         main(["strata", "--d", "x"])
     assert gc.get_freeze_count() == before
+    assert gc.isenabled()
+
+
+def _category_text(n, last=""):
+    """A category on one object with a strict unit e, n more generators
+    and about 3n mu lines; last is appended as its final line."""
+    gens = ["g%d" % i for i in range(n)]
+    lines = ["object M", "gen M M e level=0 ham=0", "mu 2 M M M in=e,e out=e coeff=T^0"]
+    lines += ["gen M M %s level=%d/2 ham=0" % (g, i % 3) for i, g in enumerate(gens)]
+    for i, g in enumerate(gens):
+        lines += ["mu 2 M M M in=e,%s out=%s coeff=T^0" % (g, g),
+                  "mu 2 M M M in=%s,e out=%s coeff=T^0" % (g, g),
+                  "mu 2 M M M in=%s,%s out=%s coeff=T^%d/2+T^1"
+                  % (g, gens[(i + 1) % n], gens[(i + 2) % n], i % 5)]
+    return "\n".join(lines + [last]) + "\n"
+
+
+def _table_files(tmp_path, n):
+    """The file arguments of every table verb, with n generators or basis
+    elements each."""
+    names = ["x%d" % i for i in range(n)]
+    brackets = ["l 2 in=%s,%s out=%s coeff=T^1" % (a, b, names[(i + 2) % n])
+                for i, (a, b) in enumerate(zip(names, names[1:] + names[:1]))]
+    files = {
+        "cat": _category_text(n),
+        "bad": _category_text(n, "mu 2 M M M in=e,g0 out=g0"),
+        # l1(l1(x0)) = x0: a violation at every size.
+        "linf": "\n".join(["basis %s" % x for x in names] + brackets
+                          + ["l 1 in=x0 out=x0 coeff=T^0"]) + "\n",
+        "ocha": "\n".join(["closed %s" % x for x in names] + ["open o"] + brackets
+                          + ["mu 1 1 closed=%s in=o out=o coeff=T^1/2" % x for x in names]) + "\n",
+        "map": "\n".join(["obj M M", "F 1 M M in=e out=e coeff=T^0"]
+                         + ["F 1 M M in=g%d out=g%d coeff=T^0" % (i, i) for i in range(n)]) + "\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    return {name: str(tmp_path / name) for name in files}
+
+
+# Each verb family as (argv from the files of _table_files and whether
+# the run is the large one, exit code); the files are sized by the run.
+GARBAGE_RUNS = {
+    "trees": (lambda f, big: ["trees", "--d", "9" if big else "4"], 0),
+    "strata-d": (lambda f, big: ["strata", "--d", "9" if big else "4"], 0),
+    "strata-labels": (lambda f, big: ["strata", "--labels",
+                                      "(A,A,B,A,B,B,A,C,A)" if big else "(A,A,B,A)"], 0),
+    "stacked": (lambda f, big: ["stacked", "--d", "6" if big else "3"], 0),
+    "check-ainf": (lambda f, big: ["check-ainf", f["cat"], "--max-d", "3"], 1),
+    "check-linf": (lambda f, big: ["check-linf", f["linf"], "--max-n", "3"], 1),
+    "check-ocha": (lambda f, big: ["check-ocha", f["ocha"], "--specializations"], 1),
+    "measure": (lambda f, big: ["measure", f["cat"], "--unit", "M:e"], 0),
+    "unit": (lambda f, big: ["unit", f["cat"], "--object", "M", "--unit", "e"], 0),
+    "functor": (lambda f, big: ["functor", "--source", f["cat"], "--target", f["cat"],
+                                "--map", f["map"], "--max-d", "2"], 0),
+    "error": (lambda f, big: ["check-ainf", f["bad"]], 2),
+}
+
+
+def _garbage_after_main(capsys, argv):
+    """main(argv)'s exit code, and what gc.collect() finds after it with
+    the collector off from the start."""
+    gc.collect()
+    gc.disable()
+    try:
+        code = main(argv)
+        found = gc.collect()
+    finally:
+        gc.enable()
+    capsys.readouterr()
+    return code, found
+
+
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+@pytest.mark.parametrize("family", GARBAGE_RUNS)
+def test_cli_runs_leave_garbage_that_does_not_grow_with_their_input(tmp_path, capsys, family, fmt):
+    """cli.run turns the collector off for the whole run.  That holds
+    only while no verb leaves cyclic garbage that grows with its input:
+    with the collector off, a small and a large run of each verb family
+    leave the same count for gc.collect() (argparse's parser)."""
+    argv_of, code = GARBAGE_RUNS[family]
+    found = []
+    for big in (False, False, True):  # the first run imports the verb's modules
+        (tmp_path / str(big)).mkdir(exist_ok=True)
+        argv = argv_of(_table_files(tmp_path / str(big), 40 if big else 3), big)
+        got, garbage = _garbage_after_main(capsys, argv + ["--format", fmt])
+        assert got == code
+        found.append(garbage)
+    assert found[1] == found[2], found
 
 
 def test_d_zero_reports_range_error(capsys):
