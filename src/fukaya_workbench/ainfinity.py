@@ -169,19 +169,24 @@ class FilteredAInfCategory:
     def composable_tuples(self, d: int):
         """All length-d composable generator tuples, lexicographic in
         generator names."""
+        gens = self.gens
         by_source = {}
-        for name in sorted(self.gens):
-            by_source.setdefault(self.gens[name].source, []).append(name)
+        for name in sorted(gens):
+            by_source.setdefault(gens[name].source, []).append(name)
+        for name in sorted(gens):
+            yield from _extensions(gens, by_source, (name,), d)
 
-        def extend(chain):
-            if len(chain) == d:
-                yield chain
-                return
-            for g in by_source.get(self.gens[chain[-1]].target, ()):
-                yield from extend(chain + (g,))
 
-        for name in sorted(self.gens):
-            yield from extend((name,))
+def _extensions(gens, by_source, chain, d):
+    """chain continued to length d by generators of by_source (object ->
+    the generators that start there), lexicographic in their names.  A
+    function of its own, not a closure that calls itself, so that no
+    cycle holds the category once the tuples are consumed."""
+    if len(chain) == d:
+        yield chain
+        return
+    for g in by_source.get(gens[chain[-1]].target, ()):
+        yield from _extensions(gens, by_source, chain + (g,), d)
 
 
 # -- the insertion kernel ----------------------------------------------
@@ -824,43 +829,53 @@ def functor_shift(F: AInfFunctor) -> FunctorShiftReport:
 
 
 class _LineKind(NamedTuple):
-    """One kind of line: how many positional tokens follow the head, the
-    handler, and the key=value fields it accepts, each with its default
-    (None: required)."""
+    """A declaration line: how many positional tokens follow the head,
+    the handler, and the key=value fields it accepts, each with its
+    default (None: required)."""
 
     arity: int
     handler: object
     fields: dict
 
 
-class _ChainLines(NamedTuple):
-    """'HEAD d X0 .. Xd in=g1,..,gd out=g coeff=..' lines (mu in
-    categories, F in functor maps), which _read_lines reads into entries
-    in its own loop: the inputs come from gens, and the objects must be
-    the chain they run through.  One walk over the (gi, Xi-1, Xi) looks
-    each input up once, checks the path and finds whether the inputs
-    compose, so that a composing chain is stored without the setter's
-    second walk.  The inputs are kept as the generators' own names, and
-    so is an output known in out_gens."""
+class _EntryLines(NamedTuple):
+    """Lines that add one out= and coeff= term to entries, which
+    _read_lines reads in its own loop.  With inputs_of None they are
+    chain lines, 'HEAD d X0 .. Xd in=g1,..,gd out=g coeff=..' (mu in
+    categories, F in functor maps): the inputs come from gens, and the
+    objects must be the chain they run through.  One walk over the
+    (gi, Xi-1, Xi) looks each input up once, checks the path and finds
+    whether the inputs compose, so that a composing chain is stored
+    without the setter's second walk; the inputs are kept as the
+    generators' own names, and arity is 0, since a chain line has d + 2
+    positional tokens.  Otherwise inputs_of(tokens, fields) parses the
+    inputs after arity positional tokens, and the setter checks them.
+    fields are the key=value fields of the lines, each with its default
+    (None: required).  own maps each output name that the structure
+    knows to its own string, or for chain lines to its generator, so
+    that the entries hold one string per known name."""
 
     entries: object
+    inputs_of: object
+    arity: int
+    fields: dict
     gens: dict
-    out_gens: dict
+    own: dict
 
 
 def _read_lines(text, kinds):
     """Read every line that is neither blank nor a comment, in file
     order; tokens is the split line, its head first and then its
     positional tokens.  A line of a _LineKind runs
-    kind.handler(number, tokens, fields).  A line of a _ChainLines is
+    kind.handler(number, tokens, fields).  A line of an _EntryLines is
     read here, so that it calls nov_from_text only on a coefficient text
     not seen before, nov_add only on a repeated output, and no other
-    Python function unless it has a fault.  Unknown heads, unknown,
-    missing and repeated fields are rejected; every ValueError names the
-    line it came from.  Each line is split once; split() drops the
-    whitespace around it, so the line is stripped only to be quoted.
-    The lines are taken off the end of a reversed list, so that each is
-    freed once it has been read."""
+    Python function than its kind's inputs_of unless it has a fault.
+    Unknown heads, unknown, missing and repeated fields are rejected;
+    every ValueError names the line it came from.  Each line is split
+    once; split() drops the whitespace around it, so the line is
+    stripped only to be quoted.  The lines are taken off the end of a
+    reversed list, so that each is freed once it has been read."""
     lines = text.splitlines()
     lines.reverse()
     number = 0
@@ -875,23 +890,25 @@ def _read_lines(text, kinds):
             kind = kinds.get(head)
             if kind is None:
                 raise ValueError("unknown line %s" % _preview(line.strip()))
-            chain = type(kind) is _ChainLines
-            if chain:
-                # d >= 1 and then d + 1 objects before the fields.
-                if len(tokens) < 2:
-                    raise ValueError("missing arity")
-                try:
-                    d = int(tokens[1])
-                except ValueError:
-                    _int(tokens[1], "%s arity" % head)  # raises, naming the token
-                    raise
-                if d < 1:
-                    raise ValueError("arity must be at least 1, got %d" % d)
-                if len(tokens) < d + 6:  # fewer than the three fields after the objects
-                    _check_path_length(tokens, d)
-                arity, accepted = d + 2, _ENTRY_FIELDS
-            else:
+            entry = type(kind) is _EntryLines
+            if not entry:
                 arity, handler, accepted = kind
+            else:
+                entries, inputs_of, arity, accepted, gens, own = kind
+                if inputs_of is None:
+                    # d >= 1 and then d + 1 objects before the fields.
+                    if len(tokens) < 2:
+                        raise ValueError("missing arity")
+                    try:
+                        d = int(tokens[1])
+                    except ValueError:
+                        _int(tokens[1], "%s arity" % head)  # raises, naming the token
+                        raise
+                    if d < 1:
+                        raise ValueError("arity must be at least 1, got %d" % d)
+                    if len(tokens) < d + 6:  # fewer than the three fields after the objects
+                        _check_path_length(tokens, d)
+                    arity = d + 2
             if len(tokens) <= arity:
                 raise ValueError("%s line %s is too short: it needs %d token(s) before its fields"
                                  % (head, _preview(line.strip()), arity))
@@ -912,32 +929,35 @@ def _read_lines(text, kinds):
                             raise ValueError("%s line %s has no %s= field"
                                              % (head, _preview(line.strip()), key))
                         fields[key] = default
-            if not chain:
+            if not entry:
                 handler(number, tokens, fields)
                 continue
-            entries, gens, out_gens = kind
-            inputs = fields["in"].split(",")
-            if "" in inputs:
-                inputs = list(filter(None, inputs))
-            if len(inputs) != d:
-                raise ValueError("arity %s with %d inputs" % (tokens[1], len(inputs)))
-            # tokens is HEAD d X0 .. Xd.  Input i must start at X(i-1);
-            # with the path right, it composes with the next one iff it
-            # ends at Xi.
-            composes = True
-            i = 2
-            names = []
-            for g in inputs:
-                gen = gens.get(g)
-                if gen is None or gen.source != tokens[i]:
-                    _path_fault(tokens, inputs, gens)
-                names.append(gen.name)
-                i += 1
+            if inputs_of is None:
+                inputs = fields["in"].split(",")
+                if "" in inputs:
+                    inputs = list(filter(None, inputs))
+                if len(inputs) != d:
+                    raise ValueError("arity %s with %d inputs" % (tokens[1], len(inputs)))
+                # tokens is HEAD d X0 .. Xd.  Input i must start at
+                # X(i-1); with the path right, it composes with the next
+                # one iff it ends at Xi.
+                composes = True
+                i = 2
+                names = []
+                for g in inputs:
+                    gen = gens.get(g)
+                    if gen is None or gen.source != tokens[i]:
+                        _path_fault(tokens, inputs, gens)
+                    names.append(gen.name)
+                    i += 1
+                    if gen.target != tokens[i]:
+                        composes = False
                 if gen.target != tokens[i]:
-                    composes = False
-            if gen.target != tokens[i]:
-                _path_fault(tokens, inputs, gens)
-            names = tuple(names)
+                    _path_fault(tokens, inputs, gens)
+                names = tuple(names)
+            else:
+                names = inputs_of(tokens, fields)
+                composes = False
             written = fields["coeff"]
             coeff = entries.memo.get((written,))
             if coeff is None:
@@ -949,9 +969,9 @@ def _read_lines(text, kinds):
                 if not composes:
                     entries.unchecked.add(names)
             out = fields["out"]
-            gen = out_gens.get(out)
-            if gen is not None:
-                out = gen.name
+            known = own.get(out)
+            if known is not None:
+                out = known if inputs_of else known.name
             outs[out] = nov_add(outs[out], coeff) if out in outs else coeff
         except ValueError as e:
             raise ValueError("line %d: %s" % (number, e)) from None
@@ -981,11 +1001,12 @@ _ENTRY_FIELDS = {"in": None, "out": None, "coeff": None}
 
 
 class _Entries:
-    """Table entries read line by line, one out= and coeff= term per
-    line.  Terms with the same inputs and output add over Z2.  memo
-    holds the texts parsed so far (see nov_from_text), so a load parses
-    each distinct coefficient, term and exponent text once, and a
-    coefficient text seen before costs one lookup."""
+    """Table entries that _read_lines fills from the lines of an
+    _EntryLines, one out= and coeff= term per line.  Terms with the same
+    inputs and output add over Z2.  memo holds the texts parsed so far
+    (see nov_from_text), so a load parses each distinct coefficient,
+    term and exponent text once, and a coefficient text seen before
+    costs one lookup."""
 
     def __init__(self):
         self.outs = {}
@@ -994,29 +1015,6 @@ class _Entries:
         # The inputs whose lines did not make every check of the setter.
         self.unchecked = set()
         self.memo = {}
-
-    def kind(self, arity, inputs_of, own, accepted=_ENTRY_FIELDS):
-        """Lines that add a term; inputs_of(tokens, fields) parses their
-        inputs, which the setter checks.  own(g) is the structure's own
-        string for an output name g that it knows, else g, so that the
-        entries hold one string per known name."""
-        outs_of, first_lines, unchecked, memo = self.outs, self.first_lines, self.unchecked, self.memo
-
-        def handler(number, tokens, fields):
-            inputs = inputs_of(tokens, fields)
-            text = fields["coeff"]
-            coeff = memo.get((text,))
-            if coeff is None:
-                coeff = nov_from_text(text, memo)
-            outs = outs_of.get(inputs)
-            if outs is None:
-                outs = outs_of[inputs] = {}
-                first_lines.append(number)
-                unchecked.add(inputs)
-            out = own(fields["out"])
-            outs[out] = nov_add(outs[out], coeff) if out in outs else coeff
-
-        return _LineKind(arity, handler, accepted)
 
     def exact(self, text):
         """text as a Fraction through memo.  A text that _frac rejects
@@ -1088,12 +1086,6 @@ def _bracket_lines(alg):
     return _entry_lines(alg.l, lambda k: "l %d in=%s" % (len(k), ",".join(k)))
 
 
-def _own(names):
-    """own for _Entries.kind from names, which maps each known name to
-    its own string."""
-    return lambda g: names.get(g, g)
-
-
 def _name_kind(add):
     """A 'HEAD NAME' declaration line."""
     return _LineKind(1, lambda number, tokens, fields: add(tokens[1]), {})
@@ -1110,7 +1102,7 @@ def load_category(text: str) -> FilteredAInfCategory:
         "gen": _LineKind(3, lambda n, t, f: cat.add_gen(t[3], t[1], t[2],
                                                         mu.exact(f["level"]), mu.exact(f["ham"])),
                          {"level": None, "ham": None}),
-        "mu": _ChainLines(mu, cat.gens, cat.gens),
+        "mu": _EntryLines(mu, None, 0, _ENTRY_FIELDS, cat.gens, cat.gens),
     })
     mu.store(cat.set_mu, cat._put_mu)
     return cat
@@ -1129,7 +1121,8 @@ def load_linf(text: str) -> LInfinityAlgebra:
     alg = LInfinityAlgebra()
     l = _Entries()
     _read_lines(text, {"basis": _name_kind(alg.add_basis),
-                       "l": l.kind(1, _bracket_inputs, _own(alg._basis_names))})
+                       "l": _EntryLines(l, _bracket_inputs, 1, _ENTRY_FIELDS, None,
+                                         alg._basis_names)})
     l.store(alg.set_l)
     return alg
 
@@ -1159,9 +1152,10 @@ def load_ocha(text: str) -> OCHAStructure:
     _read_lines(text, {
         "closed": _name_kind(s.add_closed),
         "open": _name_kind(s.add_open),
-        "l": l.kind(1, _bracket_inputs, _own(s._basis_names)),
-        "mu": mu.kind(2, _open_closed_inputs, _own(s._open_names),
-                      {"closed": "", "in": "", "out": None, "coeff": None}),
+        "l": _EntryLines(l, _bracket_inputs, 1, _ENTRY_FIELDS, None, s._basis_names),
+        "mu": _EntryLines(mu, _open_closed_inputs, 2,
+                          {"closed": "", "in": "", "out": None, "coeff": None},
+                          None, s._open_names),
     })
     l.store(s.set_l)
     mu.store(lambda key, outs: s.set_mu(key[0], key[1], outs))
@@ -1194,7 +1188,8 @@ def load_functor(text: str, source: FilteredAInfCategory, target: FilteredAInfCa
         object_map[x] = y
 
     _read_lines(text, {"obj": _LineKind(2, obj_line, {}),
-                       "F": _ChainLines(components, source.gens, target.gens)})
+                       "F": _EntryLines(components, None, 0, _ENTRY_FIELDS, source.gens,
+                                         target.gens)})
     F = AInfFunctor(source, target, object_map)
     components.store(F.set_component, F._put_component)
     return F

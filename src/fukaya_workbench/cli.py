@@ -53,37 +53,29 @@ class Out:
         """item(key.i, line) for each line, i = 0, 1, .., written in
         blocks of _BLOCK lines as they come; returns how many there were.
 
-        A text block is one join.  A full machine block after the first
-        is the lines of one hundred h >= 1, whose indices are str(h) and
-        two digits, so it is one join over pieces that hold, for line i,
-        the head key.h, the tail "%02d=" % i and the line; the tails are
-        set on the first such block, and each head but the first starts
-        with the newline that ends the line before it.  The first
-        hundred and a short last block are one % over a template that
-        interleaves the indices with the lines, one "key.%d=%s" line
-        each, so a % in a line is a value, never a conversion."""
+        A text block is one join.  A machine block is the lines of one
+        hundred h, so it is one join over pieces that hold, for line i,
+        a head and a tail and the line: the head key.h and the tail
+        "%02d=" % i, or in the first hundred the head key. and the tail
+        "%d=" % i.  The tails are set on the first two blocks, and each
+        head but the first starts with the newline that ends the line
+        before it.  A short last block joins the pieces of its lines."""
         it = iter(lines)
         count = 0
-        template = key.replace("%", "%%") + ".%d=%s\n"
-        pieces = None
+        pieces = [None] * (3 * _BLOCK) + ["\n"]
         while block := tuple(itertools.islice(it, _BLOCK)):
             n = len(block)
             if self.fmt != "machine":
                 text = "\n".join(block) + "\n"
-            elif count and n == _BLOCK:
-                if pieces is None:
-                    pieces = [None] * (3 * _BLOCK) + ["\n"]
-                    pieces[1::3] = ["%02d=" % i for i in range(_BLOCK)]
-                head = key + "." + str(count // _BLOCK)
+            else:
+                if count <= _BLOCK:
+                    tail = "%02d=" if count else "%d="
+                    pieces[1:3 * _BLOCK:3] = [tail % i for i in range(_BLOCK)]
+                head = key + "." + (str(count // _BLOCK) if count else "")
                 pieces[0:3 * _BLOCK:3] = ["\n" + head] * _BLOCK
                 pieces[0] = head
-                pieces[2::3] = block
-                text = "".join(pieces)
-            else:
-                values = [None] * (2 * n)
-                values[::2] = range(count, count + n)
-                values[1::2] = block
-                text = template * n % tuple(values)
+                pieces[2:3 * n:3] = block
+                text = "".join(pieces if n == _BLOCK else pieces[:3 * n] + ["\n"])
             sys.stdout.write(text)
             count += n
         return count

@@ -1,3 +1,4 @@
+import collections
 import gc
 import importlib.resources
 import itertools
@@ -657,14 +658,16 @@ def test_load_coerces_each_distinct_text_once(monkeypatch):
     assert set(coerced) <= set(exponents) | set(levels)
 
 
+COEFFS = ["T^0", "T^1/2", "T^-1+T^2", "T^{1/3}"]
+
+
 def _distinct_entry_lines(n):
     """A category of 60 endomorphisms of one object and n mu lines, each
     with inputs of its own and one of four coefficient texts."""
     names = ["g%d" % i for i in range(60)]
     lines = ["object M"] + ["gen M M %s level=0 ham=0" % g for g in names]
-    coeffs = ["T^0", "T^1/2", "T^-1+T^2", "T^{1/3}"]
     for i, (a, b) in zip(range(n), itertools.product(names, repeat=2)):
-        lines.append("mu 2 M M M in=%s,%s out=%s coeff=%s" % (a, b, names[i % 60], coeffs[i % 4]))
+        lines.append("mu 2 M M M in=%s,%s out=%s coeff=%s" % (a, b, names[i % 60], COEFFS[i % 4]))
     return "\n".join(lines) + "\n"
 
 
@@ -702,6 +705,72 @@ def test_chain_lines_make_no_python_call():
     one, two = (_python_calls(load_category, _distinct_entry_lines(k)) for k in (n, 2 * n))
     assert len(load_category(_distinct_entry_lines(2 * n)).mu) == 2 * n
     assert two - one <= STORE_CALLS_PER_ENTRY * n
+
+
+def _distinct_bracket_lines(n):
+    """An L-infinity algebra of 100 basis elements and n l lines, each
+    with a pair of inputs of its own, written unsorted, and one of four
+    coefficient texts."""
+    names = ["x%d" % i for i in range(100)]
+    lines = ["basis %s" % b for b in names]
+    for i, (a, b) in zip(range(n), itertools.combinations(names, 2)):
+        lines.append("l 2 in=%s,%s out=%s coeff=%s" % (b, a, names[i % 100], COEFFS[i % 4]))
+    return "\n".join(lines) + "\n"
+
+
+def _distinct_open_closed_lines(n):
+    """An open-closed structure of 60 closed and 60 open basis elements
+    and n mu lines, each with inputs of its own."""
+    closed = ["c%d" % i for i in range(60)]
+    opens = ["o%d" % i for i in range(60)]
+    lines = ["closed %s" % c for c in closed] + ["open %s" % o for o in opens]
+    for i, (c, o) in zip(range(n), itertools.product(closed, opens)):
+        lines.append("mu 1 1 closed=%s in=%s out=%s coeff=%s"
+                     % (c, o, opens[i % 60], COEFFS[i % 4]))
+    return "\n".join(lines) + "\n"
+
+
+# A bracket line costs _bracket_inputs, its _split_names and its _int;
+# its entry costs LInfinityAlgebra.set_l, _lookup and its list
+# comprehension, _elements and _set_entry.  An open-closed mu line costs
+# _open_closed_inputs, two _split_names and two _int; its entry costs
+# load_ocha's setter, OCHAStructure.set_mu, two _lookup with their list
+# comprehensions, _elements and _set_entry.
+ENTRY_CALLS = [(load_linf, _distinct_bracket_lines, lambda alg: alg.l, 8),
+               (load_ocha, _distinct_open_closed_lines, lambda s: s.mu, 13)]
+
+
+@pytest.mark.parametrize("load, lines, table, calls", ENTRY_CALLS, ids=["l", "open-closed-mu"])
+def test_entry_lines_call_only_their_inputs_parser(load, lines, table, calls):
+    """Frames, not a clock: n more entry lines with inputs of their own
+    and known coefficient texts add to a load the calls of their kind's
+    inputs parser and of the store, and no other call per line."""
+    n = 1000
+    one, two = (_python_calls(load, lines(k)) for k in (n, 2 * n))
+    assert len(table(load(lines(2 * n)))) == 2 * n
+    assert two - one <= calls * n
+
+
+def _garbage_after_tuples(text):
+    """What gc.collect() finds, with the collector off from the start,
+    after the category of text has given every composable pair and been
+    dropped."""
+    gc.collect()
+    gc.disable()
+    try:
+        cat = load_category(text)
+        collections.deque(cat.composable_tuples(2), maxlen=0)
+        del cat
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def test_composable_tuples_leave_garbage_that_does_not_grow_with_the_category():
+    """A consumed composable_tuples leaves no cycle that keeps its
+    category alive: a small and a large category leave the same count."""
+    found = [_garbage_after_tuples(_distinct_entry_lines(n)) for n in (10, 10, 1000)]
+    assert found[1] == found[2], found
 
 
 def test_load_category_errors():

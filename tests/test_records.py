@@ -8,7 +8,7 @@ import fukaya_workbench
 from fukaya_workbench import LabelledTree
 from fukaya_workbench.ainfinity import (DiscrepancyReport, FunctorShiftReport, Generator,
                                         SpecializationReport, UnitReport, UnitViolation,
-                                        _LineKind)
+                                        _EntryLines, _LineKind)
 from fukaya_workbench.strata import (ColoredTree, ColoringReport, Glue, Stratum, Surface,
                                      WidthProfile)
 from fukaya_workbench.trees import ReducedTuple, TreeDecomposition
@@ -28,6 +28,7 @@ RECORDS = {
     SpecializationReport: ("open_sector_matches", "open_mismatches", "closed_sector_defects"),
     FunctorShiftReport: ("raw", "rho_star"),
     _LineKind: ("arity", "handler", "fields"),
+    _EntryLines: ("entries", "inputs_of", "arity", "fields", "gens", "own"),
 }
 
 TREE = LabelledTree(((None, None), None), ("A", "B", "C", "D"))
